@@ -24,7 +24,18 @@ from .irreducibility import (
 )
 from .kernel import KernelCertificate, certify, pure_commutator_certificate, pure_commutator_image
 from .laurent import LaurentPoly, RationalFunction, T, laurent_gcd, parse_laurent, parse_rational
-from .matrix import LAURENT, QQ, RATFUNC, Matrix, Subspace, block_embed, mat_vec, stack
+from .matrix import (
+    LAURENT,
+    QQ,
+    RATFUNC,
+    Matrix,
+    Subspace,
+    block_embed,
+    local_block,
+    mat_vec,
+    mul_local,
+    stack,
+)
 from .presentations import (
     GeneratorSymbol,
     Presentation,
@@ -42,7 +53,6 @@ from .presentations import (
     word,
 )
 from .reps import (
-    InvolutionFamily,
     Representation,
     Violation,
     burau_rep,

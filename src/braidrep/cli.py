@@ -77,11 +77,31 @@ def _laurent_arg(text: str):
         raise argparse.ArgumentTypeError(str(exc)) from None
 
 
-def _rational_arg(text: str) -> Fraction:
+def _parse_fraction(text: str) -> Fraction:
     try:
         return Fraction(text)
     except (ValueError, ZeroDivisionError):
-        raise argparse.ArgumentTypeError(f"not a rational number: {text!r}") from None
+        raise ValueError(f"not a rational number: {text!r}") from None
+
+
+def _rational_arg(text: str) -> Fraction:
+    try:
+        return _parse_fraction(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+
+
+def _checked(parse):
+    """An argparse type that rejects text ``parse`` cannot read (exit 2 with
+    a usage message) and otherwise keeps the text, since reports echo every
+    argument as given."""
+    def check(text: str) -> str:
+        try:
+            parse(text)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
+        return text
+    return check
 
 
 def _echo_inputs(args: argparse.Namespace) -> dict:
@@ -320,6 +340,10 @@ def cmd_irreducible(args) -> int:
     return EXIT_OK if status != "fail" else EXIT_MISMATCH
 
 
+def _parse_t_list(text: str) -> list[Fraction]:
+    return [_parse_fraction(piece) for piece in text.split(",") if piece.strip()]
+
+
 def _parse_pair_list(text: str) -> list[tuple[Fraction, Fraction]]:
     pairs = []
     for chunk in text.split(";"):
@@ -328,14 +352,14 @@ def _parse_pair_list(text: str) -> list[tuple[Fraction, Fraction]]:
             continue
         parts = chunk.split(",")
         if len(parts) != 2:
-            raise BraidRepError(f"bad (a,c) pair {chunk!r}; expected like 2,-1")
-        pairs.append((Fraction(parts[0]), Fraction(parts[1])))
+            raise ValueError(f"bad (a,c) pair {chunk!r}; expected like 2,-1")
+        pairs.append((_parse_fraction(parts[0]), _parse_fraction(parts[1])))
     return pairs
 
 
 def cmd_grid(args) -> int:
-    t_values = [Fraction(piece) for piece in args.t.split(",") if piece.strip()]
-    pairs = _parse_pair_list(args.ac) if args.ac else []
+    t_values = _parse_t_list(args.t)
+    pairs = _parse_pair_list(args.ac)
     if args.random:
         rng = random.Random(_seed())
         wanted = len(pairs) + args.random
@@ -364,13 +388,15 @@ def cmd_grid(args) -> int:
 def _parse_probe(text: str) -> tuple[tuple[int, int], tuple[int, int]]:
     chunks = [c for c in text.split(";") if c.strip()]
     if len(chunks) != 2:
-        raise BraidRepError(f"bad probe {text!r}; expected like 1,2;1,3")
+        raise ValueError(f"bad probe {text!r}; expected like 1,2;1,3")
     out = []
     for chunk in chunks:
         parts = chunk.split(",")
-        if len(parts) != 2:
-            raise BraidRepError(f"bad strand pair {chunk!r}")
-        out.append((int(parts[0]), int(parts[1])))
+        try:
+            i, j = (int(part) for part in parts)
+        except ValueError:
+            raise ValueError(f"bad strand pair {chunk!r}; expected two integers like 1,3") from None
+        out.append((i, j))
     return out[0], out[1]
 
 
@@ -506,8 +532,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("grid", help="sweep specializations against the dichotomy")
     p.add_argument("n", type=int)
-    p.add_argument("--t", default="2,-1,3/2", help="comma-separated t values")
-    p.add_argument("--ac", default="", help="semicolon-separated a,c pairs, like 2,-1;0,1")
+    p.add_argument("--t", type=_checked(_parse_t_list), default="2,-1,3/2",
+                   help="comma-separated t values")
+    p.add_argument("--ac", type=_checked(_parse_pair_list), default="",
+                   help="semicolon-separated a,c pairs, like 2,-1;0,1")
     p.add_argument("--random", type=int, default=0,
                    help="additionally sample this many integer (a,c) pairs")
     p.add_argument("--json", action="store_true")
@@ -516,7 +544,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("kernel-probe",
                        help="emit identity-image certificates for pure-braid commutators")
     p.add_argument("n", type=int)
-    p.add_argument("--pairs", action="append", default=None,
+    p.add_argument("--pairs", type=_checked(_parse_probe), action="append", default=None,
                    help="two strand pairs like 1,2;1,3 (repeatable)")
     p.add_argument("--a", type=_laurent_arg, default=parse_laurent("1"))
     p.add_argument("--c", type=_laurent_arg, default=parse_laurent("1"))

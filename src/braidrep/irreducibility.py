@@ -29,7 +29,9 @@ from .matrix import (
     Matrix,
     Subspace,
     block_embed,
+    local_block,
     mat_vec,
+    mul_local,
     stack,
 )
 from .presentations import SIGMA, TAU
@@ -131,7 +133,8 @@ def matrix_algebra_span(images: list[Matrix]) -> int:
     """Dimension of the unital algebra generated by the given field matrices.
 
     Breadth-first closure: seed with the identity and the images, then keep
-    right-multiplying new basis elements by the images, inserting each product
+    right-multiplying new basis elements by the images (as block-local
+    updates, see ``mul_local``), inserting each product
     into an exact echelon basis until nothing new appears (or the full
     dim^2 is reached, at which point nothing larger is possible).
 
@@ -170,11 +173,12 @@ def matrix_algebra_span(images: list[Matrix]) -> int:
             frontier.append(m)
         if len(echelon) == cap:
             return cap
+    blocks = [local_block(g) for g in images]
     while frontier:
         fresh: list[Matrix] = []
         for m in frontier:
-            for g in images:
-                product = m * g
+            for offset, block in blocks:
+                product = Matrix(dom, mul_local(m.entries, offset, block))
                 if insert(product):
                     fresh.append(product)
                     if len(echelon) == cap:
@@ -230,11 +234,12 @@ def _scalar_span(images: list[Matrix]) -> int:
             frontier.append(m)
         if len(echelon) >= cap:
             return cap
+    blocks = [local_block(g) for g in images]
     while frontier:
         fresh: list[Matrix] = []
         for m in frontier:
-            for g in images:
-                product = m * g
+            for offset, block in blocks:
+                product = Matrix(RATFUNC, mul_local(m.entries, offset, block))
                 if insert(product):
                     fresh.append(product)
                     if len(echelon) >= cap:

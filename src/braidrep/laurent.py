@@ -4,8 +4,10 @@
 coefficients; the map never contains zeros, so structural equality is ring
 equality and hashing is sound.  ``RationalFunction`` keeps a reduced
 numerator/denominator pair in a canonical form (denominator has lowest
-exponent 0 and positive lowest coefficient).  Specializing t at a nonzero
-rational lands in ``fractions.Fraction``, re-exported as ``FieldScalar``.
+exponent 0 and positive lowest coefficient).  Constants compare equal to the
+``int`` or ``Fraction`` they stand for, and hash like it.  Specializing t at
+a nonzero rational lands in ``fractions.Fraction``, re-exported as
+``FieldScalar``.
 """
 
 from __future__ import annotations
@@ -222,6 +224,9 @@ class LaurentPoly:
         return self.terms == other.terms
 
     def __hash__(self):
+        # Constants compare equal to ints, so they hash like them.
+        if self.terms.keys() <= {0}:
+            return hash(self.terms.get(0, 0))
         return hash(frozenset(self.terms.items()))
 
     def __bool__(self):
@@ -473,6 +478,11 @@ class RationalFunction:
         return self.num == other.num and self.den == other.den
 
     def __hash__(self):
+        # Values equal to a LaurentPoly or a Fraction hash like it.
+        if self.den.is_one():
+            return hash(self.num)
+        if self.num.terms.keys() <= {0} and self.den.terms.keys() <= {0}:
+            return hash(Fraction(self.num.terms[0], self.den.terms[0]))
         return hash((self.num, self.den))
 
     def __bool__(self):

@@ -11,6 +11,12 @@ The singular extension sends the singular generator at position i to the
 embedded block [[a, c*t], [c, a]] = a*I + c*(standard block), with parameters
 a, c from the Laurent ring.  On two strands the virtual extension additionally
 sends the virtual generator to one of five involution families.
+
+Word evaluation relies on one invariant: every image equals the identity
+outside one diagonal block.  ``Representation.local_image`` finds that block
+once per letter (inverting only the block for exponent -1), and
+``evaluate_word`` applies the letters as block-local updates.  Any square
+image satisfies the invariant, since a full matrix is its own block.
 """
 
 from __future__ import annotations
@@ -30,13 +36,12 @@ from .errors import (
     ZeroSpecialization,
 )
 from .laurent import ONE, T, LaurentPoly
-from .matrix import LAURENT, QQ, EntryDomain, Matrix, block_embed
+from .matrix import LAURENT, QQ, EntryDomain, Matrix, block_embed, local_block, mul_local
 from .presentations import NU, SIGMA, TAU, Presentation, Relation, Word
 
 __all__ = [
     "Representation",
     "Violation",
-    "InvolutionFamily",
     "standard_block",
     "standard_rep",
     "burau_rep",
@@ -76,31 +81,43 @@ class Representation:
         self.name = name
         self.params = dict(params or {})
         self.assignment = dict(assignment)
-        self._inverses: dict = {}
+        self._local: dict = {}
 
     def generator_keys(self):
         return sorted(self.assignment, key=lambda k: (k[0], k[1]))
 
-    def image(self, kind: str, index: int, exp: int = 1) -> Matrix:
+    def local_image(self, kind: str, index: int, exp: int = 1) -> tuple[int, Matrix]:
+        """The letter's image as (offset, block): the image is the identity
+        outside the diagonal block at that offset.  For exponent -1 only the
+        block is inverted; its determinant is the image's."""
         key = (kind, index)
         if key not in self.assignment:
             raise UnassignedGenerator(f"no image assigned to {kind}{index}")
-        if exp == 1:
-            return self.assignment[key]
-        if exp != -1:
+        if exp not in (1, -1):
             raise ValueError(f"letter exponent must be +-1, got {exp}")
-        if kind == TAU and not self.group:
+        if exp == -1 and kind == TAU and not self.group:
             raise NonInvertibleLetter(
                 f"{kind}{index} has no inverse in monoid mode"
             )
-        if key not in self._inverses:
-            try:
-                self._inverses[key] = self.assignment[key].inverse()
-            except NotUnitDeterminant as exc:
-                raise NonInvertibleLetter(
-                    f"image of {kind}{index} is not invertible over {self.domain.name}: {exc}"
-                ) from exc
-        return self._inverses[key]
+        if (key, exp) not in self._local:
+            if exp == 1:
+                self._local[key, 1] = local_block(self.assignment[key])
+            else:
+                offset, block = self.local_image(kind, index)
+                try:
+                    self._local[key, -1] = (offset, block.inverse())
+                except NotUnitDeterminant as exc:
+                    raise NonInvertibleLetter(
+                        f"image of {kind}{index} is not invertible over {self.domain.name}: {exc}"
+                    ) from exc
+        return self._local[key, exp]
+
+    def image(self, kind: str, index: int, exp: int = 1) -> Matrix:
+        """The letter's dense image; an inverse is its block inverse, embedded."""
+        offset, block = self.local_image(kind, index, exp)
+        if exp == 1:
+            return self.assignment[(kind, index)]
+        return Matrix(self.domain, mul_local(_identity_rows(self), offset, block))
 
     def to_json_dict(self) -> dict:
         return {
@@ -201,30 +218,6 @@ def singular_extension_specialized(n: int, t0, a, c, group: bool = False) -> Rep
                           params={"t0": t0, "a": a, "c": c})
 
 
-@dataclass(frozen=True)
-class InvolutionFamily:
-    """One of the five 2x2 involution families, with its parameters.
-
-    family 1: [[p, q], [(1 - p^2)/q, -p]]   with q != 0 dividing 1 - p^2
-    family 2: [[-1, 0], [r, 1]]
-    family 3: [[1, 0], [r, -1]]
-    family 4: -identity
-    family 5: identity
-    """
-
-    family_id: int
-    params: dict
-
-    def __post_init__(self):
-        if self.family_id not in (1, 2, 3, 4, 5):
-            raise ValueError(f"family_id must be 1..5, got {self.family_id}")
-        expected = {1: {"p", "q"}, 2: {"r"}, 3: {"r"}, 4: set(), 5: set()}[self.family_id]
-        if set(self.params) != expected:
-            raise ValueError(
-                f"family {self.family_id} takes parameters {sorted(expected)}, "
-                f"got {sorted(self.params)}")
-
-
 def involution_matrix(family_id: int, *, p=None, q=None, r=None,
                       domain: EntryDomain = LAURENT) -> Matrix:
     """Construct the 2x2 involution of the given family.
@@ -281,10 +274,15 @@ def vsb2_extension(family_id: int, *, a, c, p=None, q=None, r=None,
 
 def evaluate_word(rep: Representation, w: Word) -> Matrix:
     """Product of the letter images; the empty word gives the identity."""
-    out = Matrix.identity(rep.domain, rep.dim)
+    rows = _identity_rows(rep)
     for g in w:
-        out = out * rep.image(g.kind, g.index, g.exp)
-    return out
+        rows = mul_local(rows, *rep.local_image(g.kind, g.index, g.exp))
+    return Matrix(rep.domain, rows)
+
+
+def _identity_rows(rep: Representation) -> list[list]:
+    one, zero = rep.domain.one, rep.domain.zero
+    return [[one if i == j else zero for j in range(rep.dim)] for i in range(rep.dim)]
 
 
 @dataclass(frozen=True)

@@ -27,7 +27,7 @@ from .errors import (
     UnassignedGenerator,
 )
 from .laurent import RationalFunction
-from .matrix import Matrix, QQ
+from .matrix import Matrix, QQ, local_block, mul_local
 from .presentations import NU, Presentation
 from .symbolic import SYMBOLIC, LinearExpr, SymPoly
 
@@ -151,14 +151,15 @@ def assemble(pres: Presentation, known: dict, unknown_gens) -> ConstraintSystem:
     discarded_zero = 0
     discarded_duplicate = 0
 
-    identity = Matrix.identity(SYMBOLIC, dim)
+    identity = Matrix.identity(SYMBOLIC, dim).entries
+    blocks = {key: local_block(m) for key, m in images.items()}
 
     def evaluate(w):
-        out = identity
+        rows = identity
         for g in w:
             assert g.exp == 1, "defining relations are positive words"
-            out = out * images[(g.kind, g.index)]
-        return out
+            rows = mul_local(rows, *blocks[(g.kind, g.index)])
+        return Matrix(SYMBOLIC, rows)
 
     for rel in pres.relations:
         diff = evaluate(rel.lhs) - evaluate(rel.rhs)

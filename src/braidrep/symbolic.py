@@ -161,6 +161,9 @@ class SymPoly:
         return self.terms == other.terms
 
     def __hash__(self):
+        # Constants compare equal to their coefficient, so they hash like it.
+        if self.terms.keys() <= {()}:
+            return hash(self.terms.get((), 0))
         return hash(frozenset(self.terms.items()))
 
     def __bool__(self):

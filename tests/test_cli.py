@@ -189,6 +189,21 @@ def test_kernel_probe_multiple_pairs(capsys):
     assert report["result"]["rejected"] == []
 
 
+@pytest.mark.parametrize("argv", [
+    ["kernel-probe", "4", "--pairs", "a,b;1,3"],
+    ["grid", "3", "--t", "abc"],
+    ["grid", "3", "--t", "1/0"],
+    ["grid", "3", "--t", "2", "--ac", "1,x"],
+])
+def test_malformed_arguments_are_usage_errors(capsys, argv):
+    with pytest.raises(SystemExit) as info:
+        main(argv)
+    assert info.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage: braidrep")
+    assert "Traceback" not in err
+
+
 def test_kernel_probe_two_strands_is_usage_error(capsys):
     code, _, err = run_cli(capsys, "kernel-probe", "2")
     assert code == 2

@@ -179,3 +179,29 @@ def test_rational_coerce_accepts_fractions():
     half = RationalFunction.coerce(Fraction(1, 2))
     assert half + half == RationalFunction.coerce(1)
     assert parse_rational("(t - 1)/(t + 1)") == RationalFunction(T - 1, T + 1)
+
+
+def test_constants_hash_like_the_numbers_they_equal():
+    assert LaurentPoly({0: 5}) == 5
+    assert LaurentPoly({0: 5}) in {5}
+    assert ZERO in {0} and 0 in {ZERO}
+    half = RationalFunction.coerce(Fraction(1, 2))
+    assert half == Fraction(1, 2)
+    assert half in {Fraction(1, 2)}
+    assert RationalFunction(2, 4) in {Fraction(1, 2)}
+    assert RationalFunction(-3) in {-3, LaurentPoly({0: 7})}
+    assert RationalFunction(T + 1) in {T + 1}
+
+
+@given(polys, polys)
+def test_equal_values_hash_equal(p, q):
+    constant = p.terms.get(0, 0)
+    if p == constant:
+        assert hash(p) == hash(constant)
+    if q.is_zero():
+        return
+    r = RationalFunction(p, q)
+    constant = r.num.terms.get(0, 0)
+    for other in (r.num, constant, Fraction(constant, r.den.terms[0])):
+        if r == other:
+            assert hash(r) == hash(other)

@@ -8,7 +8,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from braidrep import LAURENT, QQ, RATFUNC, LaurentPoly, Matrix, Subspace, T, block_embed, mat_vec, stack
+from braidrep import (
+    LAURENT,
+    QQ,
+    RATFUNC,
+    LaurentPoly,
+    Matrix,
+    Subspace,
+    T,
+    block_embed,
+    local_block,
+    mat_vec,
+    mul_local,
+    stack,
+)
 from braidrep.errors import NotInvertible, NotSquare, NotUnitDeterminant, ShapeMismatch
 
 fracs = st.fractions(
@@ -192,3 +205,23 @@ def test_field_lift_preserves_values():
     lifted = m._field_lift()
     assert lifted.domain is RATFUNC
     assert lifted.map_entries(lambda e: e.as_laurent(), LAURENT) == m
+
+
+def test_local_block_is_the_smallest_non_identity_block():
+    block = Matrix(LAURENT, [[0, T], [1, 0]])
+    assert local_block(block_embed(block, 2, 5)) == (1, block)
+    full = Matrix(QQ, [[1, 2], [3, 4]])
+    assert local_block(full) == (0, full)
+    assert local_block(Matrix.identity(QQ, 3)) == (0, Matrix.identity(QQ, 1))
+    corner = Matrix(QQ, [[1, 0, 0], [0, 1, 0], [5, 0, 1]])
+    assert local_block(corner) == (0, corner)
+
+
+@given(st.integers(2, 4), st.integers(2, 3), st.data())
+@settings(max_examples=60, deadline=None)
+def test_local_product_matches_dense_product(n, k, data):
+    block = data.draw(qq_matrices(k, k))
+    image = block_embed(block, data.draw(st.integers(1, n - 1)), n)
+    left = data.draw(qq_matrices(3, image.rows))
+    offset, local = local_block(image)
+    assert Matrix(QQ, mul_local(left.entries, offset, local)) == left * image

@@ -3,8 +3,11 @@
 from __future__ import annotations
 
 import random
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from braidrep import (
     LAURENT,
@@ -34,7 +37,8 @@ from braidrep.errors import (
     NonInvertibleTau,
     ZeroQ,
 )
-from braidrep.reps import standard_block, tau_block
+from braidrep.presentations import GeneratorSymbol
+from braidrep.reps import Representation, standard_block, tau_block
 
 
 @pytest.mark.parametrize("builder", [standard_rep, burau_rep, f_rep])
@@ -182,3 +186,62 @@ def test_word_images_multiply():
     w = word(sigma(1), tau(2), sigma(2))
     expected = rep.image("s", 1) * rep.image("t", 2) * rep.image("s", 2)
     assert evaluate_word(rep, w) == expected
+
+
+# -- block-local letters against the dense reference ---------------------------
+
+LOCAL_CASES = [
+    standard_rep(2), standard_rep(5), burau_rep(4), f_rep(4),
+    singular_extension(4, 0, T ** -1, group=True),
+    singular_extension(3, -T, 0, group=True),
+    singular_extension(5, 1 + T, T ** -1),
+    singular_extension_specialized(4, Fraction(3, 2), 2, -1, group=True),
+    singular_extension_specialized(3, -2, Fraction(1, 2), 3),
+    vsb2_extension(1, a=0, c=1, p=T, q=1 - T, group=True),
+    vsb2_extension(2, a=T, c=2, r=1 + T),
+]
+
+
+def dense_word(rep, w):
+    """The reference: fold Matrix.__mul__ over the dense images, inverting
+    with Matrix.inverse()."""
+    out = Matrix.identity(rep.domain, rep.dim)
+    for g in w:
+        image = rep.assignment[(g.kind, g.index)]
+        out = out * (image if g.exp == 1 else image.inverse())
+    return out
+
+
+def invertible_letters(rep):
+    return [
+        GeneratorSymbol(kind, index, exp)
+        for kind, index in rep.generator_keys()
+        for exp in (1, -1)
+        if exp == 1 or kind != "t" or rep.group
+    ]
+
+
+@given(st.data())
+@settings(max_examples=80, deadline=None)
+def test_local_word_product_matches_dense_fold(data):
+    rep = data.draw(st.sampled_from(LOCAL_CASES))
+    w = tuple(data.draw(st.lists(st.sampled_from(invertible_letters(rep)), max_size=8)))
+    assert evaluate_word(rep, w) == dense_word(rep, w)
+
+
+@pytest.mark.parametrize("rep", LOCAL_CASES, ids=repr)
+def test_block_inverse_matches_dense_inverse(rep):
+    for g in invertible_letters(rep):
+        if g.exp == -1:
+            dense = rep.assignment[(g.kind, g.index)]
+            assert rep.image(g.kind, g.index, -1) == dense.inverse()
+
+
+@pytest.mark.parametrize("a,c", [(1, 1), (2, 0), (1 + T, T)])
+def test_group_mode_non_unit_tau_block_is_not_invertible(a, c):
+    assignment = singular_extension(3, a, c).assignment
+    rep = Representation(3, "singular", assignment, group=True)
+    with pytest.raises(NonInvertibleLetter):
+        rep.image("t", 2, -1)
+    with pytest.raises(NonInvertibleLetter):
+        evaluate_word(rep, word(sigma(1), tau(2, -1)))

@@ -296,3 +296,10 @@ def test_constraint_system_json_shape():
     assert obj["discarded_zero_equations"] == 0
     assert obj["discarded_duplicate_equations"] == 1
     assert "b - c*t" in obj["equations"]
+
+
+def test_symbolic_constants_hash_like_their_coefficient():
+    assert SymPoly.const(3) in {3}
+    assert SymPoly.const(Fraction(2, 3)) in {Fraction(2, 3)}
+    assert SymPoly.const(T) in {T}
+    assert SymPoly() in {0}
