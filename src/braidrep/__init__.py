@@ -28,6 +28,7 @@ from .matrix import (
     LAURENT,
     QQ,
     RATFUNC,
+    Echelon,
     Matrix,
     Subspace,
     block_embed,

@@ -5,7 +5,9 @@ exactly when the unital algebra it generates is the full matrix algebra.
 The dimension of that algebra is a rank over the base field and ranks do not
 change under field extension, so exact rational arithmetic settles the
 question outright: span = dim^2 certifies irreducibility, span < dim^2
-certifies a proper invariant subspace exists over the closure.
+certifies a proper invariant subspace exists over the closure.  The span is
+measured by one ``Echelon`` basis over Q, on the cells of rational images or
+on the (cell, t-exponent) coordinates of Q(t) images.
 
 Witness extraction (an explicit invariant line) is best effort: common fixed
 vectors, the all-ones direction, and simultaneous rational eigenvectors.  A
@@ -26,6 +28,7 @@ from .matrix import (
     QQ,
     RATFUNC,
     EntryDomain,
+    Echelon,
     Matrix,
     Subspace,
     block_embed,
@@ -134,13 +137,14 @@ def matrix_algebra_span(images: list[Matrix]) -> int:
 
     Breadth-first closure: seed with the identity and the images, then keep
     right-multiplying new basis elements by the images (as block-local
-    updates, see ``mul_local``), inserting each product
-    into an exact echelon basis until nothing new appears (or the full
-    dim^2 is reached, at which point nothing larger is possible).
+    updates, see ``mul_local``), inserting each product into an exact
+    ``Echelon`` basis over Q until nothing new appears (or the full dim^2 is
+    reached, at which point nothing larger is possible).
 
-    Over Q(t) no specialization has been chosen, so the powers of t are
-    treated as independent scalars: independence is measured over Q on
-    (cell, exponent) coordinates, still capped at dim^2.  See _scalar_span.
+    Over Q the coordinates are the cells.  Over Q(t) no specialization has
+    been chosen, so the powers of t are treated as independent scalars:
+    independence is measured over Q on the (cell, exponent) coordinates of
+    ``_flatten_cells``, still capped at dim^2.
     """
     if not images:
         raise ValueError("need at least one matrix")
@@ -148,49 +152,40 @@ def matrix_algebra_span(images: list[Matrix]) -> int:
     if not dom.is_field:
         images = [m._field_lift() for m in images]
         dom = images[0].domain
-    if dom is RATFUNC:
-        return _scalar_span(images)
+    coordinates = _flatten_cells if dom is RATFUNC else _cells
     d = images[0].rows
     cap = d * d
-    echelon: list[tuple[int, list]] = []
-
-    def insert(m: Matrix) -> bool:
-        v = [e for row in m.entries for e in row]
-        for pivot, basis_row in echelon:
-            coeff = v[pivot]
-            if coeff != dom.zero:
-                v = [x - coeff * y for x, y in zip(v, basis_row)]
-        lead = next((k for k, e in enumerate(v) if e != dom.zero), None)
-        if lead is None:
-            return False
-        inv = dom.exact_div(dom.one, v[lead])
-        echelon.append((lead, [e * inv for e in v]))
-        return True
-
-    frontier: list[Matrix] = []
-    for m in [Matrix.identity(dom, d), *images]:
-        if insert(m):
-            frontier.append(m)
-        if len(echelon) == cap:
-            return cap
+    basis = Echelon(QQ)
     blocks = [local_block(g) for g in images]
-    while frontier:
-        fresh: list[Matrix] = []
-        for m in frontier:
-            for offset, block in blocks:
-                product = Matrix(dom, mul_local(m.entries, offset, block))
-                if insert(product):
-                    fresh.append(product)
-                    if len(echelon) == cap:
-                        return cap
-        frontier = fresh
-    return len(echelon)
+    candidates = iter([Matrix.identity(dom, d).entries, *(g.entries for g in images)])
+    while True:
+        frontier = []
+        for rows in candidates:
+            if basis.insert(coordinates(rows)):
+                if len(basis) == cap:
+                    return cap
+                frontier.append(rows)
+        if not frontier:
+            return len(basis)
+        candidates = (mul_local(rows, offset, block)
+                      for rows in frontier for offset, block in blocks)
 
 
-def _flatten_cells(m: Matrix) -> dict[tuple[int, int, int], Fraction]:
-    """Coordinates of a Q(t)-entry matrix in the Q-basis (cell, t-exponent)."""
+def _cells(rows) -> list:
+    """Coordinates of a Q-entry matrix, its cells in row-major order."""
+    return [e for row in rows for e in row]
+
+
+def _flatten_cells(rows) -> dict[tuple[int, int, int], Fraction]:
+    """Coordinates of a Q(t)-entry matrix in the Q-basis (cell, t-exponent).
+
+    With t left symbolic there is no ground value to collapse its powers, so
+    t^k I and t^m I count as independent directions for k != m.  The span is
+    still capped at dim^2: reaching the cap means the images already separate
+    as many directions as any single specialization possibly could.
+    """
     out: dict[tuple[int, int, int], Fraction] = {}
-    for i, row in enumerate(m.entries):
+    for i, row in enumerate(rows):
         for j, entry in enumerate(row):
             if len(entry.den.terms) > 1:
                 raise TypeError(f"entry {entry} is not a Laurent combination of t powers")
@@ -200,52 +195,6 @@ def _flatten_cells(m: Matrix) -> dict[tuple[int, int, int], Fraction]:
             for exp, coeff in entry.num.terms.items():
                 out[(i, j, exp)] = Fraction(coeff, bottom)
     return out
-
-
-def _scalar_span(images: list[Matrix]) -> int:
-    """Span over Q of the word closure, on (cell, t-exponent) coordinates.
-
-    With t left symbolic there is no ground value to collapse its powers, so
-    t^k I and t^m I count as independent directions for k != m.  The count is
-    still capped at dim^2: reaching the cap means the images already separate
-    as many directions as any single specialization possibly could.
-    """
-    d = images[0].rows
-    cap = d * d
-    echelon: list[tuple[tuple[int, int, int], dict]] = []
-
-    def insert(m: Matrix) -> bool:
-        v = _flatten_cells(m)
-        for pivot, basis_row in echelon:
-            coeff = v.get(pivot)
-            if coeff:
-                v = {k: val for k in set(v) | set(basis_row)
-                     if (val := v.get(k, 0) - coeff * basis_row.get(k, 0))}
-        if not v:
-            return False
-        pivot = min(v)
-        scale = v[pivot]
-        echelon.append((pivot, {k: val / scale for k, val in v.items()}))
-        return True
-
-    frontier: list[Matrix] = []
-    for m in [Matrix.identity(RATFUNC, d), *images]:
-        if insert(m):
-            frontier.append(m)
-        if len(echelon) >= cap:
-            return cap
-    blocks = [local_block(g) for g in images]
-    while frontier:
-        fresh: list[Matrix] = []
-        for m in frontier:
-            for offset, block in blocks:
-                product = Matrix(RATFUNC, mul_local(m.entries, offset, block))
-                if insert(product):
-                    fresh.append(product)
-                    if len(echelon) >= cap:
-                        return cap
-        frontier = fresh
-    return len(echelon)
 
 
 def burnside_span(spec: SpecializedRep) -> int:
@@ -337,21 +286,8 @@ def _eigenspaces(m: Matrix) -> list[list[tuple]]:
 
 def _independent(vectors: list, dom: EntryDomain) -> list:
     """Echelon-filter a list of vectors down to an independent subset."""
-    echelon: list[tuple[int, list]] = []
-    kept = []
-    for vec in vectors:
-        v = list(vec)
-        for pivot, row in echelon:
-            coeff = v[pivot]
-            if coeff != dom.zero:
-                v = [x - coeff * y for x, y in zip(v, row)]
-        lead = next((k for k, e in enumerate(v) if e != dom.zero), None)
-        if lead is None:
-            continue
-        inv = dom.exact_div(dom.one, v[lead])
-        echelon.append((lead, [e * inv for e in v]))
-        kept.append(list(vec))
-    return kept
+    basis = Echelon(dom)
+    return [list(vec) for vec in vectors if basis.insert(vec)]
 
 
 def _intersect(basis1: list, basis2: list, dom: EntryDomain, ambient: int) -> list:
@@ -455,34 +391,14 @@ def orbit_closure(spec: SpecializedRep, vector) -> Subspace:
     dom = spec.domain
     d = spec.dim
     images = spec.images()
-    echelon: list[tuple[int, list]] = []
-    kept: list[tuple] = []
-
-    def insert(vec) -> bool:
-        v = [dom.coerce(e) for e in vec]
-        for pivot, row in echelon:
-            coeff = v[pivot]
-            if coeff != dom.zero:
-                v = [x - coeff * y for x, y in zip(v, row)]
-        lead = next((k for k, e in enumerate(v) if e != dom.zero), None)
-        if lead is None:
-            return False
-        inv = dom.exact_div(dom.one, v[lead])
-        echelon.append((lead, [e * inv for e in v]))
-        kept.append(tuple(dom.coerce(e) for e in vec))
-        return True
-
-    frontier = []
-    if insert(vector):
-        frontier.append(tuple(dom.coerce(e) for e in vector))
+    basis = Echelon(dom)
+    start = tuple(dom.coerce(e) for e in vector)
+    frontier = [start] if basis.insert(start) else []
+    kept = list(frontier)
     while frontier and len(kept) < d:
-        fresh = []
-        for v in frontier:
-            for g in images:
-                w = mat_vec(g, v)
-                if insert(w):
-                    fresh.append(w)
-        frontier = fresh
+        products = (mat_vec(g, v) for v in frontier for g in images)
+        frontier = [w for w in products if basis.insert(w)]
+        kept += frontier
     return Subspace(dom, d, tuple(kept))
 
 

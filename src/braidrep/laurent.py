@@ -6,8 +6,7 @@ equality and hashing is sound.  ``RationalFunction`` keeps a reduced
 numerator/denominator pair in a canonical form (denominator has lowest
 exponent 0 and positive lowest coefficient).  Constants compare equal to the
 ``int`` or ``Fraction`` they stand for, and hash like it.  Specializing t at
-a nonzero rational lands in ``fractions.Fraction``, re-exported as
-``FieldScalar``.
+a nonzero rational lands in ``fractions.Fraction``.
 """
 
 from __future__ import annotations
@@ -19,7 +18,6 @@ from fractions import Fraction
 from .errors import ZeroSpecialization
 
 __all__ = [
-    "FieldScalar",
     "LaurentPoly",
     "RationalFunction",
     "T",
@@ -29,8 +27,6 @@ __all__ = [
     "parse_laurent",
     "parse_rational",
 ]
-
-FieldScalar = Fraction
 
 
 class LaurentPoly:

@@ -3,8 +3,11 @@
 A matrix carries an ``EntryDomain`` tag (Laurent ring, Q(t), or Q) that
 supplies the zero/one elements, coercion, and the division notion used by the
 fraction-free elimination.  Determinants use the one-step fraction-free
-(Bareiss) scheme, which stays inside the entry domain; rank and nullspace work
-over the relevant fraction field and are exact.
+(Bareiss) scheme, which stays inside the entry domain.  Every elimination
+over a field runs on ``Echelon``, an incremental echelon basis of sparse
+rows: rank, rref, nullspace and inverse (over the fraction field for Laurent
+entries), subspace membership, and the package's span closures and linear
+solver.
 
 Generator images are the identity outside one small diagonal block, so word
 products apply each letter as a block-local update: ``local_block`` finds the
@@ -16,7 +19,7 @@ is tested against.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Any, Callable
 
@@ -38,6 +41,7 @@ from .laurent import (
 
 __all__ = [
     "EntryDomain",
+    "Echelon",
     "LAURENT",
     "RATFUNC",
     "QQ",
@@ -127,6 +131,81 @@ def domain_by_name(name: str) -> EntryDomain:
         return _DOMAINS[name]
     except KeyError:
         raise ValueError(f"unknown entry domain {name!r}") from None
+
+
+def _reduce(v: dict, rows) -> dict:
+    """Subtract from v, in place and in the given order, the multiple of each
+    (pivot, rest) row that clears v at that pivot; returns v."""
+    for pivot, rest in rows:
+        coeff = v.pop(pivot, None)
+        if coeff is None:
+            continue
+        for k, e in rest.items():
+            term = coeff * e
+            val = v.get(k)
+            if val is None:
+                v[k] = -term
+            elif val := val - term:
+                v[k] = val
+            else:
+                del v[k]
+    return v
+
+
+class Echelon:
+    """Incremental echelon basis over a field, on sparse rows.
+
+    A vector is a ``{coordinate: entry}`` dict with orderable coordinates; a
+    sequence is read as ``{index: entry}``.  Zero entries are dropped (every
+    entry type is falsy exactly at zero), so a vector is zero iff it is empty.
+    Each kept row is scaled to 1 at its pivot, its smallest coordinate, and
+    is reduced against the rows kept before it.  ``rows`` holds them in
+    insertion order as (pivot, rest) pairs, rest being the row's entries
+    other than the 1 at its pivot.
+    """
+
+    __slots__ = ("domain", "rows")
+
+    def __init__(self, domain: EntryDomain, vectors=()):
+        if not domain.is_field:
+            raise TypeError(f"echelon form needs field entries, got {domain.name}; "
+                            "lift Laurent matrices first")
+        self.domain = domain
+        self.rows: list[tuple[Any, dict]] = []
+        for vec in vectors:
+            self.insert(vec)
+
+    def __len__(self) -> int:
+        return len(self.rows)
+
+    def remainder(self, vec) -> dict:
+        """The vector reduced against the basis: empty iff it lies in the span."""
+        items = vec.items() if isinstance(vec, dict) else enumerate(vec)
+        coerce = self.domain.coerce
+        return _reduce({k: coerce(e) for k, e in items if e}, self.rows)
+
+    def insert(self, vec) -> bool:
+        """Keep the vector's remainder if it is nonzero; True iff kept."""
+        v = self.remainder(vec)
+        if not v:
+            return False
+        pivot = min(v)
+        lead = v.pop(pivot)
+        if lead != self.domain.one:
+            inv = self.domain.exact_div(self.domain.one, lead)
+            v = {k: e * inv for k, e in v.items()}
+        self.rows.append((pivot, v))
+        return True
+
+    def reduced(self) -> list[tuple[Any, dict]]:
+        """The reduced row echelon form of the span, which is unique, as
+        (pivot, row) pairs sorted by pivot; each row is 1 at its own pivot
+        and 0 at every other."""
+        done: list[tuple[Any, dict]] = []
+        for pivot, rest in sorted(self.rows, key=lambda r: r[0], reverse=True):
+            done.append((pivot, _reduce(dict(rest), done)))
+        one = self.domain.one
+        return [(pivot, {pivot: one, **rest}) for pivot, rest in reversed(done)]
 
 
 class Matrix:
@@ -298,33 +377,15 @@ class Matrix:
 
     def rank(self) -> int:
         lifted = self._field_lift()
-        reduced, pivots = lifted.rref()
-        return len(pivots)
+        return len(Echelon(lifted.domain, lifted.entries))
 
     def rref(self) -> tuple[Matrix, tuple[int, ...]]:
         """Reduced row echelon form over a field; returns (matrix, pivot columns)."""
-        if not self.domain.is_field:
-            raise TypeError("rref needs field entries; lift Laurent matrices first")
         dom = self.domain
-        m = [list(row) for row in self.entries]
-        pivots = []
-        r = 0
-        for c in range(self.cols):
-            pivot_row = next((i for i in range(r, self.rows) if m[i][c] != dom.zero), None)
-            if pivot_row is None:
-                continue
-            m[r], m[pivot_row] = m[pivot_row], m[r]
-            inv = dom.exact_div(dom.one, m[r][c])
-            m[r] = [e * inv for e in m[r]]
-            for i in range(self.rows):
-                if i != r and m[i][c] != dom.zero:
-                    f = m[i][c]
-                    m[i] = [a - f * b for a, b in zip(m[i], m[r])]
-            pivots.append(c)
-            r += 1
-            if r == self.rows:
-                break
-        return Matrix(dom, m), tuple(pivots)
+        rows = Echelon(dom, self.entries).reduced()
+        dense = [[row.get(c, dom.zero) for c in range(self.cols)] for _, row in rows]
+        dense += [[dom.zero] * self.cols for _ in range(self.rows - len(rows))]
+        return Matrix(dom, dense), tuple(pivot for pivot, _ in rows)
 
     def nullspace(self) -> "Subspace":
         """Basis of the right kernel, over a field."""
@@ -406,27 +467,25 @@ class Subspace:
     domain: EntryDomain
     ambient: int
     basis: tuple[tuple, ...]
+    _echelon: Echelon = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         for vec in self.basis:
             if len(vec) != self.ambient:
                 raise ShapeMismatch("basis vector has wrong length")
-        if self.basis:
-            m = Matrix(self.domain, [list(v) for v in self.basis])
-            if m.rank() != len(self.basis):
-                raise ValueError("claimed basis is linearly dependent")
+        echelon = Echelon(self.domain, self.basis)
+        if len(echelon) != len(self.basis):
+            raise ValueError("claimed basis is linearly dependent")
+        object.__setattr__(self, "_echelon", echelon)
 
     @property
     def dim(self) -> int:
         return len(self.basis)
 
     def contains(self, vector) -> bool:
-        if not self.basis:
-            return all(e == self.domain.zero for e in vector)
-        rows = [list(v) for v in self.basis]
-        base_rank = Matrix(self.domain, rows).rank()
-        extended = Matrix(self.domain, rows + [list(vector)])
-        return extended.rank() == base_rank
+        if len(vector) != self.ambient:
+            raise ShapeMismatch("vector length does not match the ambient dimension")
+        return not self._echelon.remainder(vector)
 
     def to_json_dict(self) -> dict:
         return {

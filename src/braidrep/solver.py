@@ -7,8 +7,10 @@ that vanish identically are discarded (counted), as is the second member of
 any pair of equations equal up to overall sign; what survives is the honest
 equation count of the problem.
 
-``solve_linear`` row-reduces the affine equations over Q(t) and presents the
-solution set with the earliest-named unknowns as the free parameters, so a
+``solve_linear`` inserts the affine equations as sparse rows into an
+``Echelon`` basis over Q(t), stopping at the first equation inconsistent with
+the ones before it, reads the solution set off the unique reduced form, and
+presents it with the earliest-named unknowns as the free parameters, so a
 chain of forced equalities like a = e = i is reported as bindings onto ``a``
 rather than onto ``i``.
 """
@@ -27,7 +29,7 @@ from .errors import (
     UnassignedGenerator,
 )
 from .laurent import RationalFunction
-from .matrix import Matrix, QQ, local_block, mul_local
+from .matrix import RATFUNC, Echelon, Matrix, QQ, local_block, mul_local
 from .presentations import NU, Presentation
 from .symbolic import SYMBOLIC, LinearExpr, SymPoly
 
@@ -277,9 +279,10 @@ def solve_linear(system: ConstraintSystem) -> SolutionFamily:
     """Row-reduce the affine equations over Q(t).
 
     Raises NonlinearSystem when the system carries nonlinear residue, and
-    Inconsistent (with the offending equation as witness) when no solution
-    exists.  Free parameters are the non-pivot unknowns, renamed so each
-    forced-equality chain is parametrized by its earliest member.
+    Inconsistent when no solution exists; its witness is the first equation
+    inconsistent with the ones before it.  Free parameters are the non-pivot
+    unknowns, renamed so each forced-equality chain is parametrized by its
+    earliest member.
     """
     if system.nonlinear:
         raise NonlinearSystem(
@@ -287,52 +290,24 @@ def solve_linear(system: ConstraintSystem) -> SolutionFamily:
     unknowns = list(system.unknowns)
     order = {name: k for k, name in enumerate(unknowns)}
     ncols = len(unknowns)
-    rf0 = RationalFunction(0)
 
-    rows: list[list[RationalFunction]] = []
-    origins: list[LinearExpr] = []
+    # Sparse rows over the unknowns' columns, the constant in column ncols.
+    echelon = Echelon(RATFUNC)
     for eq in system.equations:
-        coeffs = eq.coeff_map()
-        row = [coeffs.get(name, rf0) for name in unknowns]
-        row.append(-eq.constant)
-        rows.append(row)
-        origins.append(eq)
+        row = {order[name]: c for name, c in eq.coeffs}
+        row[ncols] = -eq.constant
+        if echelon.insert(row) and echelon.rows[-1][0] == ncols:
+            raise Inconsistent(f"equation {eq.render()} = 0 is unsatisfiable", witness=eq)
 
-    pivots: list[int] = []
-    r = 0
-    for c in range(ncols):
-        pivot_row = next((i for i in range(r, len(rows)) if not rows[i][c].is_zero()), None)
-        if pivot_row is None:
-            continue
-        rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
-        origins[r], origins[pivot_row] = origins[pivot_row], origins[r]
-        inv = RationalFunction(1) / rows[r][c]
-        rows[r] = [e * inv for e in rows[r]]
-        for i in range(len(rows)):
-            if i != r and not rows[i][c].is_zero():
-                f = rows[i][c]
-                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
-        pivots.append(c)
-        r += 1
-        if r == len(rows):
-            break
-
-    for i in range(r, len(rows)):
-        if any(not e.is_zero() for e in rows[i][:ncols]):
-            raise AssertionError("unreduced row below the pivot block")
-        if not rows[i][ncols].is_zero():
-            raise Inconsistent(
-                f"equation {origins[i].render()} = 0 is unsatisfiable",
-                witness=origins[i])
-
+    rows = echelon.reduced()
+    pivots = {c for c, _ in rows}
     free = [unknowns[c] for c in range(ncols) if c not in pivots]
-    bindings: dict[str, LinearExpr] = {}
-    for row_idx, c in enumerate(pivots):
-        coeffs = {}
-        for fcol in range(ncols):
-            if fcol != c and not rows[row_idx][fcol].is_zero():
-                coeffs[unknowns[fcol]] = -rows[row_idx][fcol]
-        bindings[unknowns[c]] = LinearExpr.build(rows[row_idx][ncols], coeffs)
+    bindings: dict[str, LinearExpr] = {
+        unknowns[c]: LinearExpr.build(
+            row.get(ncols, 0),
+            {unknowns[f]: -e for f, e in row.items() if f != c and f != ncols})
+        for c, row in rows
+    }
 
     # Present each pure-rename binding (x = y with coefficient 1) with the
     # earlier-named unknown free: swap the roles of x and y.

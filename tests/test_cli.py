@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 import subprocess
 import sys
@@ -83,6 +84,18 @@ def test_solve_extension_four_strands(capsys):
     assert code == 0
     assert "nonlinear residue after the linear solve: 0 equations" in out
     assert "status: pass" in out
+
+
+@pytest.mark.parametrize("n,digest", [
+    ("4", "b2c9b0c51f8daf287f2d16459dc16557e49af9b5708660a4441abe13d5425082"),
+    ("5", "9bf154523c7e33ac2a1a67536eea32420a32d1cf5905160e7017974e1a0f8376"),
+])
+def test_solve_extension_json_report_is_pinned(capsys, n, digest):
+    # SHA-256 of the whole report, so the free set and every binding string
+    # for n >= 4 are held fixed, not just the summary lines.
+    code, out, _ = run_cli(capsys, "solve-extension", "sb", n, "--json")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 def test_solve_extension_vsb2(capsys):

@@ -12,8 +12,10 @@ from braidrep import (
     LAURENT,
     QQ,
     RATFUNC,
+    Echelon,
     LaurentPoly,
     Matrix,
+    RationalFunction,
     Subspace,
     T,
     block_embed,
@@ -225,3 +227,112 @@ def test_local_product_matches_dense_product(n, k, data):
     left = data.draw(qq_matrices(3, image.rows))
     offset, local = local_block(image)
     assert Matrix(QQ, mul_local(left.entries, offset, local)) == left * image
+
+
+# -- the echelon engine --------------------------------------------------------
+
+small_fracs = st.one_of(st.just(Fraction(0)), fracs)
+coordinate_sets = st.sampled_from([
+    list(range(5)),
+    [(i, j, e) for i in range(2) for j in range(2) for e in (-1, 1)],
+])
+
+
+@given(coordinate_sets, st.data())
+@settings(max_examples=50, deadline=None)
+def test_echelon_is_independent_of_insertion_order(keys, data):
+    vectors = data.draw(st.lists(
+        st.fixed_dictionaries({k: small_fracs for k in keys}), max_size=6))
+    basis = Echelon(QQ, vectors)
+    shuffled = Echelon(QQ, data.draw(st.permutations(vectors)))
+    rref = basis.reduced()
+    assert len(shuffled) == len(basis) == len(rref)
+    assert shuffled.reduced() == rref
+    for pivot, row in rref:
+        assert min(row) == pivot and row[pivot] == 1
+        assert all(p == pivot or p not in row for p, _ in rref)
+
+
+@given(coordinate_sets, st.data())
+@settings(max_examples=50, deadline=None)
+def test_echelon_remainder_is_empty_exactly_on_the_span(keys, data):
+    vectors = data.draw(st.lists(
+        st.fixed_dictionaries({k: small_fracs for k in keys}), min_size=1, max_size=4))
+    basis = Echelon(QQ, vectors)
+    weights = data.draw(st.lists(small_fracs, min_size=len(vectors), max_size=len(vectors)))
+    combination = {k: sum(w * v[k] for w, v in zip(weights, vectors)) for k in keys}
+    assert basis.remainder(combination) == {}
+    assert not basis.insert(combination)
+    probe = data.draw(st.fixed_dictionaries({k: small_fracs for k in keys}))
+    rest = basis.remainder(probe)
+    assert all(p not in rest for p, _ in basis.rows)
+    grown = Echelon(QQ, [*vectors, probe])
+    assert len(grown) == len(basis) + (1 if rest else 0)
+    assert Echelon(QQ, [*vectors, rest]).reduced() == grown.reduced()
+
+
+def test_echelon_reads_sequences_as_indexed_vectors():
+    basis = Echelon(QQ, [[0, 2, 4], (0, 1, 3)])
+    assert basis.reduced() == [(1, {1: 1}), (2, {2: 1})]
+    assert basis.remainder([5, 1, 1]) == {0: 5}
+    with pytest.raises(TypeError):
+        Echelon(LAURENT)
+
+
+# -- sympy as an independent reference (test-only dependency) ------------------
+
+
+@pytest.fixture(scope="module")
+def sympy():
+    return pytest.importorskip("sympy")
+
+
+@st.composite
+def shaped_qq_matrices(draw):
+    rows, cols = draw(st.integers(1, 5)), draw(st.integers(1, 5))
+    zero_row = [Fraction(0)] * cols
+    return Matrix(QQ, [
+        zero_row if draw(st.integers(0, 3)) == 0
+        else draw(st.lists(small_fracs, min_size=cols, max_size=cols))
+        for _ in range(rows)
+    ])
+
+
+def _to_sympy(sympy, entry):
+    t = sympy.Symbol("t")
+    f = RationalFunction.coerce(entry)
+    num, den = (sum((c * t ** e for e, c in p.terms.items()), sympy.Integer(0))
+                for p in (f.num, f.den))
+    return num / den
+
+
+@given(m=shaped_qq_matrices())
+@settings(max_examples=100, deadline=None)
+def test_rref_rank_and_nullity_match_sympy_over_q(sympy, m):
+    ref = sympy.Matrix([[_to_sympy(sympy, e) for e in row] for row in m.entries])
+    ref_reduced, ref_pivots = ref.rref()
+    reduced, pivots = m.rref()
+    assert pivots == ref_pivots
+    assert [[_to_sympy(sympy, e) for e in row] for row in reduced.entries] == ref_reduced.tolist()
+    assert m.rank() == ref.rank()
+    assert m.nullspace().dim == len(ref.nullspace())
+
+
+@pytest.mark.parametrize("entries", [
+    [[T, 1, T ** 2], [1, T ** -1, T]],
+    [[T, 1, 0], [1, T, 1], [0, 1, T], [1, 1, 1]],
+    [[1, T + 1, 0, 2], [T, 0, T - 1, 1], [1 + T, T + 1, T - 1, 3]],
+])
+def test_rref_matches_sympy_over_q_of_t(sympy, entries):
+    m = Matrix(LAURENT, entries)._field_lift()
+    ref = sympy.Matrix([[_to_sympy(sympy, e) for e in row] for row in m.entries])
+    ref_reduced, ref_pivots = ref.rref(simplify=sympy.cancel)
+    reduced, pivots = m.rref()
+    assert pivots == ref_pivots
+    assert all(
+        sympy.cancel(_to_sympy(sympy, ours) - theirs) == 0
+        for ours, theirs in zip(
+            (e for row in reduced.entries for e in row), ref_reduced)
+    )
+    assert m.rank() == len(ref_pivots)
+    assert m.nullspace().dim == m.cols - len(ref_pivots)

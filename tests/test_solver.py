@@ -184,6 +184,18 @@ def test_inconsistent_system_raises_with_witness():
     with pytest.raises(Inconsistent) as info:
         solve_linear(system)
     assert info.value.witness is not None
+    # The witness is the first equation inconsistent with the ones before it.
+    x = LinearExpr.build(0, {"x": 1})
+    system = ConstraintSystem(
+        unknowns=("x", "y"),
+        equations=(LinearExpr.build(1, {"x": 1}), x, LinearExpr.build(0, {"y": 1})),
+        nonlinear=(),
+        discarded_zero=0,
+        discarded_duplicate=0,
+    )
+    with pytest.raises(Inconsistent) as info:
+        solve_linear(system)
+    assert info.value.witness == x
 
 
 def test_nonlinear_system_refuses_linear_solver():
