@@ -246,30 +246,36 @@ def _divisors(n: int) -> list[int]:
 
 def _rational_roots(coeffs: list[Fraction]) -> list[Fraction]:
     """All rational roots of the polynomial with the given coefficients
-    (highest power first), via the rational root bound after clearing
-    denominators."""
+    (highest power first), sorted and without repeats.
+
+    After clearing denominators and splitting off the root 0, a linear
+    factor gives its root directly and a quadratic has rational roots iff
+    its discriminant is a perfect square.  Higher degrees try every p/q with
+    p dividing the constant and q the leading coefficient, which costs
+    O(sqrt(const) + sqrt(lead)) trial divisions.
+    """
     scale = lcm(*(c.denominator for c in coeffs)) if len(coeffs) > 1 else 1
     ints = [int(c * scale) for c in coeffs]
-    roots = []
+    roots = set()
     while ints and ints[-1] == 0:
         ints.pop()
-        if 0 not in roots:
-            roots.append(Fraction(0))
-    if len(ints) < 2:
-        return roots
-    lead, const = ints[0], ints[-1]
-    seen = set(roots)
-    for p in _divisors(const):
-        for q in _divisors(lead):
-            for candidate in (Fraction(p, q), Fraction(-p, q)):
-                if candidate in seen:
-                    continue
-                value = Fraction(0)
-                for c in ints:
-                    value = value * candidate + c
-                if value == 0:
-                    seen.add(candidate)
-                    roots.append(candidate)
+        roots.add(Fraction(0))
+    if len(ints) == 2:
+        roots.add(Fraction(-ints[1], ints[0]))
+    elif len(ints) == 3:
+        a, b, c = ints
+        disc = b * b - 4 * a * c
+        if disc >= 0 and (root := isqrt(disc)) ** 2 == disc:
+            roots.update(Fraction(-b + s, 2 * a) for s in (root, -root))
+    elif len(ints) > 3:
+        for p in _divisors(ints[-1]):
+            for q in _divisors(ints[0]):
+                for candidate in (Fraction(p, q), Fraction(-p, q)):
+                    value = Fraction(0)
+                    for c in ints:
+                        value = value * candidate + c
+                    if value == 0:
+                        roots.add(candidate)
     return sorted(roots)
 
 

@@ -7,6 +7,13 @@ numerator/denominator pair in a canonical form (denominator has lowest
 exponent 0 and positive lowest coefficient).  Constants compare equal to the
 ``int`` or ``Fraction`` they stand for, and hash like it.  Specializing t at
 a nonzero rational lands in ``fractions.Fraction``.
+
+The gcd is only taken where it can cancel something.  A denominator that is
+a unit +-t^k has a unit gcd with any numerator, so it is folded into the
+numerator, leaving denominator 1.  Sums and products of two values with
+denominator 1 are Laurent sums and products, which need no reduction either.
+Every other pair is reduced by ``laurent_gcd``; each path gives the one
+canonical form, so equality and hashing do not depend on the path taken.
 """
 
 from __future__ import annotations
@@ -334,7 +341,7 @@ class RationalFunction:
     >>> RationalFunction(T ** 2 - 1, T + 1)
     RationalFunction('t - 1')
     >>> str(RationalFunction(ONE, 2 * T))
-    '(1)/(2*t)'
+    '(t^-1)/(2)'
     """
 
     __slots__ = ("num", "den")
@@ -345,20 +352,32 @@ class RationalFunction:
         if den.is_zero():
             raise ZeroDivisionError("zero denominator in Q(t)")
         if num.is_zero():
-            object.__setattr__(self, "num", ZERO)
-            object.__setattr__(self, "den", ONE)
-            return
-        g = laurent_gcd(num, den)
-        if not g.is_unit():
-            num = num.exact_div(g)
-            den = den.exact_div(g)
-        shift = -den.valuation()
-        num = num.shifted(shift)
-        den = den.shifted(shift)
-        if den.terms[0] < 0:
-            num, den = -num, -den
+            num, den = ZERO, ONE
+        elif den.is_unit():
+            # A gcd with a unit is a unit: nothing cancels.
+            if not den.is_one():
+                num = num * den.inverse_unit()
+            den = ONE
+        else:
+            g = laurent_gcd(num, den)
+            if not g.is_unit():
+                num = num.exact_div(g)
+                den = den.exact_div(g)
+            shift = -den.valuation()
+            num = num.shifted(shift)
+            den = den.shifted(shift)
+            if den.terms[0] < 0:
+                num, den = -num, -den
         object.__setattr__(self, "num", num)
         object.__setattr__(self, "den", den)
+
+    @classmethod
+    def _canonical(cls, num: LaurentPoly, den: LaurentPoly = ONE) -> RationalFunction:
+        """Wrap a pair that is already in canonical form, skipping the gcd."""
+        out = object.__new__(cls)
+        object.__setattr__(out, "num", num)
+        object.__setattr__(out, "den", den)
+        return out
 
     def __setattr__(self, name, value):
         raise AttributeError("RationalFunction is immutable")
@@ -401,6 +420,8 @@ class RationalFunction:
             other = RationalFunction.coerce(other)
         except TypeError:
             return NotImplemented
+        if self.den.is_one() and other.den.is_one():
+            return RationalFunction._canonical(self.num + other.num)
         return RationalFunction(
             self.num * other.den + other.num * self.den, self.den * other.den
         )
@@ -408,10 +429,7 @@ class RationalFunction:
     __radd__ = __add__
 
     def __neg__(self):
-        out = object.__new__(RationalFunction)
-        object.__setattr__(out, "num", -self.num)
-        object.__setattr__(out, "den", self.den)
-        return out
+        return RationalFunction._canonical(-self.num, self.den)
 
     def __sub__(self, other):
         try:
@@ -428,6 +446,8 @@ class RationalFunction:
             other = RationalFunction.coerce(other)
         except TypeError:
             return NotImplemented
+        if self.den.is_one() and other.den.is_one():
+            return RationalFunction._canonical(self.num * other.num)
         return RationalFunction(self.num * other.num, self.den * other.den)
 
     __rmul__ = __mul__

@@ -19,6 +19,7 @@ is tested against.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Any, Callable
@@ -302,24 +303,22 @@ class Matrix:
             out.append(out_row)
         return Matrix(self.domain, out)
 
-    def __add__(self, other):
+    def _entrywise(self, other, op):
         if not isinstance(other, Matrix):
             return NotImplemented
         self._check_domain(other)
         if (self.rows, self.cols) != (other.rows, other.cols):
-            raise ShapeMismatch("shape mismatch in addition")
+            raise ShapeMismatch(f"shape mismatch in entrywise {op.__name__}")
         return Matrix(
             self.domain,
-            [
-                [a + b for a, b in zip(r1, r2)]
-                for r1, r2 in zip(self.entries, other.entries)
-            ],
+            [[op(a, b) for a, b in zip(r1, r2)] for r1, r2 in zip(self.entries, other.entries)],
         )
 
+    def __add__(self, other):
+        return self._entrywise(other, operator.add)
+
     def __sub__(self, other):
-        if not isinstance(other, Matrix):
-            return NotImplemented
-        return self + other.scaled(-1)
+        return self._entrywise(other, operator.sub)
 
     def __neg__(self):
         return self.scaled(-1)

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .laurent import LaurentPoly, RationalFunction
+from .laurent import RF_ONE, LaurentPoly, RationalFunction
 from .matrix import EntryDomain, register_domain
 
 __all__ = ["SymPoly", "LinearExpr", "SYMBOLIC"]
@@ -54,7 +54,7 @@ class SymPoly:
 
     @classmethod
     def symbol(cls, name: str) -> SymPoly:
-        return cls({((name, 1),): RationalFunction(1)})
+        return cls({((name, 1),): RF_ONE})
 
     @staticmethod
     def coerce(value) -> SymPoly:
@@ -145,7 +145,8 @@ class SymPoly:
         for mono, coeff in self.terms.items():
             term = SymPoly.const(coeff)
             for name, power in mono:
-                factor = mapping.get(name, SymPoly.symbol(name))
+                # Test membership: a binding to the zero polynomial is falsy.
+                factor = mapping[name] if name in mapping else SymPoly.symbol(name)
                 for _ in range(power):
                     term = term * factor
             out = out + term

@@ -89,6 +89,7 @@ def test_solve_extension_four_strands(capsys):
 @pytest.mark.parametrize("n,digest", [
     ("4", "b2c9b0c51f8daf287f2d16459dc16557e49af9b5708660a4441abe13d5425082"),
     ("5", "9bf154523c7e33ac2a1a67536eea32420a32d1cf5905160e7017974e1a0f8376"),
+    ("6", "5a6a2151be30744e88bfba1b16b00b0aff4a1c9c1024c8436efe2ea3ec1859bc"),
 ])
 def test_solve_extension_json_report_is_pinned(capsys, n, digest):
     # SHA-256 of the whole report, so the free set and every binding string
@@ -134,6 +135,22 @@ def test_irreducible_two_strand_divergence(capsys):
     assert report["status"] == "divergence"
     assert report["result"]["span_dim"] == 2
     assert report["result"]["predicted"] == "irreducible"
+
+
+def test_irreducible_two_strands_with_a_huge_non_square_t():
+    # The eigenvalue search on x^2 - t once divided by trial up to sqrt(t),
+    # about 3e10 steps here; the discriminant test answers at once.
+    proc = subprocess.run(
+        [sys.executable, "-m", "braidrep.cli", "irreducible", "2",
+         "--t", "1000000000000000000000", "--a", "1", "--c", "0", "--json"],
+        capture_output=True, text=True, timeout=30,
+    )
+    assert proc.returncode == 0
+    assert proc.stderr == ""
+    report = json.loads(proc.stdout)
+    assert report["status"] == "divergence"
+    assert report["result"]["span_dim"] == 2
+    assert "witness" not in report["result"]
 
 
 def test_irreducible_symbolic_two_strands(capsys):

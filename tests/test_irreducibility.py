@@ -5,6 +5,8 @@ from __future__ import annotations
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from braidrep import (
     LAURENT,
@@ -26,7 +28,13 @@ from braidrep import (
     symbolic_extension,
 )
 from braidrep.errors import NonInvertibleTau, SingularTau, ZeroSpecialization
-from braidrep.irreducibility import GridCell, GridReport, grid_cell, invariant_line_witness
+from braidrep.irreducibility import (
+    GridCell,
+    GridReport,
+    _rational_roots,
+    grid_cell,
+    invariant_line_witness,
+)
 
 ONE_RF = RationalFunction(1)
 
@@ -225,3 +233,27 @@ def test_grid_report_includes_t_one_cells():
     by_params = {(cell.a, cell.c): cell for cell in report.cells}
     assert by_params[(2, -1)].verdict == "reducible"
     assert by_params[(2, 1)].verdict == "irreducible"
+
+
+# Roots and scales far beyond what trial division up to sqrt(|const|) could
+# reach, so only the direct linear and quadratic formulas finish in time.
+big_rationals = st.fractions(max_denominator=10**12).filter(lambda q: abs(q.numerator) < 10**24)
+nonzero_scales = st.fractions(max_denominator=10**6).filter(lambda q: q != 0)
+
+
+@given(big_rationals, big_rationals, nonzero_scales)
+@settings(max_examples=200)
+def test_quadratic_roots_are_recovered(r1, r2, k):
+    coeffs = [k, -k * (r1 + r2), k * r1 * r2]
+    assert _rational_roots(coeffs) == sorted({r1, r2})
+    assert _rational_roots([k, -k * r1]) == [r1]
+
+
+def test_rational_roots_of_other_degrees():
+    assert _rational_roots([Fraction(1), Fraction(0), Fraction(-10**21)]) == []
+    assert _rational_roots([Fraction(1), Fraction(0), Fraction(1)]) == []
+    assert _rational_roots([Fraction(3), Fraction(0), Fraction(0)]) == [0]
+    assert _rational_roots([Fraction(5)]) == []
+    # (x - 1/2)(x + 3)(x - 2) x: the cubic factor goes through the divisor search.
+    quartic = [Fraction(c) for c in (1, Fraction(1, 2), Fraction(-13, 2), 3, 0)]
+    assert _rational_roots(quartic) == [-3, 0, Fraction(1, 2), 2]

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import doctest
 from fractions import Fraction
 
 import pytest
@@ -15,6 +16,7 @@ from braidrep import (
     parse_laurent,
     parse_rational,
 )
+from braidrep import laurent
 from braidrep.errors import ZeroSpecialization
 from braidrep.laurent import ONE, T, ZERO
 
@@ -205,3 +207,61 @@ def test_equal_values_hash_equal(p, q):
     for other in (r.num, constant, Fraction(constant, r.den.terms[0])):
         if r == other:
             assert hash(r) == hash(other)
+
+
+def test_module_docstring_examples_pass():
+    result = doctest.testmod(laurent)
+    assert result.attempted > 0
+    assert result.failed == 0
+
+
+# Denominators of every shape the arithmetic distinguishes: exactly 1, a
+# signed unit +-t^k (reduced without a gcd), and a non-unit such as 2 or t + 1.
+signed_units = st.builds(lambda e, s: LaurentPoly({e: s}), exps, st.sampled_from((1, -1)))
+non_units = polys.filter(lambda p: not p.is_zero() and not p.is_unit())
+denominators = st.one_of(st.just(ONE), signed_units, non_units)
+
+
+def assert_canonical(r: RationalFunction):
+    assert r.den.valuation() == 0
+    assert r.den.terms[0] > 0
+    assert laurent_gcd(r.num, r.den).is_unit()
+    if r.num.is_zero():
+        assert r.den == ONE
+
+
+def assert_same(x: RationalFunction, y: RationalFunction):
+    assert (x.num, x.den) == (y.num, y.den)
+    assert hash(x) == hash(y)
+
+
+@given(polys, denominators, polys, denominators)
+@settings(max_examples=150)
+def test_rational_arithmetic_keeps_the_canonical_form(a, b, c, d):
+    x, y = RationalFunction(a, b), RationalFunction(c, d)
+    assert_canonical(x)
+    assert_canonical(y)
+    results = [
+        (x + y, RationalFunction(a * d + c * b, b * d)),
+        (x - y, RationalFunction(a * d - c * b, b * d)),
+        (x * y, RationalFunction(a * c, b * d)),
+    ]
+    if not c.is_zero():
+        results.append((x / y, RationalFunction(a * d, b * c)))
+    for got, rebuilt in results:
+        assert_canonical(got)
+        # The same value reached by arithmetic and by one reduction of the
+        # unreduced pair is the same structure, with the same hash.
+        assert_same(got, rebuilt)
+    assert_same(x + y, y + x)
+    assert_same(x * y, y * x)
+    assert_same((x + y) - y, x)
+    assert_same(-(-x), x)
+    assert_same(x + 3, RationalFunction(a + 3 * b, b))
+    assert_same(3 * x, RationalFunction(3 * a, b))
+
+
+@given(polys, signed_units)
+def test_unit_denominators_fold_into_the_numerator(p, u):
+    assert_same(RationalFunction(p * u, u), RationalFunction(p))
+    assert_same(RationalFunction(p, u), RationalFunction(p * u.inverse_unit()))

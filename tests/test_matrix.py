@@ -282,11 +282,6 @@ def test_echelon_reads_sequences_as_indexed_vectors():
 # -- sympy as an independent reference (test-only dependency) ------------------
 
 
-@pytest.fixture(scope="module")
-def sympy():
-    return pytest.importorskip("sympy")
-
-
 @st.composite
 def shaped_qq_matrices(draw):
     rows, cols = draw(st.integers(1, 5)), draw(st.integers(1, 5))
@@ -298,22 +293,14 @@ def shaped_qq_matrices(draw):
     ])
 
 
-def _to_sympy(sympy, entry):
-    t = sympy.Symbol("t")
-    f = RationalFunction.coerce(entry)
-    num, den = (sum((c * t ** e for e, c in p.terms.items()), sympy.Integer(0))
-                for p in (f.num, f.den))
-    return num / den
-
-
 @given(m=shaped_qq_matrices())
 @settings(max_examples=100, deadline=None)
-def test_rref_rank_and_nullity_match_sympy_over_q(sympy, m):
-    ref = sympy.Matrix([[_to_sympy(sympy, e) for e in row] for row in m.entries])
+def test_rref_rank_and_nullity_match_sympy_over_q(sympy, to_sympy, m):
+    ref = sympy.Matrix([[to_sympy(e) for e in row] for row in m.entries])
     ref_reduced, ref_pivots = ref.rref()
     reduced, pivots = m.rref()
     assert pivots == ref_pivots
-    assert [[_to_sympy(sympy, e) for e in row] for row in reduced.entries] == ref_reduced.tolist()
+    assert [[to_sympy(e) for e in row] for row in reduced.entries] == ref_reduced.tolist()
     assert m.rank() == ref.rank()
     assert m.nullspace().dim == len(ref.nullspace())
 
@@ -323,16 +310,40 @@ def test_rref_rank_and_nullity_match_sympy_over_q(sympy, m):
     [[T, 1, 0], [1, T, 1], [0, 1, T], [1, 1, 1]],
     [[1, T + 1, 0, 2], [T, 0, T - 1, 1], [1 + T, T + 1, T - 1, 3]],
 ])
-def test_rref_matches_sympy_over_q_of_t(sympy, entries):
+def test_rref_matches_sympy_over_q_of_t(sympy, to_sympy, entries):
     m = Matrix(LAURENT, entries)._field_lift()
-    ref = sympy.Matrix([[_to_sympy(sympy, e) for e in row] for row in m.entries])
+    ref = sympy.Matrix([[to_sympy(e) for e in row] for row in m.entries])
     ref_reduced, ref_pivots = ref.rref(simplify=sympy.cancel)
     reduced, pivots = m.rref()
     assert pivots == ref_pivots
     assert all(
-        sympy.cancel(_to_sympy(sympy, ours) - theirs) == 0
+        sympy.cancel(to_sympy(ours) - theirs) == 0
         for ours, theirs in zip(
             (e for row in reduced.entries for e in row), ref_reduced)
     )
     assert m.rank() == len(ref_pivots)
     assert m.nullspace().dim == m.cols - len(ref_pivots)
+
+
+small_laurent = st.dictionaries(
+    st.integers(-2, 2), st.integers(-3, 3), max_size=3).map(LaurentPoly)
+
+
+@st.composite
+def square_matrices(draw, domain):
+    size = draw(st.integers(1, 4 if domain is LAURENT else 3))
+
+    def entry():
+        if domain is LAURENT:
+            return draw(small_laurent)
+        return RationalFunction(
+            draw(small_laurent), draw(small_laurent.filter(lambda p: not p.is_zero())))
+
+    return Matrix(domain, [[entry() for _ in range(size)] for _ in range(size)])
+
+
+@given(m=st.one_of(square_matrices(LAURENT), square_matrices(RATFUNC)))
+@settings(max_examples=60, deadline=None)
+def test_det_matches_sympy(sympy, to_sympy, m):
+    ref = sympy.Matrix([[to_sympy(e) for e in row] for row in m.entries])
+    assert sympy.cancel(to_sympy(m.det()) - ref.det(method="berkowitz")) == 0

@@ -2,9 +2,12 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from braidrep import (
     LAURENT,
@@ -13,6 +16,7 @@ from braidrep import (
     LinearExpr,
     Matrix,
     QQ,
+    RationalFunction,
     SymPoly,
     T,
     assemble,
@@ -315,3 +319,77 @@ def test_symbolic_constants_hash_like_their_coefficient():
     assert SymPoly.const(Fraction(2, 3)) in {Fraction(2, 3)}
     assert SymPoly.const(T) in {T}
     assert SymPoly() in {0}
+
+
+# -- sympy as an independent reference (test-only dependency) ------------------
+
+
+def _expr_to_sympy(to_sympy, expr: LinearExpr, values: dict):
+    return to_sympy(expr.constant) + sum(to_sympy(c) * values[name] for name, c in expr.coeffs)
+
+
+def _rank_over_q_of_t(sympy, rows: list[list], ncols: int) -> int:
+    from sympy.polys.matrices import DomainMatrix
+
+    t = sympy.Symbol("t")
+    if not rows:
+        return 0
+    dm = DomainMatrix.from_list_sympy(len(rows), ncols, rows)
+    return dm.convert_to(sympy.QQ.frac_field(t)).rank()
+
+
+def check_solve_linear_against_sympy(sympy, to_sympy, system: ConstraintSystem):
+    """len(free) is the nullity sympy finds, and the bindings satisfy every
+    equation; an inconsistent system has a larger augmented rank."""
+    names = list(system.unknowns)
+    matrix = [[to_sympy(eq.coeff_map().get(name, 0)) for name in names]
+              for eq in system.equations]
+    rank = _rank_over_q_of_t(sympy, matrix, len(names))
+    try:
+        family = solve_linear(system)
+    except Inconsistent:
+        augmented = [row + [to_sympy(eq.constant)]
+                     for row, eq in zip(matrix, system.equations)]
+        assert _rank_over_q_of_t(sympy, augmented, len(names) + 1) == rank + 1
+        return
+    assert len(family.free) == len(names) - rank
+    assert set(family.free) | set(family.bindings) == set(names)
+    assert not set(family.free) & set(family.bindings)
+    values = {name: sympy.Symbol(name) for name in family.free}
+    values.update({name: _expr_to_sympy(to_sympy, expr, values)
+                   for name, expr in family.bindings.items()})
+    for eq in system.equations:
+        assert sympy.cancel(_expr_to_sympy(to_sympy, eq, values)) == 0
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_solve_linear_matches_sympy_on_the_singular_systems(sympy, to_sympy, n):
+    check_solve_linear_against_sympy(sympy, to_sympy, replace(assemble_singular(n), nonlinear=()))
+
+
+coefficients = st.sampled_from([
+    1, -1, 2, T, -T, T ** -1, T + 1,
+    RationalFunction(1, T + 1), RationalFunction(T, T - 1), RationalFunction(T, 2),
+])
+constants = st.one_of(st.just(0), coefficients)
+NAMES = ("w", "x", "y", "z")
+
+
+@st.composite
+def sparse_systems(draw):
+    unknowns = NAMES[:draw(st.integers(1, len(NAMES)))]
+    # Half the systems are homogeneous, so both outcomes occur often.
+    constant = st.just(0) if draw(st.booleans()) else constants
+    equations = draw(st.lists(
+        st.builds(LinearExpr.build, constant,
+                  st.dictionaries(st.sampled_from(unknowns), coefficients,
+                                  min_size=1, max_size=2)),
+        min_size=1, max_size=6))
+    return ConstraintSystem(unknowns=unknowns, equations=tuple(equations), nonlinear=(),
+                            discarded_zero=0, discarded_duplicate=0)
+
+
+@given(system=sparse_systems())
+@settings(max_examples=60, deadline=None)
+def test_solve_linear_matches_sympy_on_small_sparse_systems(sympy, to_sympy, system):
+    check_solve_linear_against_sympy(sympy, to_sympy, system)
