@@ -10,7 +10,6 @@ from .errors import BraidRepError
 from .irreducibility import (
     GridReport,
     IrreducibilityVerdict,
-    SpecializedRep,
     all_ones_check,
     burnside_span,
     grid_report,
@@ -61,7 +60,6 @@ from .reps import (
     f_rep,
     involution_matrix,
     singular_extension,
-    singular_extension_specialized,
     standard_rep,
     verify_relations,
     vsb2_extension,
@@ -73,6 +71,7 @@ from .solver import (
     assemble,
     assemble_singular,
     assemble_vsb2,
+    block_form_match,
     involution_classify,
     laurent_representability,
     solve_involution_2x2,

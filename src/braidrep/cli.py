@@ -29,9 +29,9 @@ from .irreducibility import (
     symbolic_extension,
 )
 from .kernel import pure_commutator_certificate
-from .laurent import T, parse_laurent
-from .matrix import QQ, Matrix, block_embed
-from .presentations import TAU, build_presentation
+from .laurent import parse_laurent
+from .matrix import QQ, Matrix
+from .presentations import build_presentation
 from .reps import (
     burau_rep,
     f_rep,
@@ -43,15 +43,13 @@ from .reps import (
 from .solver import (
     assemble_singular,
     assemble_vsb2,
+    block_form_match,
     involution_classify,
     involution_square_is_identity,
     laurent_representability,
     solve_involution_2x2,
-    solve_linear,
     solve_with_residue,
-    solved_images,
 )
-from .symbolic import SYMBOLIC, LinearExpr, SymPoly
 
 EXIT_OK = 0
 EXIT_MISMATCH = 1
@@ -180,35 +178,6 @@ def cmd_verify(args) -> int:
     return EXIT_OK if not violations else EXIT_MISMATCH
 
 
-def _two_strand_expected(family) -> bool:
-    return (
-        family.free == ("a", "c")
-        and set(family.bindings) == {"b", "d"}
-        and family.bindings["d"] == LinearExpr.build(0, {"a": 1})
-        and family.bindings["b"] == LinearExpr.build(0, {"c": T})
-    )
-
-
-def _three_strand_block_match(family) -> tuple[bool, list[str]]:
-    """Substitute the solved family back into the two unknown images, impose
-    outer diagonal entries = 1, and compare with the embedded-block shape
-    carried by the surviving symbols a1 (diagonal) and d1 (off-diagonal)."""
-    images = solved_images(family, 3, [(TAU, 1), (TAU, 2)])
-    residual = sorted(name for name in family.free if name not in ("a1", "d1"))
-    setting = {name: SymPoly.const(1) for name in residual}
-    diag, off = SymPoly.symbol("a1"), SymPoly.symbol("d1")
-    core = Matrix(SYMBOLIC, [[diag, off * SymPoly.const(T)], [off, diag]])
-    expected = {
-        (TAU, 1): block_embed(core, 1, 3),
-        (TAU, 2): block_embed(core, 2, 3),
-    }
-    ok = all(
-        images[key].map_entries(lambda e: e.substitute(setting)) == expected[key]
-        for key in expected
-    )
-    return ok, residual
-
-
 def cmd_solve_extension(args) -> int:
     if args.target == "vsb2":
         if args.n != 2:
@@ -245,18 +214,20 @@ def cmd_solve_extension(args) -> int:
         return EXIT_OK if ok else EXIT_MISMATCH
 
     system = assemble_singular(args.n, group=True)
-    if system.nonlinear:
-        family, residue = solve_with_residue(system)
-    else:
-        family, residue = solve_linear(system), ()
-    representable = laurent_representability(family)
+    family, residue = solve_with_residue(system)
+    form_ok, residual_free = block_form_match(family, args.n)
+    status = "fail" if not form_ok else ("divergence" if residue else "pass")
     result = {
         "unknowns": len(system.unknowns),
         "equations": len(system.equations),
         "discarded_zero_equations": system.discarded_zero,
         "discarded_duplicate_equations": system.discarded_duplicate,
         "family": family.to_json_dict(),
-        "laurent_representable": representable["representable"],
+        "laurent_representable": laurent_representability(family)["representable"],
+        "residue": [str(p) for p in residue],
+        "residual_free_parameters": list(residual_free),
+        "matches_block_form": form_ok,
+        "status": status,
     }
     lines = [
         f"assembled {len(system.equations)} equations in {len(system.unknowns)} unknowns "
@@ -266,55 +237,35 @@ def cmd_solve_extension(args) -> int:
     ]
     for name in sorted(family.bindings):
         lines.append(f"  {name} = {family.bindings[name].render()}")
-    if args.n == 2:
-        ok = _two_strand_expected(family)
-        status = "pass" if ok else "fail"
-        result["matches_expected_form"] = ok
-        lines.append(f"matches the expected two-strand form (d = a, b = c*t): {ok}")
-    elif args.n == 3:
-        counts_ok = len(system.equations) == 32 and len(system.unknowns) == 18
-        form_ok, residual_free = _three_strand_block_match(family)
-        ok = counts_ok and form_ok
-        status = "pass" if ok else "fail"
-        result["equation_count_expected"] = counts_ok
-        result["matches_block_form"] = form_ok
-        result["residual_free_parameters"] = residual_free
-        lines.append(f"equation count is the expected 32-in-18: {counts_ok}")
-        lines.append(
-            "residual free parameters beyond the block pair: "
-            + (", ".join(residual_free) if residual_free else "none"))
-        lines.append(f"matches the embedded-block form after setting them to 1: {form_ok}")
-    else:
-        result["residue"] = [str(p) for p in residue]
-        status = "pass" if not residue else "divergence"
-        lines.append(
-            f"nonlinear residue after the linear solve: {len(residue)} equations")
-        for p in residue:
-            lines.append(f"  {p} = 0")
-    result["status"] = status
+    lines.append(f"nonlinear residue after the linear solve: {len(residue)} equations")
+    for p in residue:
+        lines.append(f"  {p} = 0")
+    lines.append("residual free parameters beyond the block pair: "
+                 + (", ".join(residual_free) or "none"))
+    lines.append(f"matches the embedded-block form after setting them to 1: {form_ok}")
+    lines.append(f"status: {status}")
     report = {
         "command": "solve-extension",
         "inputs": _echo_inputs(args),
         "result": result,
         "status": status,
     }
-    lines.append(f"status: {status}")
     _emit(args, report, lines)
     return EXIT_OK if status != "fail" else EXIT_MISMATCH
 
 
 def cmd_irreducible(args) -> int:
     if args.symbolic:
-        spec = symbolic_extension(args.n, args.a, args.c)
+        rep = symbolic_extension(args.n, args.a, args.c)
         predicted = True
         where = "t symbolic"
     else:
         if args.t is None:
             raise BraidRepError("either --t or --symbolic is required")
-        spec = specialized_extension(args.n, args.t, args.a, args.c)
+        rep = specialized_extension(args.n, args.t, args.a, args.c)
         predicted = predicted_irreducible(args.t, args.a, args.c)
         where = f"t={args.t}"
-    verdict = is_irreducible(spec)
+    verdict = is_irreducible(rep)
     agree = verdict.irreducible == predicted
     status = "pass" if agree else ("divergence" if args.n == 2 else "fail")
     result = verdict.to_json_dict()
@@ -332,7 +283,7 @@ def cmd_irreducible(args) -> int:
         f"predicted: {result['predicted']}",
     ]
     if verdict.witness is not None:
-        basis = ["(" + ", ".join(spec.domain.render(e) for e in v) + ")"
+        basis = ["(" + ", ".join(rep.domain.render(e) for e in v) + ")"
                  for v in verdict.witness.basis]
         lines.append(f"invariant subspace witness: {'; '.join(basis)}")
     lines.append(f"status: {status}")

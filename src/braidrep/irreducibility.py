@@ -6,8 +6,10 @@ The dimension of that algebra is a rank over the base field and ranks do not
 change under field extension, so exact rational arithmetic settles the
 question outright: span = dim^2 certifies irreducibility, span < dim^2
 certifies a proper invariant subspace exists over the closure.  The span is
-measured by one ``Echelon`` basis over Q, on the cells of rational images or
-on the (cell, t-exponent) coordinates of Q(t) images.
+measured by one ``Echelon`` basis over the images' own field: Q for a
+specialization at a rational t0, Q(t) when t stays symbolic.  Over Q(t) it
+is a genuine Q(t)-dimension, so on two strands, where sigma^2 = t*I and
+tau = a*I + c*sigma, the algebra Q(t)[sigma] has dimension 2, not 4.
 
 Witness extraction (an explicit invariant line) is best effort: common fixed
 vectors, the all-ones direction, and simultaneous rational eigenvectors.  A
@@ -22,26 +24,22 @@ from fractions import Fraction
 from math import isqrt, lcm
 
 from .errors import SingularTau, ZeroSpecialization
-from .laurent import RationalFunction
+from .laurent import T, RationalFunction
 from .matrix import (
     LAURENT,
     QQ,
-    RATFUNC,
     EntryDomain,
     Echelon,
     Matrix,
     Subspace,
-    block_embed,
     local_block,
     mat_vec,
     mul_local,
     stack,
 )
-from .presentations import SIGMA, TAU
-from .reps import Representation, singular_extension_specialized, standard_block
+from .reps import Representation, singular_extension
 
 __all__ = [
-    "SpecializedRep",
     "IrreducibilityVerdict",
     "GridCell",
     "GridReport",
@@ -59,41 +57,14 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class SpecializedRep:
-    """A representation with field entries: t evaluated at a nonzero rational,
-    or kept symbolic with entries promoted to Q(t) (t0 is None)."""
-
-    rep: Representation
-    t0: Fraction | None
-
-    @property
-    def n(self) -> int:
-        return self.rep.n
-
-    @property
-    def dim(self) -> int:
-        return self.rep.dim
-
-    @property
-    def domain(self) -> EntryDomain:
-        return self.rep.domain
-
-    def images(self) -> list[Matrix]:
-        return [self.rep.assignment[key] for key in self.rep.generator_keys()]
-
-    def describe(self) -> str:
-        at = "t symbolic" if self.t0 is None else f"t={self.t0}"
-        return f"{self.rep.name or self.rep.mode} (n={self.n}, {at})"
-
-
-def specialize(rep: Representation, t0) -> SpecializedRep:
-    """Evaluate every Laurent entry at t0, or lift to Q(t) when t0 is None."""
+def specialize(rep: Representation, t0) -> Representation:
+    """Evaluate every Laurent entry at t0 (recorded as the parameter t0), or
+    lift to Q(t) when t0 is None."""
     if rep.domain is not LAURENT:
         raise TypeError(f"can only specialize Laurent-entry representations, got {rep.domain.name}")
+    params = dict(rep.params)
     if t0 is None:
         assignment = {key: m._field_lift() for key, m in rep.assignment.items()}
-        marker = None
     else:
         t0 = Fraction(t0)
         if t0 == 0:
@@ -102,31 +73,20 @@ def specialize(rep: Representation, t0) -> SpecializedRep:
             key: m.map_entries(lambda e: e.evaluate(t0), QQ)
             for key, m in rep.assignment.items()
         }
-        marker = t0
-    spec = Representation(rep.n, rep.mode, assignment, group=rep.group,
-                          name=rep.name, params=dict(rep.params))
-    return SpecializedRep(spec, marker)
+        params["t0"] = t0
+    return Representation(rep.n, rep.mode, assignment, group=rep.group,
+                          name=rep.name, params=params)
 
 
-def specialized_extension(n: int, t0, a, c, group: bool = True) -> SpecializedRep:
+def specialized_extension(n: int, t0, a, c, group: bool = True) -> Representation:
     """Singular extension with rational parameters at a rational point t0."""
-    t0 = Fraction(t0)
-    rep = singular_extension_specialized(n, t0, a, c, group=group)
-    return SpecializedRep(rep, t0)
+    return singular_extension(n, Fraction(a), Fraction(c), group=group, t=Fraction(t0))
 
 
-def symbolic_extension(n: int, a, c, group: bool = True) -> SpecializedRep:
+def symbolic_extension(n: int, a, c, group: bool = True) -> Representation:
     """Singular extension over Q(t): t stays a variable, a and c rational."""
-    a = RationalFunction.coerce(Fraction(a))
-    c = RationalFunction.coerce(Fraction(c))
-    sblock = standard_block()._field_lift()
-    t = sblock.entries[0][1]
-    tblock = Matrix(RATFUNC, [[a, c * t], [c, a]])
-    assignment = {(SIGMA, i): block_embed(sblock, i, n) for i in range(1, n)}
-    assignment.update({(TAU, i): block_embed(tblock, i, n) for i in range(1, n)})
-    rep = Representation(n, "singular", assignment, group=group,
-                         name="singular-ext", params={"a": str(a), "c": str(c)})
-    return SpecializedRep(rep, None)
+    return singular_extension(n, Fraction(a), Fraction(c), group=group,
+                              t=RationalFunction(T))
 
 
 # -- algebra span ------------------------------------------------------------
@@ -138,13 +98,10 @@ def matrix_algebra_span(images: list[Matrix]) -> int:
     Breadth-first closure: seed with the identity and the images, then keep
     right-multiplying new basis elements by the images (as block-local
     updates, see ``mul_local``), inserting each product into an exact
-    ``Echelon`` basis over Q until nothing new appears (or the full dim^2 is
-    reached, at which point nothing larger is possible).
-
-    Over Q the coordinates are the cells.  Over Q(t) no specialization has
-    been chosen, so the powers of t are treated as independent scalars:
-    independence is measured over Q on the (cell, exponent) coordinates of
-    ``_flatten_cells``, still capped at dim^2.
+    ``Echelon`` basis over the images' own field (Q, or Q(t) once Laurent
+    entries are lifted), on the cells in row-major order, until nothing new
+    appears (or the full dim^2 is reached, at which point nothing larger is
+    possible).
     """
     if not images:
         raise ValueError("need at least one matrix")
@@ -152,16 +109,15 @@ def matrix_algebra_span(images: list[Matrix]) -> int:
     if not dom.is_field:
         images = [m._field_lift() for m in images]
         dom = images[0].domain
-    coordinates = _flatten_cells if dom is RATFUNC else _cells
     d = images[0].rows
     cap = d * d
-    basis = Echelon(QQ)
+    basis = Echelon(dom)
     blocks = [local_block(g) for g in images]
     candidates = iter([Matrix.identity(dom, d).entries, *(g.entries for g in images)])
     while True:
         frontier = []
         for rows in candidates:
-            if basis.insert(coordinates(rows)):
+            if basis.insert([e for row in rows for e in row]):
                 if len(basis) == cap:
                     return cap
                 frontier.append(rows)
@@ -171,44 +127,18 @@ def matrix_algebra_span(images: list[Matrix]) -> int:
                       for rows in frontier for offset, block in blocks)
 
 
-def _cells(rows) -> list:
-    """Coordinates of a Q-entry matrix, its cells in row-major order."""
-    return [e for row in rows for e in row]
-
-
-def _flatten_cells(rows) -> dict[tuple[int, int, int], Fraction]:
-    """Coordinates of a Q(t)-entry matrix in the Q-basis (cell, t-exponent).
-
-    With t left symbolic there is no ground value to collapse its powers, so
-    t^k I and t^m I count as independent directions for k != m.  The span is
-    still capped at dim^2: reaching the cap means the images already separate
-    as many directions as any single specialization possibly could.
-    """
-    out: dict[tuple[int, int, int], Fraction] = {}
-    for i, row in enumerate(rows):
-        for j, entry in enumerate(row):
-            if len(entry.den.terms) > 1:
-                raise TypeError(f"entry {entry} is not a Laurent combination of t powers")
-            if entry.num.is_zero():
-                continue
-            bottom = entry.den.terms[0]
-            for exp, coeff in entry.num.terms.items():
-                out[(i, j, exp)] = Fraction(coeff, bottom)
-    return out
-
-
-def burnside_span(spec: SpecializedRep) -> int:
-    return matrix_algebra_span(spec.images())
+def burnside_span(rep: Representation) -> int:
+    return matrix_algebra_span(rep.images())
 
 
 # -- witness search ----------------------------------------------------------
 
 
-def all_ones_check(spec: SpecializedRep) -> bool:
+def all_ones_check(rep: Representation) -> bool:
     """True iff every image maps (1, ..., 1)^T to a scalar multiple of it."""
-    dom = spec.domain
-    ones = [dom.one] * spec.dim
-    for g in spec.images():
+    dom = rep.domain
+    ones = [dom.one] * rep.dim
+    for g in rep.images():
         w = mat_vec(g, ones)
         if any(e != w[0] for e in w[1:]):
             return False
@@ -319,17 +249,17 @@ def _maps_into(images: list[Matrix], sub: Subspace) -> bool:
     return all(sub.contains(mat_vec(g, v)) for g in images for v in sub.basis)
 
 
-def invariant_line_witness(spec: SpecializedRep) -> Subspace | None:
+def invariant_line_witness(rep: Representation) -> Subspace | None:
     """Best-effort explicit invariant subspace for a reducible specialization.
 
     Tries, in order: the all-ones line, the common fixed subspace, and (over
     Q) a simultaneous rational eigenvector.  Returns None when all three come
     up empty; reducibility itself is already settled by the span criterion.
     """
-    dom = spec.domain
-    d = spec.dim
-    images = spec.images()
-    if all_ones_check(spec):
+    dom = rep.domain
+    d = rep.dim
+    images = rep.images()
+    if all_ones_check(rep):
         ones = Subspace(dom, d, (tuple([dom.one] * d),))
         if _maps_into(images, ones):
             return ones
@@ -381,22 +311,22 @@ class IrreducibilityVerdict:
         return out
 
 
-def is_irreducible(spec: SpecializedRep) -> IrreducibilityVerdict:
-    span = burnside_span(spec)
-    d = spec.dim
+def is_irreducible(rep: Representation) -> IrreducibilityVerdict:
+    span = burnside_span(rep)
+    d = rep.dim
     if span == d * d:
         return IrreducibilityVerdict("irreducible", span, d, None)
-    witness = invariant_line_witness(spec)
+    witness = invariant_line_witness(rep)
     if witness is not None:
-        assert _maps_into(spec.images(), witness)
+        assert _maps_into(rep.images(), witness)
     return IrreducibilityVerdict("reducible", span, d, witness)
 
 
-def orbit_closure(spec: SpecializedRep, vector) -> Subspace:
+def orbit_closure(rep: Representation, vector) -> Subspace:
     """Smallest subspace containing the vector and stable under every image."""
-    dom = spec.domain
-    d = spec.dim
-    images = spec.images()
+    dom = rep.domain
+    d = rep.dim
+    images = rep.images()
     basis = Echelon(dom)
     start = tuple(dom.coerce(e) for e in vector)
     frontier = [start] if basis.insert(start) else []
@@ -484,8 +414,8 @@ def grid_cell(n: int, t0, a, c) -> GridCell:
     if a * a - t0 * c * c == 0:
         raise SingularTau(
             f"(a, c) = ({a}, {c}) makes the block determinant vanish at t = {t0}")
-    spec = specialized_extension(n, t0, a, c, group=True)
-    verdict = is_irreducible(spec)
+    rep = specialized_extension(n, t0, a, c, group=True)
+    verdict = is_irreducible(rep)
     predicted = predicted_irreducible(t0, a, c)
     return GridCell(
         n=n, t0=t0, a=a, c=c,

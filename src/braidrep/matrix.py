@@ -238,21 +238,7 @@ class Matrix:
             [[domain.one if i == j else domain.zero for j in range(n)] for i in range(n)],
         )
 
-    @classmethod
-    def zeros(cls, domain: EntryDomain, rows: int, cols: int) -> Matrix:
-        return cls(domain, [[domain.zero] * cols for _ in range(rows)])
-
     # -- access -------------------------------------------------------------
-
-    def __getitem__(self, key):
-        i, j = key
-        return self.entries[i][j]
-
-    def row(self, i: int) -> tuple:
-        return self.entries[i]
-
-    def column(self, j: int) -> tuple:
-        return tuple(r[j] for r in self.entries)
 
     def is_square(self) -> bool:
         return self.rows == self.cols

@@ -150,23 +150,76 @@ class Relation(NamedTuple):
         return f"{format_word(self.lhs)} = {rhs}"
 
 
-# Canonical emission order of the relation schemas; presentations list their
-# relations grouped in this order, each group sorted by index.
-RELATION_KINDS = (
-    "braid",            # s_i s_{i+1} s_i = s_{i+1} s_i s_{i+1}
-    "sigma_far",        # s_i s_j = s_j s_i           for |i-j| >= 2
-    "tau_far",          # t_i t_j = t_j t_i           for |i-j| >= 2
-    "tau_sigma_far",    # t_i s_j = s_j t_i           for |i-j| >= 2
-    "tau_sigma_same",   # t_i s_i = s_i t_i
-    "tau_slide_up",     # s_i s_{i+1} t_i = t_{i+1} s_i s_{i+1}
-    "tau_slide_down",   # s_{i+1} s_i t_{i+1} = t_i s_{i+1} s_i
-    "nu_involution",    # v_i v_i = 1
-    "nu_braid",         # v_i v_{i+1} v_i = v_{i+1} v_i v_{i+1}
-    "nu_sigma_slide",   # v_i s_{i+1} v_i = v_{i+1} s_i v_{i+1}
-    "nu_tau_slide",     # v_i t_{i+1} v_i = v_{i+1} t_i v_{i+1}
-    "nu_sigma_far",     # v_i s_j = s_j v_i           for |i-j| >= 2
-    "nu_tau_far",       # v_i t_j = t_j v_i           for |i-j| >= 2
-)
+def _adjacent(n: int) -> Iterable[tuple[int]]:
+    """Indices i with i + 1 also a generator index."""
+    return ((i,) for i in range(1, n - 1))
+
+
+def _every(n: int) -> Iterable[tuple[int]]:
+    return ((i,) for i in range(1, n))
+
+
+def _far_pairs(n: int) -> Iterable[tuple[int, int]]:
+    """Unordered index pairs (i, j), i < j, with |i - j| >= 2."""
+    for i in range(1, n):
+        for j in range(i + 2, n):
+            yield (i, j)
+
+
+def _far_ordered(n: int) -> Iterable[tuple[int, int]]:
+    """Ordered index pairs with |i - j| >= 2."""
+    for i in range(1, n):
+        for j in range(1, n):
+            if abs(i - j) >= 2:
+                yield (i, j)
+
+
+# The relation schemas in canonical emission order: kind -> (index tuples on
+# n strands, lhs and rhs words for one index tuple).  Presentations list
+# their relations grouped in this order, each group in index order.
+_RELATIONS = {
+    "braid": (_adjacent,
+              lambda i: word(sigma(i), sigma(i + 1), sigma(i)),
+              lambda i: word(sigma(i + 1), sigma(i), sigma(i + 1))),
+    "sigma_far": (_far_pairs,
+                  lambda i, j: word(sigma(i), sigma(j)),
+                  lambda i, j: word(sigma(j), sigma(i))),
+    "tau_far": (_far_pairs,
+                lambda i, j: word(tau(i), tau(j)),
+                lambda i, j: word(tau(j), tau(i))),
+    "tau_sigma_far": (_far_ordered,
+                      lambda i, j: word(tau(i), sigma(j)),
+                      lambda i, j: word(sigma(j), tau(i))),
+    "tau_sigma_same": (_every,
+                       lambda i: word(tau(i), sigma(i)),
+                       lambda i: word(sigma(i), tau(i))),
+    "tau_slide_up": (_adjacent,
+                     lambda i: word(sigma(i), sigma(i + 1), tau(i)),
+                     lambda i: word(tau(i + 1), sigma(i), sigma(i + 1))),
+    "tau_slide_down": (_adjacent,
+                       lambda i: word(sigma(i + 1), sigma(i), tau(i + 1)),
+                       lambda i: word(tau(i), sigma(i + 1), sigma(i))),
+    "nu_involution": (_every,
+                      lambda i: word(nu(i), nu(i)),
+                      lambda i: word()),
+    "nu_braid": (_adjacent,
+                 lambda i: word(nu(i), nu(i + 1), nu(i)),
+                 lambda i: word(nu(i + 1), nu(i), nu(i + 1))),
+    "nu_sigma_slide": (_adjacent,
+                       lambda i: word(nu(i), sigma(i + 1), nu(i)),
+                       lambda i: word(nu(i + 1), sigma(i), nu(i + 1))),
+    "nu_tau_slide": (_adjacent,
+                     lambda i: word(nu(i), tau(i + 1), nu(i)),
+                     lambda i: word(nu(i + 1), tau(i), nu(i + 1))),
+    "nu_sigma_far": (_far_ordered,
+                     lambda i, j: word(nu(i), sigma(j)),
+                     lambda i, j: word(sigma(j), nu(i))),
+    "nu_tau_far": (_far_ordered,
+                   lambda i, j: word(nu(i), tau(j)),
+                   lambda i, j: word(tau(j), nu(i))),
+}
+
+RELATION_KINDS = tuple(_RELATIONS)
 
 _MODE_KINDS = {
     "braid": RELATION_KINDS[:2],
@@ -194,83 +247,9 @@ class Presentation:
         return tuple(r for r in self.relations if r.kind == kind)
 
 
-def _far_pairs(n: int) -> Iterable[tuple[int, int]]:
-    """Unordered index pairs (i, j), i < j, with |i - j| >= 2."""
-    for i in range(1, n):
-        for j in range(i + 2, n):
-            yield (i, j)
-
-
-def _far_ordered(n: int) -> Iterable[tuple[int, int]]:
-    """Ordered index pairs with |i - j| >= 2."""
-    for i in range(1, n):
-        for j in range(1, n):
-            if abs(i - j) >= 2:
-                yield (i, j)
-
-
 def _make_relations(kind: str, n: int) -> list[Relation]:
-    rels = []
-    if kind == "braid":
-        for i in range(1, n - 1):
-            rels.append(Relation(kind, (i,),
-                                 word(sigma(i), sigma(i + 1), sigma(i)),
-                                 word(sigma(i + 1), sigma(i), sigma(i + 1))))
-    elif kind == "sigma_far":
-        for i, j in _far_pairs(n):
-            rels.append(Relation(kind, (i, j),
-                                 word(sigma(i), sigma(j)), word(sigma(j), sigma(i))))
-    elif kind == "tau_far":
-        for i, j in _far_pairs(n):
-            rels.append(Relation(kind, (i, j),
-                                 word(tau(i), tau(j)), word(tau(j), tau(i))))
-    elif kind == "tau_sigma_far":
-        for i, j in _far_ordered(n):
-            rels.append(Relation(kind, (i, j),
-                                 word(tau(i), sigma(j)), word(sigma(j), tau(i))))
-    elif kind == "tau_sigma_same":
-        for i in range(1, n):
-            rels.append(Relation(kind, (i,),
-                                 word(tau(i), sigma(i)), word(sigma(i), tau(i))))
-    elif kind == "tau_slide_up":
-        for i in range(1, n - 1):
-            rels.append(Relation(kind, (i,),
-                                 word(sigma(i), sigma(i + 1), tau(i)),
-                                 word(tau(i + 1), sigma(i), sigma(i + 1))))
-    elif kind == "tau_slide_down":
-        for i in range(1, n - 1):
-            rels.append(Relation(kind, (i,),
-                                 word(sigma(i + 1), sigma(i), tau(i + 1)),
-                                 word(tau(i), sigma(i + 1), sigma(i))))
-    elif kind == "nu_involution":
-        for i in range(1, n):
-            rels.append(Relation(kind, (i,), word(nu(i), nu(i)), word()))
-    elif kind == "nu_braid":
-        for i in range(1, n - 1):
-            rels.append(Relation(kind, (i,),
-                                 word(nu(i), nu(i + 1), nu(i)),
-                                 word(nu(i + 1), nu(i), nu(i + 1))))
-    elif kind == "nu_sigma_slide":
-        for i in range(1, n - 1):
-            rels.append(Relation(kind, (i,),
-                                 word(nu(i), sigma(i + 1), nu(i)),
-                                 word(nu(i + 1), sigma(i), nu(i + 1))))
-    elif kind == "nu_tau_slide":
-        for i in range(1, n - 1):
-            rels.append(Relation(kind, (i,),
-                                 word(nu(i), tau(i + 1), nu(i)),
-                                 word(nu(i + 1), tau(i), nu(i + 1))))
-    elif kind == "nu_sigma_far":
-        for i, j in _far_ordered(n):
-            rels.append(Relation(kind, (i, j),
-                                 word(nu(i), sigma(j)), word(sigma(j), nu(i))))
-    elif kind == "nu_tau_far":
-        for i, j in _far_ordered(n):
-            rels.append(Relation(kind, (i, j),
-                                 word(nu(i), tau(j)), word(tau(j), nu(i))))
-    else:
-        raise ValueError(f"unknown relation kind {kind!r}")
-    return rels
+    indices, lhs, rhs = _RELATIONS[kind]
+    return [Relation(kind, idx, lhs(*idx), rhs(*idx)) for idx in indices(n)]
 
 
 def build_presentation(n: int, mode: str, group: bool = True) -> Presentation:

@@ -8,9 +8,12 @@ three named braid representations differ only in that block:
     f          [[1, 1, 0], [0, -t, 0], [0, t, 1]]   (3x3 block, dimension n+1)
 
 The singular extension sends the singular generator at position i to the
-embedded block [[a, c*t], [c, a]] = a*I + c*(standard block), with parameters
-a, c from the Laurent ring.  On two strands the virtual extension additionally
-sends the virtual generator to one of five involution families.
+embedded block [[a, c*t], [c, a]] = a*I + c*(standard block).  One builder,
+``singular_extension``, writes both blocks out over whichever ring the value
+given for t lives in: the Laurent ring (t the variable, a and c Laurent
+polynomials), Q (t a nonzero rational), Q(t), or the symbolic unknowns' ring
+of the solver.  On two strands the virtual extension additionally sends the
+virtual generator to one of five involution families.
 
 Word evaluation relies on one invariant: every image equals the identity
 outside one diagonal block.  ``Representation.local_image`` finds that block
@@ -35,9 +38,19 @@ from .errors import (
     ZeroQ,
     ZeroSpecialization,
 )
-from .laurent import ONE, T, LaurentPoly
-from .matrix import LAURENT, QQ, EntryDomain, Matrix, block_embed, local_block, mul_local
+from .laurent import ONE, T, LaurentPoly, RationalFunction
+from .matrix import (
+    LAURENT,
+    QQ,
+    RATFUNC,
+    EntryDomain,
+    Matrix,
+    block_embed,
+    local_block,
+    mul_local,
+)
 from .presentations import NU, SIGMA, TAU, Presentation, Relation, Word
+from .symbolic import SYMBOLIC, SymPoly
 
 __all__ = [
     "Representation",
@@ -46,9 +59,7 @@ __all__ = [
     "standard_rep",
     "burau_rep",
     "f_rep",
-    "tau_block",
     "singular_extension",
-    "singular_extension_specialized",
     "involution_matrix",
     "vsb2_extension",
     "evaluate_word",
@@ -85,6 +96,10 @@ class Representation:
 
     def generator_keys(self):
         return sorted(self.assignment, key=lambda k: (k[0], k[1]))
+
+    def images(self) -> list[Matrix]:
+        """The generator images in ``generator_keys`` order."""
+        return [self.assignment[key] for key in self.generator_keys()]
 
     def local_image(self, kind: str, index: int, exp: int = 1) -> tuple[int, Matrix]:
         """The letter's image as (offset, block): the image is the identity
@@ -138,11 +153,20 @@ class Representation:
         return f"Representation({label}, n={self.n}, dim={self.dim}, domain={self.domain.name})"
 
 
-def standard_block(domain: EntryDomain = LAURENT, t0=None) -> Matrix:
-    """[[0, t], [1, 0]] (or its value at t0 over a field)."""
-    if t0 is None:
-        return Matrix(LAURENT, [[0, T], [1, 0]])
-    return Matrix(domain, [[0, t0], [1, 0]])
+_RINGS = {LaurentPoly: LAURENT, Fraction: QQ, RationalFunction: RATFUNC, SymPoly: SYMBOLIC}
+
+
+def _ring(t) -> EntryDomain:
+    """The entry domain that the value given for t lives in."""
+    try:
+        return _RINGS[type(t)]
+    except KeyError:
+        raise TypeError(f"no entry domain holds t = {t!r}") from None
+
+
+def standard_block(t=T) -> Matrix:
+    """[[0, t], [1, 0]] over the ring that t lives in."""
+    return Matrix(_ring(t), [[0, t], [1, 0]])
 
 
 def _block_rep(n: int, block: Matrix, name: str) -> Representation:
@@ -167,55 +191,32 @@ def f_rep(n: int) -> Representation:
     return _block_rep(n, block, "f")
 
 
-def tau_block(a, c, domain: EntryDomain = LAURENT, t0=None) -> Matrix:
-    """[[a, c*t], [c, a]]; over a field the t slot takes the value t0."""
-    if t0 is None:
-        a = LaurentPoly.coerce(a)
-        c = LaurentPoly.coerce(c)
-        return Matrix(LAURENT, [[a, c * T], [c, a]])
-    return Matrix(domain, [[a, c * t0], [c, a]])
-
-
-def singular_extension(n: int, a, c, group: bool = False) -> Representation:
+def singular_extension(n: int, a, c, group: bool = False, t=T) -> Representation:
     """Extension of the standard representation by t-generators with the
-    embedded block a*I + c*(standard block).
+    embedded block [[a, c*t], [c, a]] = a*I + c*(standard block).
 
-    In group mode the block determinant a^2 - t*c^2 must be a unit of the
-    Laurent ring; monoid mode (the default) accepts any parameters.
+    Everything is built over the ring that t lives in: the Laurent ring (t
+    the variable, the default), Q (t a nonzero rational t0), Q(t), or the
+    symbolic unknowns' ring; a and c are coerced into it.  A t other than
+    the variable itself is recorded as the parameter t0.  In group mode the
+    block determinant a^2 - t*c^2 must be a unit of that ring; monoid mode
+    (the default) accepts any parameters.
     """
-    a = LaurentPoly.coerce(a)
-    c = LaurentPoly.coerce(c)
-    block = tau_block(a, c)
-    if group:
-        d = block.det()
-        if not d.is_unit():
-            raise NonInvertibleTau(
-                f"tau block determinant {d} is not a unit, so the images "
-                "do not land in the general linear group", det=d)
-    assignment = {(SIGMA, i): block_embed(standard_block(), i, n) for i in range(1, n)}
-    assignment.update({(TAU, i): block_embed(block, i, n) for i in range(1, n)})
-    return Representation(n, "singular", assignment, group=group,
-                          name="singular-extension", params={"a": a, "c": c})
-
-
-def singular_extension_specialized(n: int, t0, a, c, group: bool = False) -> Representation:
-    """Field-valued variant: t specialized at a nonzero rational, parameters
-    a, c rational numbers."""
-    t0 = Fraction(t0)
-    a = Fraction(a)
-    c = Fraction(c)
-    if t0 == 0:
+    dom = _ring(t)
+    if not t:
         raise ZeroSpecialization("t may not be specialized to 0")
-    sblock = standard_block(QQ, t0)
-    tblock = tau_block(a, c, QQ, t0)
-    if group and a * a - t0 * c * c == 0:
-        raise NonInvertibleTau("tau block is singular at this specialization",
-                               det=Fraction(0))
-    assignment = {(SIGMA, i): block_embed(sblock, i, n) for i in range(1, n)}
-    assignment.update({(TAU, i): block_embed(tblock, i, n) for i in range(1, n)})
+    a, c = dom.coerce(a), dom.coerce(c)
+    block = Matrix(dom, [[a, c * t], [c, a]])
+    if group and not dom.is_unit(d := block.det()):
+        raise NonInvertibleTau(
+            f"tau block determinant {d} is not a unit, so the images "
+            "do not land in the general linear group", det=d)
+    sigma = standard_block(t)
+    assignment = {(SIGMA, i): block_embed(sigma, i, n) for i in range(1, n)}
+    assignment.update({(TAU, i): block_embed(block, i, n) for i in range(1, n)})
+    params = {"a": a, "c": c} if t == T else {"t0": t, "a": a, "c": c}
     return Representation(n, "singular", assignment, group=group,
-                          name="singular-extension",
-                          params={"t0": t0, "a": a, "c": c})
+                          name="singular-extension", params=params)
 
 
 def involution_matrix(family_id: int, *, p=None, q=None, r=None,

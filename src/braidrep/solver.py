@@ -28,9 +28,10 @@ from .errors import (
     Unclassifiable,
     UnassignedGenerator,
 )
-from .laurent import RationalFunction
+from .laurent import T, RationalFunction
 from .matrix import RATFUNC, Echelon, Matrix, QQ, local_block, mul_local
-from .presentations import NU, Presentation
+from .presentations import NU, SIGMA, TAU, Presentation, build_presentation
+from .reps import singular_extension, standard_rep
 from .symbolic import SYMBOLIC, LinearExpr, SymPoly
 
 __all__ = [
@@ -41,6 +42,7 @@ __all__ = [
     "assemble_singular",
     "assemble_vsb2",
     "solved_images",
+    "block_form_match",
     "solve_linear",
     "solve_with_residue",
     "laurent_representability",
@@ -198,9 +200,6 @@ def assemble(pres: Presentation, known: dict, unknown_gens) -> ConstraintSystem:
 def assemble_singular(n: int, group: bool = True) -> ConstraintSystem:
     """The extension problem for the standard representation on n strands:
     s-images known, all t-images unknown."""
-    from .presentations import SIGMA, TAU, build_presentation
-    from .reps import standard_rep
-
     pres = build_presentation(n, "singular", group=group)
     known = {(SIGMA, i): m for (_, i), m in standard_rep(n).assignment.items()}
     unknown = [(TAU, i) for i in range(1, n)]
@@ -211,17 +210,12 @@ def assemble_vsb2(a=None, c=None) -> ConstraintSystem:
     """The two-strand virtual extension problem: s- and t-images known, the
     v-image unknown.  With no arguments the t-image keeps symbolic entries
     a and c, matching the general extension it restricts to."""
-    from .laurent import T
-    from .presentations import SIGMA, TAU, build_presentation
-    from .reps import singular_extension, standard_block
-
     pres = build_presentation(2, "virtual_singular", group=False)
     if a is None and c is None:
-        sym_a, sym_c = SymPoly.symbol("a"), SymPoly.symbol("c")
-        tau = Matrix(SYMBOLIC, [[sym_a, sym_c * SymPoly.const(T)], [sym_c, sym_a]])
-        known = {(SIGMA, 1): standard_block(), (TAU, 1): tau}
+        known = singular_extension(2, SymPoly.symbol("a"), SymPoly.symbol("c"),
+                                   t=SymPoly.const(T)).assignment
     else:
-        known = dict(singular_extension(2, a, c).assignment)
+        known = singular_extension(2, a, c).assignment
     return assemble(pres, known, [(NU, 1)])
 
 
@@ -244,6 +238,31 @@ def solved_images(family: SolutionFamily, dim: int, unknown_gens) -> dict:
         ]
         out[(kind, index)] = Matrix(SYMBOLIC, entries)
     return out
+
+
+def block_form_match(family: SolutionFamily, n: int) -> tuple[bool, tuple[str, ...]]:
+    """Compare the solved t-images of ``assemble_singular(n)`` with the
+    embedded a*I + c*sigma_i block family.
+
+    The block pair is named by the unknowns in the (1,1) and (2,1) entries
+    of the t_1 image; every other free parameter is residual.  Returns
+    whether the solved images, with the residual parameters set to 1, equal
+    ``singular_extension``'s t-images over the symbolic ring, and the
+    residual parameters in unknown order.
+    """
+    unknown = [(TAU, i) for i in range(1, n)]
+    names = entry_names(n, TAU, "1" if n > 2 else "")
+    diag, off = names[0][0], names[1][0]
+    residual = tuple(name for name in family.free if name not in (diag, off))
+    setting = {name: SymPoly.const(1) for name in residual}
+    expected = singular_extension(n, SymPoly.symbol(diag), SymPoly.symbol(off),
+                                  t=SymPoly.const(T)).assignment
+    images = solved_images(family, n, unknown)
+    ok = all(
+        images[key].map_entries(lambda e: e.substitute(setting)) == expected[key]
+        for key in unknown
+    )
+    return ok, residual
 
 
 @dataclass(frozen=True)

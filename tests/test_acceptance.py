@@ -151,8 +151,10 @@ def test_criterion_06_two_strand_divergence_and_symbolic_span():
     assert all(cell.span_dim < 4 for cell in report.cells)
     assert report.status == "divergence"
 
+    # Over Q(t) the algebra is Q(t)[sigma] (sigma^2 = t*I, tau = a*I + c*sigma),
+    # of dimension 2: two strands are reducible with t symbolic too.
     for a, c in pairs:
-        assert burnside_span(symbolic_extension(2, a, c)) == 4
+        assert burnside_span(symbolic_extension(2, a, c)) == 2
     print("criterion 6: PASS")
 
 

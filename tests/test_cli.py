@@ -65,7 +65,9 @@ def test_solve_extension_two_strands(capsys):
     assert code == 0
     assert "free parameters: a, c" in out
     assert "d = a" in out and "b = c*t" in out
-    assert "matches the expected two-strand form (d = a, b = c*t): True" in out
+    assert "nonlinear residue after the linear solve: 0 equations" in out
+    assert "residual free parameters beyond the block pair: none" in out
+    assert "matches the embedded-block form after setting them to 1: True" in out
     assert "status: pass" in out
 
 
@@ -74,15 +76,18 @@ def test_solve_extension_three_strands(capsys):
     assert code == 0
     assert "assembled 32 equations in 18 unknowns" in out
     assert "free parameters: a1, d1, i1" in out
-    assert "equation count is the expected 32-in-18: True" in out
+    assert "nonlinear residue after the linear solve: 0 equations" in out
     assert "residual free parameters beyond the block pair: i1" in out
     assert "matches the embedded-block form after setting them to 1: True" in out
+    assert "status: pass" in out
 
 
 def test_solve_extension_four_strands(capsys):
     code, out, _ = run_cli(capsys, "solve-extension", "sb", "4")
     assert code == 0
     assert "nonlinear residue after the linear solve: 0 equations" in out
+    assert "residual free parameters beyond the block pair: k1" in out
+    assert "matches the embedded-block form after setting them to 1: True" in out
     assert "status: pass" in out
 
 
@@ -92,11 +97,35 @@ def test_solve_extension_four_strands(capsys):
     ("6", "5a6a2151be30744e88bfba1b16b00b0aff4a1c9c1024c8436efe2ea3ec1859bc"),
 ])
 def test_solve_extension_json_report_is_pinned(capsys, n, digest):
-    # SHA-256 of the whole report, so the free set and every binding string
-    # for n >= 4 are held fixed, not just the summary lines.
-    code, out, _ = run_cli(capsys, "solve-extension", "sb", n, "--json")
+    # SHA-256 of the whole report without the two block-form keys, so the
+    # free set, every binding string and the residue for n >= 4 are held
+    # fixed, not just the summary lines.
+    code, report, _ = run_json(capsys, "solve-extension", "sb", n)
     assert code == 0
-    assert hashlib.sha256(out.encode()).hexdigest() == digest
+    del report["result"]["matches_block_form"]
+    del report["result"]["residual_free_parameters"]
+    text = json.dumps(report, sort_keys=True, indent=2) + "\n"
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("n,residual", [
+    (2, []), (3, ["i1"]), (4, ["k1"]), (5, ["m1"]), (6, ["x3_31"]),
+])
+def test_solve_extension_reports_the_block_form(capsys, n, residual):
+    code, report, _ = run_json(capsys, "solve-extension", "sb", str(n))
+    assert code == 0
+    assert report["status"] == report["result"]["status"] == "pass"
+    assert report["result"]["matches_block_form"] is True
+    assert report["result"]["residue"] == []
+    assert report["result"]["residual_free_parameters"] == residual
+
+
+def test_irreducible_symbolic_zero_tau_is_a_usage_error(capsys):
+    # In group mode tau must be invertible: a = c = 0 makes it the zero block.
+    code, out, err = run_cli(capsys, "irreducible", "3", "--a", "0", "--c", "0", "--symbolic")
+    assert code == 2
+    assert out == ""
+    assert "is not a unit" in err
 
 
 def test_solve_extension_vsb2(capsys):
@@ -154,10 +183,11 @@ def test_irreducible_two_strands_with_a_huge_non_square_t():
 
 
 def test_irreducible_symbolic_two_strands(capsys):
+    # Over Q(t) the two-strand algebra is Q(t)[sigma], of dimension 2.
     code, out, _ = run_cli(capsys, "irreducible", "2", "--a", "0", "--c", "1", "--symbolic")
     assert code == 0
-    assert "span 4 of 4 -> irreducible" in out
-    assert "status: pass" in out
+    assert "span 2 of 4 -> reducible" in out
+    assert "status: divergence" in out
 
 
 def test_irreducible_needs_t_or_symbolic(capsys):

@@ -42,14 +42,14 @@ ONE_RF = RationalFunction(1)
 def test_specialize_to_rational_point():
     spec = specialize(standard_rep(3), 2)
     assert spec.domain is QQ
-    assert spec.t0 == 2
+    assert spec.params["t0"] == 2
     assert spec.images()[0] == Matrix(QQ, [[0, 2, 0], [1, 0, 0], [0, 0, 1]])
 
 
 def test_specialize_symbolically():
     spec = specialize(standard_rep(3), None)
     assert spec.domain is RATFUNC
-    assert spec.t0 is None
+    assert "t0" not in spec.params
     assert spec.images()[0].entries[0][1] == RationalFunction(T)
 
 
@@ -61,7 +61,7 @@ def test_specialize_rejects_zero():
 def test_specialize_needs_laurent_entries():
     spec = specialize(standard_rep(2), 2)
     with pytest.raises(TypeError):
-        specialize(spec.rep, 3)
+        specialize(spec, 3)
 
 
 def test_span_oracles_over_q():
@@ -77,15 +77,21 @@ def test_span_oracles_over_q():
 
 
 def test_span_lifts_laurent_entries():
+    # Lifted to Q(t): sigma^2 = t*I, so the algebra is span{I, sigma}.
     s = Matrix(LAURENT, [[0, T], [1, 0]])
-    assert matrix_algebra_span([s]) == 4
+    assert matrix_algebra_span([s]) == 2
 
 
-def test_scalar_span_counts_t_powers_separately():
+def test_symbolic_span_is_a_dimension_over_q_of_t():
+    # t is a scalar of Q(t), so t*I spans the same line as I.
     t = RationalFunction(T)
     scaled_identity = Matrix(RATFUNC, [[t, 0], [0, t]])
-    assert matrix_algebra_span([scaled_identity]) == 4
+    assert matrix_algebra_span([scaled_identity]) == 1
     assert matrix_algebra_span([Matrix.identity(RATFUNC, 2)]) == 1
+    sigma = Matrix(RATFUNC, [[0, t], [1, 0]])
+    assert matrix_algebra_span([scaled_identity, sigma]) == 2
+    e12 = Matrix(RATFUNC, [[0, t], [0, 0]])
+    assert matrix_algebra_span([e12, sigma]) == 4
 
 
 def test_permutation_image_span_at_t_one():
@@ -139,11 +145,22 @@ def test_two_strand_square_t_gets_an_eigenline_witness():
     assert line in (((Fraction(-2), Fraction(1))), ((Fraction(2), Fraction(1))))
 
 
-def test_symbolic_two_strand_span_reaches_full():
-    spec = symbolic_extension(2, 0, 1)
-    assert spec.domain is RATFUNC
-    assert burnside_span(spec) == 4
-    assert is_irreducible(spec).irreducible
+def test_symbolic_two_strand_span_is_two():
+    # tau = a*I + c*sigma and sigma^2 = t*I, so the algebra is Q(t)[sigma].
+    for a, c in [(0, 1), (2, -1), (3, 0)]:
+        spec = symbolic_extension(2, a, c)
+        assert spec.domain is RATFUNC
+        assert burnside_span(spec) == 2
+        verdict = is_irreducible(spec)
+        assert verdict.status == "reducible"
+        # sigma's eigenvalues are +-sqrt(t), so no invariant line is Q(t)-rational.
+        assert verdict.witness is None
+
+
+def test_symbolic_extension_rejects_a_zero_tau_in_group_mode():
+    with pytest.raises(NonInvertibleTau):
+        symbolic_extension(3, 0, 0)
+    assert burnside_span(symbolic_extension(3, 0, 0, group=False)) == 9
 
 
 def test_symbolic_three_strand_span():

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import hashlib
+import json
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -151,3 +154,32 @@ def test_pure_braid_generator_validation():
         pure_braid_generator(1, 5, 4)
     with pytest.raises(BadStrandCount):
         pure_braid_generator(1, 2, 1)
+
+
+# SHA-256 over [str, kind, indices] of every relation, in emission order,
+# captured from the hand-written schema list the relation table replaced.
+PINNED_RELATIONS = {
+    ("braid", 2): "4f53cda18c2baa0c0354bb5f9a3ecbe5ed12ab4d8e11ba873c2f11161202b945",
+    ("braid", 3): "998849b2d980632fb042bad60dc7a8905093ec815334ca24f43c840e2d3d02d6",
+    ("braid", 4): "73274776864009de87127f81008f0da1379eb114fbcd426d8dade9021c8dbcc6",
+    ("braid", 5): "7d889e4d4b7cb740a34f23196da95d49e7b8e8978fae8782490cd682aab66430",
+    ("braid", 6): "60065b7423391b188b10ddeb50c55e534917774ff7985883864fb10ea6bd5d4c",
+    ("singular", 2): "51909c00e135a3c465c9a530745ef365ec8d52c98f4fa7540780215a815b9b86",
+    ("singular", 3): "75cb1b97c99a0a2e07a21153f27122d2207c3584afb0c55f00ecacea7bd91867",
+    ("singular", 4): "ae0264e9d8f6d2fbf31712c2a38afa73e55e09cd8025e30f9e0f6410badf68f1",
+    ("singular", 5): "c048e9389910250ff9c8e7bfe8cb3df67b8d2180c87ab5061d9322676dab7e18",
+    ("singular", 6): "1bf0dc95c2b6de4e357733c3000af8f6510850138823d67a56561f4a54556932",
+    ("virtual_singular", 2): "3a703dd736c0645727a928026b4f0aaad5d52f90727c4b876ff84b13dca4fcc5",
+    ("virtual_singular", 3): "0da8f23a447bd1bac4eee98c6dcbdb39b77f6423bf5b080e2615461a444f2fb6",
+    ("virtual_singular", 4): "9d135b315e531f58058725e4e9bd711ba47548f98c5887a4ae000bea49899c97",
+    ("virtual_singular", 5): "cfb77ec84399a721bf4f0575d6866e388282135e1eaaef51677ce9f8b5ff7729",
+    ("virtual_singular", 6): "f916c04f252cb003298c8941966fb13d5441873affc052397bf0501097e62330",
+}
+
+
+@pytest.mark.parametrize("mode,n", sorted(PINNED_RELATIONS))
+def test_relations_are_pinned(mode, n):
+    relations = build_presentation(n, mode).relations
+    text = json.dumps([[str(r), r.kind, list(r.indices)] for r in relations])
+    assert hashlib.sha256(text.encode()).hexdigest() == PINNED_RELATIONS[(mode, n)]
+

@@ -23,7 +23,6 @@ from braidrep import (
     pure_braid_generator,
     sigma,
     singular_extension,
-    singular_extension_specialized,
     standard_rep,
     tau,
     verify_relations,
@@ -38,7 +37,9 @@ from braidrep.errors import (
     ZeroQ,
 )
 from braidrep.presentations import GeneratorSymbol
-from braidrep.reps import Representation, standard_block, tau_block
+from braidrep.laurent import RationalFunction
+from braidrep.reps import Representation, standard_block
+from braidrep.symbolic import SymPoly
 
 
 @pytest.mark.parametrize("builder", [standard_rep, burau_rep, f_rep])
@@ -55,11 +56,19 @@ def test_dimensions():
 
 
 def test_tau_block_is_a_plus_c_times_standard():
-    a = T + 2
-    c = 1 - T
-    block = tau_block(a, c)
-    expected = Matrix.identity(LAURENT, 2).scaled(a) + standard_block().scaled(c)
-    assert block == expected
+    # One builder, four rings: Laurent, Q at t0, Q(t) and the solver's
+    # symbolic unknowns.
+    for t, a, c in [
+        (T, T + 2, 1 - T),
+        (Fraction(3, 2), Fraction(2), Fraction(-1, 3)),
+        (RationalFunction(T), Fraction(1, 2), Fraction(3)),
+        (SymPoly.const(T), SymPoly.symbol("a"), SymPoly.symbol("c")),
+    ]:
+        rep = singular_extension(2, a, c, t=t)
+        sigma = standard_block(t)
+        expected = Matrix.identity(sigma.domain, 2).scaled(a) + sigma.scaled(c)
+        assert rep.assignment[("s", 1)] == sigma
+        assert rep.assignment[("t", 1)] == expected
 
 
 @pytest.mark.parametrize("n", range(2, 7))
@@ -75,7 +84,7 @@ def test_singular_extension_satisfies_all_relations(n):
 
 def test_singular_extension_specialized_satisfies_relations():
     pres = build_presentation(4, "singular", group=False)
-    rep = singular_extension_specialized(4, 3, 2, -1)
+    rep = singular_extension(4, 2, -1, t=Fraction(3))
     assert verify_relations(rep, pres) == []
     assert rep.domain.name == "rational"
 
@@ -95,7 +104,7 @@ def test_group_mode_rejects_non_unit_tau_determinant():
     with pytest.raises(NonInvertibleTau):
         singular_extension(3, 1, 1, group=True)
     with pytest.raises(NonInvertibleTau):
-        singular_extension_specialized(3, 4, 2, 1, group=True)
+        singular_extension(3, 2, 1, group=True, t=Fraction(4))
     rep = singular_extension(3, 0, 1, group=True)
     assert rep.image("t", 1, -1) * rep.image("t", 1) == Matrix.identity(LAURENT, 3)
 
@@ -195,8 +204,8 @@ LOCAL_CASES = [
     singular_extension(4, 0, T ** -1, group=True),
     singular_extension(3, -T, 0, group=True),
     singular_extension(5, 1 + T, T ** -1),
-    singular_extension_specialized(4, Fraction(3, 2), 2, -1, group=True),
-    singular_extension_specialized(3, -2, Fraction(1, 2), 3),
+    singular_extension(4, 2, -1, group=True, t=Fraction(3, 2)),
+    singular_extension(3, Fraction(1, 2), 3, t=Fraction(-2)),
     vsb2_extension(1, a=0, c=1, p=T, q=1 - T, group=True),
     vsb2_extension(2, a=T, c=2, r=1 + T),
 ]

@@ -22,6 +22,7 @@ from braidrep import (
     assemble,
     assemble_singular,
     assemble_vsb2,
+    block_form_match,
     build_presentation,
     involution_classify,
     involution_matrix,
@@ -163,6 +164,26 @@ def test_solved_images_two_strands():
     assert tau.entries[0][1] == c * SymPoly.const(T)
     assert tau.entries[1][0] == c
     assert tau.entries[1][1] == a
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_block_form_match_rejects_a_tampered_family(n):
+    family, _ = solve_with_residue(assemble_singular(n))
+    assert block_form_match(family, n)[0]
+    names = entry_names(n, "t", "1" if n > 2 else "")
+    top_right, off = names[0][1], names[1][0]
+    # tau_1's (1,2) entry is c*t; bind it to c instead.
+    bindings = dict(family.bindings, **{top_right: LinearExpr.build(0, {off: 1})})
+    assert not block_form_match(replace(family, bindings=bindings), n)[0]
+
+
+def test_block_form_match_sets_the_residual_parameter_to_one():
+    family, _ = solve_with_residue(assemble_singular(3))
+    assert block_form_match(family, 3) == (True, ("i1",))
+    # Binding the outer diagonal to 0 instead of leaving it free to be set to 1.
+    bindings = dict(family.bindings, i1=LinearExpr.build(0))
+    tampered = replace(family, free=("a1", "d1"), bindings=bindings)
+    assert block_form_match(tampered, 3) == (False, ())
 
 
 def test_assemble_validates_generators():
