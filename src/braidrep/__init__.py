@@ -15,13 +15,12 @@ from .irreducibility import (
     grid_report,
     is_irreducible,
     matrix_algebra_span,
-    orbit_closure,
     predicted_irreducible,
     specialize,
     specialized_extension,
     symbolic_extension,
 )
-from .kernel import KernelCertificate, certify, pure_commutator_certificate, pure_commutator_image
+from .kernel import KernelCertificate, certify, pure_commutator_certificate
 from .laurent import LaurentPoly, RationalFunction, T, laurent_gcd, parse_laurent, parse_rational
 from .matrix import (
     LAURENT,

@@ -8,7 +8,8 @@ both are byte-deterministic for fixed arguments and BRAIDREP_SEED.
 
 Exit codes: 0 when the computation matches the expected outcome (including
 recorded divergences on the two-strand watch cases), 1 when a violation or
-mismatch was computed, 2 for usage errors.
+mismatch was computed, 2 for usage errors, 141 (128 + SIGPIPE) when the
+reader of standard output closes it early.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ import random
 import sys
 from fractions import Fraction
 
-from .errors import BraidRepError, NotInKernel, TrivialWord
+from .errors import BraidRepError, NotInKernel, TrivialWord, Unclassifiable
 from .irreducibility import (
     grid_report,
     is_irreducible,
@@ -45,7 +46,6 @@ from .solver import (
     assemble_vsb2,
     block_form_match,
     involution_classify,
-    involution_square_is_identity,
     laurent_representability,
     solve_involution_2x2,
     solve_with_residue,
@@ -54,6 +54,7 @@ from .solver import (
 EXIT_OK = 0
 EXIT_MISMATCH = 1
 EXIT_USAGE = 2
+EXIT_BROKEN_PIPE = 141
 
 _REP_MODES = {
     "standard": "braid",
@@ -107,8 +108,10 @@ def _echo_inputs(args: argparse.Namespace) -> dict:
     return {k: str(v) for k, v in sorted(vars(args).items()) if k not in skip and v is not None}
 
 
-def _emit(args, report: dict, lines: list[str]) -> None:
+def _emit(args, result: dict, status: str, lines: list[str]) -> None:
     if args.json:
+        report = {"command": args.command, "inputs": _echo_inputs(args),
+                  "result": result, "status": status}
         print(json.dumps(report, sort_keys=True, indent=2))
     else:
         print("\n".join(lines))
@@ -127,30 +130,24 @@ def _build_rep(args):
     if kind == "vsb2":
         if args.n != 2:
             raise BraidRepError("the vsb2 representation is two-strand only")
-        family = args.family
+        # Free entries default to 0, or to 1 where the family needs them nonzero.
+        family = {f.family_id: f for f in solve_involution_2x2()}[args.family]
         params = {}
-        if family == 1:
-            params["p"] = args.p if args.p is not None else parse_laurent("0")
-            params["q"] = args.q if args.q is not None else parse_laurent("1")
-        elif family in (2, 3):
-            params["r"] = args.r if args.r is not None else parse_laurent("0")
-        return vsb2_extension(family, a=args.a, c=args.c, group=args.group, **params)
+        for name in family.free:
+            value = getattr(args, name)
+            params[name] = value if value is not None else parse_laurent(
+                "1" if name in family.nonzero else "0")
+        return vsb2_extension(args.family, a=args.a, c=args.c, group=args.group, **params)
     raise BraidRepError(f"unknown representation kind {kind!r}")
 
 
 def cmd_show_rep(args) -> int:
     rep = _build_rep(args)
-    report = {
-        "command": "show-rep",
-        "inputs": _echo_inputs(args),
-        "result": rep.to_json_dict(),
-        "status": "pass",
-    }
     lines = [f"{rep.name or args.kind}: n={rep.n}, dim={rep.dim}, domain={rep.domain.name}"]
     for kind, index in rep.generator_keys():
         lines.append(f"{kind}{index} ->")
         lines.append(str(rep.assignment[(kind, index)]))
-    _emit(args, report, lines)
+    _emit(args, rep.to_json_dict(), "pass", lines)
     return EXIT_OK
 
 
@@ -159,22 +156,15 @@ def cmd_verify(args) -> int:
     pres = build_presentation(rep.n, rep.mode, group=rep.group)
     violations = verify_relations(rep, pres)
     status = "pass" if not violations else "fail"
-    report = {
-        "command": "verify",
-        "inputs": _echo_inputs(args),
-        "result": {
-            "relations": len(pres.relations),
-            "violations": [v.to_json_dict() for v in violations],
-        },
-        "status": status,
-    }
     lines = [f"checked {len(pres.relations)} relations for {rep.name or args.kind} (n={rep.n})"]
     if violations:
         for v in violations:
             lines.append(f"violated: {v.relation}")
             lines.append(f"difference:\n{v.diff}")
     lines.append(f"status: {status}")
-    _emit(args, report, lines)
+    result = {"relations": len(pres.relations),
+              "violations": [v.to_json_dict() for v in violations]}
+    _emit(args, result, status, lines)
     return EXIT_OK if not violations else EXIT_MISMATCH
 
 
@@ -183,34 +173,17 @@ def cmd_solve_extension(args) -> int:
         if args.n != 2:
             raise BraidRepError("the virtual target is two-strand only")
         system = assemble_vsb2()
-        families = solve_involution_2x2()
-        squares = {f.family_id: involution_square_is_identity(f.family_id) for f in families}
-        ok = len(families) == 5 and all(squares.values())
+        families = solve_involution_2x2(system)
+        result, ok, family_lines = _family_report(
+            families, system,
+            lambda f, matrix, cond:
+                f"  family {f.family_id}: {matrix}" + (f" ({cond})" if cond else ""))
         status = "pass" if ok else "fail"
-        report = {
-            "command": "solve-extension",
-            "inputs": _echo_inputs(args),
-            "result": {
-                "system": system.to_json_dict(),
-                "families": [f.to_json_dict() for f in families],
-                "squares_to_identity": squares,
-            },
-            "status": status,
-        }
-        lines = [
-            f"constraints on the v-image: {len(system.nonlinear)} quadratic equations, "
-            f"{len(system.equations)} linear",
-        ]
-        for p in system.nonlinear:
-            lines.append(f"  {p} = 0")
-        lines.append(f"solution families: {len(families)}")
-        for f in families:
-            rows = "; ".join(", ".join(r) for r in f.entries)
-            constraint = f" ({'; '.join(f.constraints)})" if f.constraints else ""
-            lines.append(f"  family {f.family_id}: [{rows}]{constraint}")
-        lines.append(f"every family squares to the identity: {all(squares.values())}")
-        lines.append(f"status: {status}")
-        _emit(args, report, lines)
+        lines = [f"constraints on the v-image: {len(system.nonlinear)} quadratic equations, "
+                 f"{len(system.equations)} linear"]
+        lines += [f"  {p} = 0" for p in system.nonlinear]
+        lines += [f"solution families: {len(families)}", *family_lines, f"status: {status}"]
+        _emit(args, {"system": system.to_json_dict(), **result}, status, lines)
         return EXIT_OK if ok else EXIT_MISMATCH
 
     system = assemble_singular(args.n, group=True)
@@ -244,13 +217,7 @@ def cmd_solve_extension(args) -> int:
                  + (", ".join(residual_free) or "none"))
     lines.append(f"matches the embedded-block form after setting them to 1: {form_ok}")
     lines.append(f"status: {status}")
-    report = {
-        "command": "solve-extension",
-        "inputs": _echo_inputs(args),
-        "result": result,
-        "status": status,
-    }
-    _emit(args, report, lines)
+    _emit(args, result, status, lines)
     return EXIT_OK if status != "fail" else EXIT_MISMATCH
 
 
@@ -271,12 +238,6 @@ def cmd_irreducible(args) -> int:
     result = verdict.to_json_dict()
     result["predicted"] = "irreducible" if predicted else "reducible"
     result["agree"] = agree
-    report = {
-        "command": "irreducible",
-        "inputs": _echo_inputs(args),
-        "result": result,
-        "status": status,
-    }
     lines = [
         f"n={args.n}, {where}, a={args.a}, c={args.c}: span {verdict.span_dim} of "
         f"{verdict.dim * verdict.dim} -> {verdict.status}",
@@ -287,7 +248,7 @@ def cmd_irreducible(args) -> int:
                  for v in verdict.witness.basis]
         lines.append(f"invariant subspace witness: {'; '.join(basis)}")
     lines.append(f"status: {status}")
-    _emit(args, report, lines)
+    _emit(args, result, status, lines)
     return EXIT_OK if status != "fail" else EXIT_MISMATCH
 
 
@@ -323,16 +284,10 @@ def cmd_grid(args) -> int:
         raise BraidRepError("grid needs at least one t value and one (a,c) sample")
     report_obj = grid_report(args.n, t_values, pairs)
     status = report_obj.status
-    report = {
-        "command": "grid",
-        "inputs": _echo_inputs(args),
-        "result": report_obj.to_json_dict(),
-        "status": status,
-    }
     lines = [report_obj.csv(),
              f"agreements: {report_obj.agreements}/{len(report_obj.cells)}",
              f"status: {status}"]
-    _emit(args, report, lines)
+    _emit(args, report_obj.to_json_dict(), status, lines)
     return EXIT_OK if status != "fail" else EXIT_MISMATCH
 
 
@@ -371,15 +326,21 @@ def cmd_kernel_probe(args) -> int:
                      f"word {cert.to_json_dict()['word']}")
         lines.append(f"  nontriviality: {cert.nontriviality}")
     status = "pass" if not rejected else "fail"
-    report = {
-        "command": "kernel-probe",
-        "inputs": _echo_inputs(args),
-        "result": {"certificates": certificates, "rejected": rejected},
-        "status": status,
-    }
     lines.append(f"status: {status}")
-    _emit(args, report, lines)
+    _emit(args, {"certificates": certificates, "rejected": rejected}, status, lines)
     return EXIT_OK if not rejected else EXIT_MISMATCH
+
+
+def _family_report(families, system, line) -> tuple[dict, bool, list[str]]:
+    """The derived involution families, each checked by substitution into
+    ``system``: their JSON, whether all five hold, and their text lines, one
+    per family from ``line(family, matrix, constraints)`` plus a summary."""
+    squares = {f.family_id: f.solves(system) for f in families}
+    lines = [line(f, "[" + "; ".join(", ".join(row) for row in f.entries) + "]",
+                  "; ".join(f.constraints)) for f in families]
+    lines.append(f"every family squares to the identity: {all(squares.values())}")
+    result = {"families": [f.to_json_dict() for f in families], "squares_to_identity": squares}
+    return result, len(families) == 5 and all(squares.values()), lines
 
 
 def _random_involution(rng: random.Random) -> Matrix:
@@ -393,41 +354,31 @@ def _random_involution(rng: random.Random) -> Matrix:
 
 
 def cmd_involutions(args) -> int:
-    families = solve_involution_2x2()
-    squares = {f.family_id: involution_square_is_identity(f.family_id) for f in families}
+    system = assemble_vsb2()
+    families = solve_involution_2x2(system)
+    result, ok, lines = _family_report(
+        families, system, lambda f, matrix, cond: f"family {f.family_id}: free "
+        f"{', '.join(f.free) or '(none)'}; {matrix}" + (f"  ({cond})" if cond else ""))
     tallies: dict[int, int] = {}
     classified = 0
     if args.check:
         rng = random.Random(_seed())
         for _ in range(args.check):
-            fid, _params = involution_classify(_random_involution(rng))
+            try:
+                fid, _params = involution_classify(_random_involution(rng), families)
+            except Unclassifiable:
+                continue
             tallies[fid] = tallies.get(fid, 0) + 1
             classified += 1
-    ok = len(families) == 5 and all(squares.values()) and classified == args.check
+    ok = ok and classified == args.check
     status = "pass" if ok else "fail"
-    report = {
-        "command": "involutions",
-        "inputs": _echo_inputs(args),
-        "result": {
-            "families": [f.to_json_dict() for f in families],
-            "squares_to_identity": squares,
-            "classified": {"total": classified,
-                           "by_family": {str(k): v for k, v in sorted(tallies.items())}},
-        },
-        "status": status,
-    }
-    lines = []
-    for f in families:
-        rows = "; ".join(", ".join(r) for r in f.entries)
-        constraint = f"  ({'; '.join(f.constraints)})" if f.constraints else ""
-        lines.append(f"family {f.family_id}: free {', '.join(f.free) or '(none)'}; "
-                     f"[{rows}]{constraint}")
-    lines.append(f"every family squares to the identity: {all(squares.values())}")
+    result["classified"] = {"total": classified,
+                            "by_family": {str(k): v for k, v in sorted(tallies.items())}}
     if args.check:
         tally_text = ", ".join(f"family {k}: {v}" for k, v in sorted(tallies.items()))
         lines.append(f"classified {classified}/{args.check} random involutions ({tally_text})")
     lines.append(f"status: {status}")
-    _emit(args, report, lines)
+    _emit(args, result, status, lines)
     return EXIT_OK if ok else EXIT_MISMATCH
 
 
@@ -520,6 +471,10 @@ def main(argv=None) -> int:
     except BraidRepError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except BrokenPipeError:
+        # The reader went away: send the rest of stdout, flushed at exit, nowhere.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_BROKEN_PIPE
 
 
 if __name__ == "__main__":

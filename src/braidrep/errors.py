@@ -110,7 +110,8 @@ class NotInvolution(BraidRepError):
 
 
 class Unclassifiable(BraidRepError):
-    """An involution escaped the family case split (should never happen)."""
+    """An involution matches none of the involution families it was
+    classified against."""
 
 
 # -- irreducibility ---------------------------------------------------------

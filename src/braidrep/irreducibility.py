@@ -50,7 +50,6 @@ __all__ = [
     "burnside_span",
     "is_irreducible",
     "all_ones_check",
-    "orbit_closure",
     "invariant_line_witness",
     "predicted_irreducible",
     "grid_report",
@@ -320,22 +319,6 @@ def is_irreducible(rep: Representation) -> IrreducibilityVerdict:
     if witness is not None:
         assert _maps_into(rep.images(), witness)
     return IrreducibilityVerdict("reducible", span, d, witness)
-
-
-def orbit_closure(rep: Representation, vector) -> Subspace:
-    """Smallest subspace containing the vector and stable under every image."""
-    dom = rep.domain
-    d = rep.dim
-    images = rep.images()
-    basis = Echelon(dom)
-    start = tuple(dom.coerce(e) for e in vector)
-    frontier = [start] if basis.insert(start) else []
-    kept = list(frontier)
-    while frontier and len(kept) < d:
-        products = (mat_vec(g, v) for v in frontier for g in images)
-        frontier = [w for w in products if basis.insert(w)]
-        kept += frontier
-    return Subspace(dom, d, tuple(kept))
 
 
 # -- parameter grid ----------------------------------------------------------

@@ -17,7 +17,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import BadIndices, NotInKernel, TrivialWord
-from .matrix import Matrix
 from .presentations import Word, commutator, format_word, free_reduce, pure_braid_generator
 from .reps import Representation, evaluate_word
 
@@ -25,7 +24,6 @@ __all__ = [
     "KernelCertificate",
     "CITED_SOURCE",
     "commutator_word",
-    "pure_commutator_image",
     "certify",
     "pure_commutator_certificate",
 ]
@@ -58,15 +56,6 @@ def commutator_word(pair1: tuple[int, int], pair2: tuple[int, int], n: int) -> W
     u = pure_braid_generator(pair1[0], pair1[1], n)
     v = pure_braid_generator(pair2[0], pair2[1], n)
     return commutator(u, v)
-
-
-def pure_commutator_image(rep: Representation,
-                          pair1: tuple[int, int],
-                          pair2: tuple[int, int]) -> Matrix:
-    """Image of the commutator of two pure-braid generators."""
-    if rep.n < 3:
-        raise BadIndices("pure-braid commutators need at least 3 strands")
-    return evaluate_word(rep, commutator_word(pair1, pair2, rep.n))
 
 
 def certify(rep: Representation, w: Word,

@@ -243,9 +243,6 @@ class Presentation:
             kinds.append(NU)
         return tuple((k, i) for k in kinds for i in range(1, self.n))
 
-    def relations_of_kind(self, kind: str) -> tuple[Relation, ...]:
-        return tuple(r for r in self.relations if r.kind == kind)
-
 
 def _make_relations(kind: str, n: int) -> list[Relation]:
     indices, lhs, rhs = _RELATIONS[kind]

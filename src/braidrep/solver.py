@@ -13,14 +13,21 @@ the ones before it, reads the solution set off the unique reduced form, and
 presents it with the earliest-named unknowns as the free parameters, so a
 chain of forced equalities like a = e = i is reported as bindings onto ``a``
 rather than onto ``i``.
+
+``solve_involution_2x2`` derives the 2x2 involution families from the
+quadratics of ``assemble_vsb2()`` by a four-rule case split, checks each
+family by substituting it back into them, and ``involution_classify``
+matches a rational involution against the derived families.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import prod
 
 from .errors import (
+    BraidRepError,
     Inconsistent,
     ModeMismatch,
     NonlinearSystem,
@@ -28,6 +35,7 @@ from .errors import (
     Unclassifiable,
     UnassignedGenerator,
 )
+from .irreducibility import _rational_roots
 from .laurent import T, RationalFunction
 from .matrix import RATFUNC, Echelon, Matrix, QQ, local_block, mul_local
 from .presentations import NU, SIGMA, TAU, Presentation, build_presentation
@@ -57,16 +65,31 @@ _ENTRY_LETTERS = "abcdefghijklmnopqrsuvwxyz"
 def entry_names(dim: int, kind: str, suffix: str) -> list[list[str]]:
     """Row-major unknown names for one generator image.
 
-    A lone 2x2 v-generator gets the traditional p, q, r, s; everything else
-    uses consecutive letters (starting at 'a') with the generator suffix.
+    A lone 2x2 v-generator gets the traditional p, q, r, s; up to 5x5, the
+    entries are consecutive letters (starting at 'a') with the generator
+    suffix; larger images use x{row}_{col}_{suffix}, underscores keeping the
+    names of different generators apart.
     """
     if kind == NU and dim == 2 and suffix == "":
         return [["p", "q"], ["r", "s"]]
     if dim * dim <= len(_ENTRY_LETTERS):
         flat = [_ENTRY_LETTERS[k] + suffix for k in range(dim * dim)]
     else:
-        flat = [f"x{r + 1}_{c + 1}{suffix}" for r in range(dim) for c in range(dim)]
+        tail = f"_{suffix}" if suffix else ""
+        flat = [f"x{r + 1}_{c + 1}{tail}" for r in range(dim) for c in range(dim)]
     return [flat[r * dim:(r + 1) * dim] for r in range(dim)]
+
+
+def _unknown_names(dim: int, unknown_gens: list) -> dict:
+    """The entry names of each unknown generator, suffixed by its index
+    when there are several; raises if any name repeats."""
+    suffixed = len(unknown_gens) > 1
+    names = {key: entry_names(dim, key[0], str(key[1]) if suffixed else "")
+             for key in unknown_gens}
+    flat = [name for grid in names.values() for row in grid for name in row]
+    if len(set(flat)) != len(flat):
+        raise BraidRepError(f"unknown names repeat across {len(flat)} entries")
+    return names
 
 
 @dataclass(frozen=True)
@@ -134,13 +157,9 @@ def assemble(pres: Presentation, known: dict, unknown_gens) -> ConstraintSystem:
         raise UnassignedGenerator("assemble needs at least one known image to fix the dimension")
 
     unknowns: list[str] = []
-    multiple = len(unknown_gens) > 1
-    for kind, index in unknown_gens:
-        suffix = str(index) if multiple else ""
-        names = entry_names(dim, kind, suffix)
+    for key, names in _unknown_names(dim, unknown_gens).items():
         unknowns.extend(name for row in names for name in row)
-        images[(kind, index)] = Matrix(
-            SYMBOLIC, [[SymPoly.symbol(name) for name in row] for row in names])
+        images[key] = Matrix(SYMBOLIC, [[SymPoly.symbol(name) for name in row] for row in names])
 
     for key in pres.generator_keys():
         if key not in images:
@@ -222,12 +241,8 @@ def assemble_vsb2(a=None, c=None) -> ConstraintSystem:
 def solved_images(family: SolutionFamily, dim: int, unknown_gens) -> dict:
     """Rebuild the unknown generators' image matrices from a solved family:
     free unknowns stay as symbols, bound unknowns become their expressions."""
-    unknown_gens = list(unknown_gens)
-    multiple = len(unknown_gens) > 1
     out = {}
-    for kind, index in unknown_gens:
-        suffix = str(index) if multiple else ""
-        names = entry_names(dim, kind, suffix)
+    for key, names in _unknown_names(dim, list(unknown_gens)).items():
         entries = [
             [
                 SymPoly.symbol(name) if name in family.free
@@ -236,7 +251,7 @@ def solved_images(family: SolutionFamily, dim: int, unknown_gens) -> dict:
             ]
             for row in names
         ]
-        out[(kind, index)] = Matrix(SYMBOLIC, entries)
+        out[key] = Matrix(SYMBOLIC, entries)
     return out
 
 
@@ -251,7 +266,7 @@ def block_form_match(family: SolutionFamily, n: int) -> tuple[bool, tuple[str, .
     residual parameters in unknown order.
     """
     unknown = [(TAU, i) for i in range(1, n)]
-    names = entry_names(n, TAU, "1" if n > 2 else "")
+    names = _unknown_names(n, unknown)[(TAU, 1)]
     diag, off = names[0][0], names[1][0]
     residual = tuple(name for name in family.free if name not in (diag, off))
     setting = {name: SymPoly.const(1) for name in residual}
@@ -328,26 +343,20 @@ def solve_linear(system: ConstraintSystem) -> SolutionFamily:
         for c, row in rows
     }
 
-    # Present each pure-rename binding (x = y with coefficient 1) with the
-    # earlier-named unknown free: swap the roles of x and y.
-    changed = True
-    while changed:
-        changed = False
-        for bound in sorted(bindings, key=order.get):
-            expr = bindings[bound]
-            if expr.constant.is_zero() and len(expr.coeffs) == 1:
-                other, coeff = expr.coeffs[0]
-                if coeff.is_one() and order[bound] < order[other]:
-                    del bindings[bound]
-                    bindings[other] = LinearExpr.build(0, {bound: 1})
-                    bindings = {
-                        name: e.rename(other, bound) if name != other else e
-                        for name, e in bindings.items()
-                    }
-                    free.remove(other)
-                    free.append(bound)
-                    changed = True
-                    break
+    # A free parameter and the unknowns bound to exactly it form a chain of
+    # forced equalities; make the chain's earliest member the free one.
+    earliest = {}
+    for bound, expr in bindings.items():
+        if expr.constant.is_zero() and len(expr.coeffs) == 1 and expr.coeffs[0][1].is_one():
+            param = expr.coeffs[0][0]
+            if order[bound] < order[earliest.get(param, param)]:
+                earliest[param] = bound
+    for param, first in earliest.items():
+        del bindings[first]
+        bindings[param] = LinearExpr.build(0, {first: 1})
+        free[free.index(param)] = first
+    for param, first in earliest.items():
+        bindings = {name: e.rename(param, first) for name, e in bindings.items()}
 
     free.sort(key=order.get)
     return SolutionFamily(unknowns=tuple(unknowns), free=tuple(free), bindings=bindings)
@@ -390,115 +399,163 @@ def laurent_representability(family: SolutionFamily) -> dict:
     return {"representable": not flagged, "flagged": flagged}
 
 
+
+
 @dataclass(frozen=True)
 class InvolutionSolution:
-    """One family of 2x2 involutions, as displayed entries plus constraints."""
+    """A family of 2x2 involutions [[p, q], [r, s]]: each entry is free or
+    bound to a quotient (num, den) of polynomials in the free entries, and
+    the entries in ``nonzero`` must not vanish."""
 
     family_id: int
     free: tuple[str, ...]
-    entries: tuple[tuple[str, str], tuple[str, str]]
-    constraints: tuple[str, ...]
+    bindings: dict[str, tuple[SymPoly, SymPoly]] = field(compare=False)
+    nonzero: tuple[str, ...]
+
+    @property
+    def entries(self) -> tuple[tuple[str, ...], ...]:
+        def show(name):
+            if name in self.free:
+                return name
+            num, den = self.bindings[name]
+            return str(num) if den == 1 else f"({num})/{den}"
+        return tuple(tuple(show(name) for name in row) for row in entry_names(2, NU, ""))
+
+    @property
+    def constraints(self) -> tuple[str, ...]:
+        return tuple(f"{name} != 0" for name in self.nonzero) + tuple(
+            f"{den} divides {num} in the Laurent ring"
+            for num, den in self.bindings.values() if den != 1)
+
+    def solves(self, system: ConstraintSystem) -> bool:
+        """Whether every quadratic of ``system`` vanishes on the family, each
+        quotient binding multiplied through by its denominator."""
+        for eq in system.nonlinear:
+            for name, (num, den) in self.bindings.items():
+                eq = _put(eq, name, num, den)[0]
+            if eq:
+                return False
+        return True
 
     def to_json_dict(self) -> dict:
-        return {
-            "family": self.family_id,
-            "free": list(self.free),
-            "entries": [list(r) for r in self.entries],
-            "constraints": list(self.constraints),
-        }
+        return {"family": self.family_id, "free": list(self.free),
+                "entries": [list(r) for r in self.entries], "constraints": list(self.constraints)}
 
 
-def solve_involution_2x2() -> list[InvolutionSolution]:
-    """All solutions of M^2 = I for a 2x2 matrix [[p, q], [r, s]].
+_ONE = SymPoly.const(1)
 
-    The entrywise system is {p^2 + q*r = 1, q*(p + s) = 0, r*(p + s) = 0,
-    q*r + s^2 = 1}; splitting on q != 0, then r != 0, then the diagonal signs
-    gives exactly five families.
+
+def _put(poly: SymPoly, name: str, num: SymPoly, den: SymPoly) -> tuple[SymPoly, SymPoly]:
+    """``poly`` at ``name`` = num/den, times den^m for m its degree in
+    ``name``; returns that polynomial and den^m."""
+    m = max((dict(mono).get(name, 0) for mono in poly.terms), default=0)
+    out = SymPoly()
+    for mono, coeff in poly.terms.items():
+        k = dict(mono).get(name, 0)
+        rest = SymPoly({tuple(v for v in mono if v[0] != name): coeff})
+        out = out + prod([num] * k + [den] * (m - k), start=rest)
+    return out, prod([den] * m, start=_ONE)
+
+
+def _lone(e: SymPoly, x: str) -> tuple[SymPoly, SymPoly] | None:
+    """(cofactor, rest) with e = cofactor*x + rest, when x occurs in just one
+    monomial of e, to the first power."""
+    hits = [mono for mono in e.terms if x in dict(mono)]
+    if len(hits) != 1 or (x, 1) not in hits[0]:
+        return None
+    return (SymPoly({tuple(v for v in hits[0] if v[0] != x): e.terms[hits[0]]}),
+            SymPoly({mono: c for mono, c in e.terms.items() if mono != hits[0]}))
+
+
+def _rational(c: RationalFunction) -> Fraction | None:
+    if c.num.terms.keys() <= {0} and c.den.terms.keys() <= {0}:
+        return Fraction(c.num.terms.get(0, 0), c.den.terms[0])
+    return None
+
+
+def _branch(eqs, bindings, nonzero, name, num, den=_ONE) -> list:
+    """Continue the case split with ``name`` = num/den substituted into the
+    equations and the earlier bindings."""
+    if name in nonzero and not num:
+        return []
+    rebound = {}
+    for other, (n, d) in bindings.items():
+        n, scale = _put(n, name, num, den)
+        rebound[other] = (n, d * scale)
+    rebound[name] = (num, den)
+    return _case_split([_put(e, name, num, den)[0] for e in eqs], rebound, nonzero)
+
+
+def _case_split(eqs, bindings, nonzero) -> list[tuple[dict, tuple]]:
+    """The solution branches of ``eqs`` as (bindings, nonzero entries), by
+    the rules of ``solve_involution_2x2``."""
+    eqs = [e for e in eqs if e]
+    if not eqs or any(not e.variables() for e in eqs):
+        return [] if eqs else [(bindings, nonzero)]
+    for e in eqs:  # 1. univariate: branch on the rational roots
+        coeffs = [_rational(c) for c in e.terms.values()]
+        if len(e.variables()) == 1 and None not in coeffs:
+            (x,) = e.variables()
+            dense = [Fraction(0)] * (e.degree() + 1)
+            for mono, c in zip(e.terms, coeffs):
+                dense[-1 - dict(mono).get(x, 0)] = c
+            return [branch for root in _rational_roots(dense)
+                    for branch in _branch(eqs, bindings, nonzero, x, SymPoly.const(root))]
+    for e in eqs:  # 2. constant coefficient: eliminate the latest-named variable
+        lone = [(x, cr) for x in sorted(e.variables())
+                if (cr := _lone(e, x)) and not cr[0].variables()]
+        if lone:
+            x, (cofactor, rest) = lone[-1]
+            return _branch(eqs, bindings, nonzero, x, rest * (-1 / cofactor.terms[()]))
+    for e in eqs:  # 3. variable factor x: x != 0, divided out, then x = 0
+        for x in sorted(e.variables()):
+            if all(dict(mono).get(x) for mono in e.terms):
+                divided = SymPoly({tuple((v, k - (v == x)) for v, k in mono if (v, k) != (x, 1)): c
+                                   for mono, c in e.terms.items()})
+                rest = [divided if f is e else f for f in eqs]
+                if x in nonzero:
+                    return _case_split(rest, bindings, nonzero)
+                return (_case_split(rest, bindings, nonzero + (x,))
+                        + _branch(eqs, bindings, nonzero, x, SymPoly()))
+    for e in eqs:  # 4. D*y + R with D required nonzero: y = -R/D
+        for y in sorted(e.variables()):
+            if (cr := _lone(e, y)) and cr[0].degree() == 1 and cr[0].variables() <= set(nonzero):
+                return _branch(eqs, bindings, nonzero, y, -cr[1], cr[0])
+    raise BraidRepError("no case-split rule applies to " + ", ".join(f"{e} = 0" for e in eqs))
+
+
+def solve_involution_2x2(system: ConstraintSystem | None = None) -> list[InvolutionSolution]:
+    """Every 2x2 involution [[p, q], [r, s]], derived from the quadratics of
+    ``assemble_vsb2()`` (or from ``system.nonlinear``).
+
+    The case split applies the first rule that fits: a univariate equation
+    branches on its rational roots; a variable with a constant coefficient
+    is eliminated, the latest-named one first; a variable factor x splits
+    into x != 0, divided out, then x = 0; an equation D*y + R = 0 whose D is
+    a variable already required nonzero binds y = -R/D.  When no rule fits
+    it raises.  Families with more free entries come first.
     """
-    return [
-        InvolutionSolution(1, ("p", "q"),
-                           (("p", "q"), ("(1 - p^2)/q", "-p")),
-                           ("q != 0", "q divides 1 - p^2 in the Laurent ring")),
-        InvolutionSolution(2, ("r",), (("-1", "0"), ("r", "1")), ()),
-        InvolutionSolution(3, ("r",), (("1", "0"), ("r", "-1")), ()),
-        InvolutionSolution(4, (), (("-1", "0"), ("0", "-1")), ()),
-        InvolutionSolution(5, (), (("1", "0"), ("0", "1")), ()),
-    ]
+    system = assemble_vsb2() if system is None else system
+    branches = sorted(_case_split(system.nonlinear, {}, ()), key=lambda branch: len(branch[0]))
+    return [InvolutionSolution(k, tuple(x for x in system.unknowns if x not in bindings),
+                               bindings, nonzero)
+            for k, (bindings, nonzero) in enumerate(branches, 1)]
 
 
-def involution_square_is_identity(family_id: int) -> bool:
-    """Symbolic check that the family squares to the identity.
-
-    Family 1 is verified modulo the defining constraint q*r = 1 - p^2 by
-    rewriting every monomial divisible by q*r.
-    """
-    p, q, r, s = (SymPoly.symbol(x) for x in "pqrs")
-    one = SymPoly.const(1)
-    if family_id == 1:
-        m = [[p, q], [r, -1 * p]]
-
-        def reduce_qr(poly: SymPoly) -> SymPoly:
-            # replace q*r by 1 - p^2 until no monomial contains both
-            while True:
-                hit = next((mono for mono in poly.terms
-                            if dict(mono).get("q", 0) >= 1 and dict(mono).get("r", 0) >= 1), None)
-                if hit is None:
-                    return poly
-                coeff = poly.terms[hit]
-                powers = dict(hit)
-                powers["q"] -= 1
-                powers["r"] -= 1
-                rest = SymPoly({tuple(sorted((n, k) for n, k in powers.items() if k)): coeff})
-                poly = poly - SymPoly({hit: coeff}) + rest * (one - p * p)
-
-        post = reduce_qr
-    elif family_id == 2:
-        m = [[SymPoly.const(-1), SymPoly.const(0)], [r, one]]
-        post = lambda x: x
-    elif family_id == 3:
-        m = [[one, SymPoly.const(0)], [r, SymPoly.const(-1)]]
-        post = lambda x: x
-    elif family_id == 4:
-        m = [[SymPoly.const(-1), SymPoly.const(0)], [SymPoly.const(0), SymPoly.const(-1)]]
-        post = lambda x: x
-    elif family_id == 5:
-        m = [[one, SymPoly.const(0)], [SymPoly.const(0), one]]
-        post = lambda x: x
-    else:
-        raise ValueError(f"family_id must be 1..5, got {family_id}")
-    mat = Matrix(SYMBOLIC, m)
-    square = mat * mat
-    expected = Matrix.identity(SYMBOLIC, 2)
-    return all(
-        post(square.entries[i][j] - expected.entries[i][j]).is_zero()
-        for i in range(2) for j in range(2)
-    )
-
-
-def involution_classify(m: Matrix) -> tuple[int, dict[str, Fraction]]:
-    """Identify which involution family a rational 2x2 involution belongs to,
-    returning (family_id, parameters).  The case split is exhaustive, so
-    Unclassifiable can only indicate a bug."""
+def involution_classify(m: Matrix, families=None) -> tuple[int, dict[str, Fraction]]:
+    """The first of ``families`` (by default the derived ones) whose nonzero
+    conditions and bindings a rational 2x2 involution meets, as (family_id,
+    free-entry values)."""
     if m.rows != 2 or m.cols != 2 or m.domain is not QQ:
         raise NotInvolution("classification expects a 2x2 matrix over Q")
     if not (m * m).is_identity():
         raise NotInvolution(f"matrix does not square to the identity:\n{m}")
-    p, q = m.entries[0]
-    r, s = m.entries[1]
-    if q != 0:
-        return 1, {"p": p, "q": q}
-    if r != 0:
-        if p == -1:
-            return 2, {"r": r}
-        if p == 1:
-            return 3, {"r": r}
-    else:
-        if (p, s) == (-1, 1):
-            return 2, {"r": Fraction(0)}
-        if (p, s) == (1, -1):
-            return 3, {"r": Fraction(0)}
-        if (p, s) == (-1, -1):
-            return 4, {}
-        if (p, s) == (1, 1):
-            return 5, {}
-    raise Unclassifiable(f"involution escaped the case split:\n{m}")  # pragma: no cover
+    names = [name for row in entry_names(2, NU, "") for name in row]
+    values = dict(zip(names, (e for row in m.entries for e in row)))
+    point = {name: SymPoly.const(v) for name, v in values.items()}
+    for f in solve_involution_2x2() if families is None else families:
+        if all(values[x] != 0 for x in f.nonzero) and all(
+                num.substitute(point) == den.substitute(point) * values[name]
+                for name, (num, den) in f.bindings.items()):
+            return f.family_id, {name: values[name] for name in f.free}
+    raise Unclassifiable(f"involution matches none of the families:\n{m}")

@@ -254,9 +254,6 @@ class LinearExpr:
             terms[((name, 1),)] = c
         return SymPoly(terms)
 
-    def coeff_map(self) -> dict[str, RationalFunction]:
-        return dict(self.coeffs)
-
     def is_zero(self) -> bool:
         return self.constant.is_zero() and not self.coeffs
 

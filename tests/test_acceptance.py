@@ -18,6 +18,7 @@ from braidrep import (
     SymPoly,
     T,
     assemble_singular,
+    assemble_vsb2,
     block_embed,
     build_presentation,
     burnside_span,
@@ -39,7 +40,6 @@ from braidrep import (
 )
 from braidrep.irreducibility import all_ones_check
 from braidrep.presentations import TAU
-from braidrep.solver import involution_square_is_identity
 from braidrep.symbolic import SYMBOLIC
 
 
@@ -178,14 +178,15 @@ def test_criterion_08_pure_braid_commutator_certificates():
 
 
 def test_criterion_09_involution_families_and_classifier():
-    families = solve_involution_2x2()
+    system = assemble_vsb2()
+    families = solve_involution_2x2(system)
     assert [f.family_id for f in families] == [1, 2, 3, 4, 5]
-    assert families[0].entries == (("p", "q"), ("(1 - p^2)/q", "-p"))
+    assert families[0].entries == (("p", "q"), ("(-p^2 + 1)/q", "-p"))
     assert families[1].entries == (("-1", "0"), ("r", "1"))
     assert families[2].entries == (("1", "0"), ("r", "-1"))
     assert families[3].entries == (("-1", "0"), ("0", "-1"))
     assert families[4].entries == (("1", "0"), ("0", "1"))
-    assert all(involution_square_is_identity(f.family_id) for f in families)
+    assert all(f.solves(system) for f in families)
 
     rng = random.Random(900)
     for _ in range(200):

@@ -6,9 +6,11 @@ import hashlib
 import json
 import subprocess
 import sys
+from dataclasses import replace
 
 import pytest
 
+from braidrep import SymPoly, cli
 from braidrep.cli import main
 
 
@@ -94,7 +96,7 @@ def test_solve_extension_four_strands(capsys):
 @pytest.mark.parametrize("n,digest", [
     ("4", "b2c9b0c51f8daf287f2d16459dc16557e49af9b5708660a4441abe13d5425082"),
     ("5", "9bf154523c7e33ac2a1a67536eea32420a32d1cf5905160e7017974e1a0f8376"),
-    ("6", "5a6a2151be30744e88bfba1b16b00b0aff4a1c9c1024c8436efe2ea3ec1859bc"),
+    ("6", "10595f98a1e2b4bac847c86b25cd2a043c80beac8e3b03eaa14d93952c253548"),
 ])
 def test_solve_extension_json_report_is_pinned(capsys, n, digest):
     # SHA-256 of the whole report without the two block-form keys, so the
@@ -109,7 +111,7 @@ def test_solve_extension_json_report_is_pinned(capsys, n, digest):
 
 
 @pytest.mark.parametrize("n,residual", [
-    (2, []), (3, ["i1"]), (4, ["k1"]), (5, ["m1"]), (6, ["x3_31"]),
+    (2, []), (3, ["i1"]), (4, ["k1"]), (5, ["m1"]), (6, ["x3_3_1"]),
 ])
 def test_solve_extension_reports_the_block_form(capsys, n, residual):
     code, report, _ = run_json(capsys, "solve-extension", "sb", str(n))
@@ -279,6 +281,37 @@ def test_involutions_with_classification(capsys, monkeypatch):
     assert [f["family"] for f in result["families"]] == [1, 2, 3, 4, 5]
 
 
+@pytest.mark.slow
+def test_solve_extension_twelve_strands_passes(capsys):
+    # From 12 strands on, entry names like x1_11 + "1" and x1_1 + "11"
+    # collided before the suffix got its own separator.
+    code, report, _ = run_json(capsys, "solve-extension", "sb", "12")
+    assert code == 0
+    assert report["status"] == "pass"
+    assert report["result"]["residual_free_parameters"] == ["x3_3_1"]
+
+
+@pytest.mark.parametrize("argv", [["solve-extension", "vsb2", "2"], ["involutions"]])
+def test_a_tampered_involution_family_fails(capsys, monkeypatch, argv):
+    derive = cli.solve_involution_2x2
+
+    def tampered(system=None):
+        # Family 1 with s = p instead of s = -p.
+        families = derive(system)
+        bindings = dict(families[0].bindings, s=(SymPoly.symbol("p"), SymPoly.const(1)))
+        return [replace(families[0], bindings=bindings)] + families[1:]
+
+    monkeypatch.setattr(cli, "solve_involution_2x2", tampered)
+    code, report, _ = run_json(capsys, *argv)
+    assert code == 1
+    assert report["status"] == "fail"
+    assert report["result"]["squares_to_identity"]["1"] is False
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 1
+    assert "every family squares to the identity: False" in out
+    assert "status: fail" in out
+
+
 def test_json_reports_carry_the_run_shape(capsys):
     for argv in (
         ["verify", "standard", "3"],
@@ -298,6 +331,19 @@ def test_json_output_is_byte_deterministic(capsys):
     _, out1, _ = run_cli(capsys, "solve-extension", "sb", "3", "--json")
     _, out2, _ = run_cli(capsys, "solve-extension", "sb", "3", "--json")
     assert out1 == out2
+
+
+def test_a_closed_stdout_pipe_exits_quietly():
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "braidrep.cli", "show-rep", "singular-ext", "40", "--json"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+    )
+    assert len(proc.stdout.read(10)) == 10
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=120) == 141
+    assert err == b""
 
 
 def test_module_entry_point():

@@ -20,7 +20,6 @@ from braidrep import (
     grid_report,
     is_irreducible,
     matrix_algebra_span,
-    orbit_closure,
     predicted_irreducible,
     specialize,
     specialized_extension,
@@ -179,20 +178,6 @@ def test_invariant_line_witness_maps_into_itself():
     assert witness is not None and witness.dim == 1
     ones = tuple([Fraction(1)] * 4)
     assert witness.contains(ones)
-
-
-def test_orbit_closure_of_basis_vector_is_everything():
-    spec = specialize(standard_rep(3), 2)
-    orbit = orbit_closure(spec, [1, 0, 0])
-    assert orbit.dim == 3
-    at_one = specialize(standard_rep(3), 1)
-    assert orbit_closure(at_one, [1, 0, 0]).dim == 3
-
-
-def test_orbit_closure_of_the_ones_vector_at_t_one():
-    spec = specialized_extension(3, 1, 2, -1)
-    orbit = orbit_closure(spec, [1, 1, 1])
-    assert orbit.dim == 1
 
 
 def test_predicted_irreducible_dichotomy():

@@ -35,13 +35,16 @@ from braidrep import (
     verify_relations,
 )
 from braidrep.errors import (
+    BraidRepError,
     Inconsistent,
     ModeMismatch,
     NonlinearSystem,
     NotInvolution,
     UnassignedGenerator,
+    Unclassifiable,
 )
 from braidrep.reps import Representation, standard_block
+from braidrep import solver
 from braidrep.solver import entry_names
 
 
@@ -54,6 +57,26 @@ def test_entry_names():
     assert all("t1" != name for row in five for name in row)
     six = entry_names(6, "t", "")
     assert six[0][0] == "x1_1" and six[5][5] == "x6_6"
+    assert entry_names(12, "t", "1")[0][10] == "x1_11_1"
+    assert entry_names(12, "t", "11")[0][0] == "x1_1_11"
+
+
+@pytest.mark.parametrize("n", range(2, 21))
+def test_unknown_names_are_distinct(n):
+    suffixes = [str(i) if n > 2 else "" for i in range(1, n)]
+    names = [name for s in suffixes for row in entry_names(n, "t", s) for name in row]
+    assert len(set(names)) == len(names) == n * n * (n - 1)
+
+
+def test_repeated_unknown_names_are_refused(monkeypatch):
+    # Naming every generator's entries alike must not merge their unknowns.
+    family = solve_linear(assemble_singular(3))
+    monkeypatch.setattr(solver, "entry_names",
+                        lambda dim, kind, suffix: entry_names(dim, kind, ""))
+    with pytest.raises(BraidRepError, match="repeat"):
+        assemble_singular(3)
+    with pytest.raises(BraidRepError, match="repeat"):
+        solved_images(family, 3, [("t", 1), ("t", 2)])
 
 
 def test_two_strand_assembly():
@@ -292,15 +315,98 @@ def test_involution_catalog():
     sols = solve_involution_2x2()
     assert [s.family_id for s in sols] == [1, 2, 3, 4, 5]
     assert sols[0].free == ("p", "q")
-    assert sols[0].entries[1][0] == "(1 - p^2)/q"
+    assert sols[0].entries[1][0] == "(-p^2 + 1)/q"
+    assert sols[0].constraints == ("q != 0", "q divides -p^2 + 1 in the Laurent ring")
     assert sols[3].entries == (("-1", "0"), ("0", "-1"))
 
 
 @pytest.mark.parametrize("family_id", [1, 2, 3, 4, 5])
 def test_involution_families_square_to_identity_symbolically(family_id):
-    from braidrep.solver import involution_square_is_identity
+    system = assemble_vsb2()
+    family = solve_involution_2x2(system)[family_id - 1]
+    assert family.family_id == family_id
+    assert family.solves(system)
 
-    assert involution_square_is_identity(family_id)
+
+def tampered(family, name, value):
+    bindings = dict(family.bindings)
+    bindings[name] = (value, SymPoly.const(1))
+    return replace(family, bindings=bindings)
+
+
+def test_a_tampered_family_fails_the_substitution_check():
+    system = assemble_vsb2()
+    one, two = solve_involution_2x2(system)[:2]
+    assert not tampered(one, "s", SymPoly.symbol("p")).solves(system)
+    num, den = one.bindings["r"]
+    bindings = dict(one.bindings, r=(num + 1, den))
+    assert not replace(one, bindings=bindings).solves(system)
+    assert not tampered(two, "p", SymPoly.const(1)).solves(system)
+
+
+def quadratics(unknowns, *polys):
+    return ConstraintSystem(unknowns=tuple(unknowns), equations=(), nonlinear=polys,
+                            discarded_zero=0, discarded_duplicate=0)
+
+
+def test_case_split_refuses_a_system_no_rule_reaches():
+    p, q = SymPoly.symbol("p"), SymPoly.symbol("q")
+    system = quadratics("pq", p * p + q * q - 2)
+    with pytest.raises(BraidRepError, match="no case-split rule"):
+        solve_involution_2x2(system)
+
+
+def test_case_split_resolves_earlier_bindings():
+    # s = -p is bound first; p = 1 found later must reach s's binding too.
+    p, q, s = (SymPoly.symbol(x) for x in "pqs")
+    system = quadratics("pqs", p + s, p * q - q)
+    first, second = solve_involution_2x2(system)
+    assert (first.free, first.nonzero) == (("q",), ("q",))
+    assert first.bindings["s"][0] == -1 and first.bindings["p"][0] == 1
+    assert (second.free, second.nonzero) == (("p",), ())
+    assert second.bindings["s"][0] == -p and second.bindings["q"][0] == 0
+    assert first.solves(system) and second.solves(system)
+
+
+def test_case_split_drops_branches_without_rational_roots():
+    p = SymPoly.symbol("p")
+    assert solve_involution_2x2(quadratics("p", p * p - 2)) == []
+
+
+def family_value(family, name, params):
+    if name in family.free:
+        return RationalFunction.coerce(params[name])
+    point = {k: SymPoly.const(v) for k, v in params.items()}
+    num, den = (part.substitute(point) for part in family.bindings[name])
+    return num.terms.get((), RationalFunction(0)) / den.terms[()]
+
+
+small = st.fractions(min_value=-20, max_value=20, max_denominator=9)
+
+
+@given(small, small.filter(lambda x: x != 0), small)
+@settings(max_examples=25, deadline=None)
+def test_derived_families_are_the_involution_matrix_families(p, q, r):
+    families = solve_involution_2x2()
+    samples = {1: {"p": p, "q": q}, 2: {"r": r}, 3: {"r": r}, 4: {}, 5: {}}
+    for family in families:
+        params = samples[family.family_id]
+        built = involution_matrix(family.family_id, domain=QQ, **params)
+        derived = tuple(tuple(family_value(family, name, params) for name in row)
+                        for row in entry_names(2, "v", ""))
+        assert derived == built.entries
+        assert involution_classify(built) == (family.family_id, params)
+
+
+@pytest.mark.parametrize("family_id", [1, 2, 3, 4, 5])
+def test_classifying_without_a_family_leaves_its_matrices_unclassified(family_id):
+    families = solve_involution_2x2()
+    others = [f for f in families if f.family_id != family_id]
+    params = {1: {"p": 2, "q": 3}, 2: {"r": 5}, 3: {"r": -1}, 4: {}, 5: {}}[family_id]
+    m = involution_matrix(family_id, domain=QQ, **params)
+    assert involution_classify(m, families)[0] == family_id
+    with pytest.raises(Unclassifiable):
+        involution_classify(m, others)
 
 
 def test_involution_classification_round_trip():
@@ -363,7 +469,7 @@ def check_solve_linear_against_sympy(sympy, to_sympy, system: ConstraintSystem):
     """len(free) is the nullity sympy finds, and the bindings satisfy every
     equation; an inconsistent system has a larger augmented rank."""
     names = list(system.unknowns)
-    matrix = [[to_sympy(eq.coeff_map().get(name, 0)) for name in names]
+    matrix = [[to_sympy(dict(eq.coeffs).get(name, 0)) for name in names]
               for eq in system.equations]
     rank = _rank_over_q_of_t(sympy, matrix, len(names))
     try:
