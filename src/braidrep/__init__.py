@@ -78,6 +78,6 @@ from .solver import (
     solve_with_residue,
     solved_images,
 )
-from .symbolic import SYMBOLIC, LinearExpr, SymPoly
+from .symbolic import SYMBOLIC, SymPoly
 
 __version__ = "0.1.0"

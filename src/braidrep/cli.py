@@ -56,13 +56,7 @@ EXIT_MISMATCH = 1
 EXIT_USAGE = 2
 EXIT_BROKEN_PIPE = 141
 
-_REP_MODES = {
-    "standard": "braid",
-    "burau": "braid",
-    "f": "braid",
-    "singular-ext": "singular",
-    "vsb2": "virtual_singular",
-}
+_REP_KINDS = ("standard", "burau", "f", "singular-ext", "vsb2")
 
 
 def _seed() -> int:
@@ -88,6 +82,16 @@ def _rational_arg(text: str) -> Fraction:
         return _parse_fraction(text)
     except ValueError as exc:
         raise argparse.ArgumentTypeError(str(exc)) from None
+
+
+def _count_arg(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be a non-negative count, got {value}")
+    return value
 
 
 def _checked(parse):
@@ -119,6 +123,19 @@ def _emit(args, result: dict, status: str, lines: list[str]) -> None:
 
 def _build_rep(args):
     kind = args.kind
+    family = None
+    if kind == "vsb2":
+        if args.n != 2:
+            raise BraidRepError("the vsb2 representation is two-strand only")
+        family = {f.family_id: f for f in solve_involution_2x2()}[args.family]
+    # --p, --q and --r set free entries of a vsb2 family and nothing else.
+    free = family.free if family else ()
+    unused = [f"--{name}" for name in ("p", "q", "r")
+              if getattr(args, name) is not None and name not in free]
+    if unused:
+        owner = (f"vsb2 family {args.family}, whose free entries are {', '.join(free) or 'none'}"
+                 if family else f"the {kind} representation, which has no free entries")
+        raise BraidRepError(f"{', '.join(unused)} does not apply to {owner}")
     if kind == "standard":
         return standard_rep(args.n)
     if kind == "burau":
@@ -128,10 +145,7 @@ def _build_rep(args):
     if kind == "singular-ext":
         return singular_extension(args.n, args.a, args.c, group=args.group)
     if kind == "vsb2":
-        if args.n != 2:
-            raise BraidRepError("the vsb2 representation is two-strand only")
         # Free entries default to 0, or to 1 where the family needs them nonzero.
-        family = {f.family_id: f for f in solve_involution_2x2()}[args.family]
         params = {}
         for name in family.free:
             value = getattr(args, name)
@@ -153,7 +167,7 @@ def cmd_show_rep(args) -> int:
 
 def cmd_verify(args) -> int:
     rep = _build_rep(args)
-    pres = build_presentation(rep.n, rep.mode, group=rep.group)
+    pres = build_presentation(rep.n, rep.mode)
     violations = verify_relations(rep, pres)
     status = "pass" if not violations else "fail"
     lines = [f"checked {len(pres.relations)} relations for {rep.name or args.kind} (n={rep.n})"]
@@ -186,7 +200,7 @@ def cmd_solve_extension(args) -> int:
         _emit(args, {"system": system.to_json_dict(), **result}, status, lines)
         return EXIT_OK if ok else EXIT_MISMATCH
 
-    system = assemble_singular(args.n, group=True)
+    system = assemble_singular(args.n)
     family, residue = solve_with_residue(system)
     form_ok, residual_free = block_form_match(family, args.n)
     status = "fail" if not form_ok else ("divergence" if residue else "pass")
@@ -209,7 +223,7 @@ def cmd_solve_extension(args) -> int:
         f"free parameters: {', '.join(family.free)}",
     ]
     for name in sorted(family.bindings):
-        lines.append(f"  {name} = {family.bindings[name].render()}")
+        lines.append(f"  {name} = {family.bindings[name]}")
     lines.append(f"nonlinear residue after the linear solve: {len(residue)} equations")
     for p in residue:
         lines.append(f"  {p} = 0")
@@ -244,7 +258,7 @@ def cmd_irreducible(args) -> int:
         f"predicted: {result['predicted']}",
     ]
     if verdict.witness is not None:
-        basis = ["(" + ", ".join(rep.domain.render(e) for e in v) + ")"
+        basis = ["(" + ", ".join(str(e) for e in v) + ")"
                  for v in verdict.witness.basis]
         lines.append(f"invariant subspace witness: {'; '.join(basis)}")
     lines.append(f"status: {status}")
@@ -403,14 +417,13 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--group", action="store_true",
                        help="demand invertible t-images (unit block determinant)")
 
-    kinds = list(_REP_MODES)
     p = sub.add_parser("show-rep", help="print the generator matrices")
-    add_rep_args(p, kinds)
+    add_rep_args(p, _REP_KINDS)
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_show_rep)
 
     p = sub.add_parser("verify", help="check a representation against its relations")
-    add_rep_args(p, kinds)
+    add_rep_args(p, _REP_KINDS)
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_verify)
 
@@ -438,7 +451,7 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="comma-separated t values")
     p.add_argument("--ac", type=_checked(_parse_pair_list), default="",
                    help="semicolon-separated a,c pairs, like 2,-1;0,1")
-    p.add_argument("--random", type=int, default=0,
+    p.add_argument("--random", type=_count_arg, default=0,
                    help="additionally sample this many integer (a,c) pairs")
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_grid)
@@ -455,7 +468,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("involutions",
                        help="the five 2x2 involution families and the classifier")
-    p.add_argument("--check", type=int, default=0,
+    p.add_argument("--check", type=_count_arg, default=0,
                    help="classify this many random rational involutions")
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_involutions)

@@ -31,14 +31,7 @@ from .errors import (
     NotUnitDeterminant,
     ShapeMismatch,
 )
-from .laurent import (
-    ONE,
-    ZERO,
-    LaurentPoly,
-    RationalFunction,
-    parse_laurent,
-    parse_rational,
-)
+from .laurent import ONE, ZERO, LaurentPoly, RationalFunction
 
 __all__ = [
     "EntryDomain",
@@ -53,8 +46,6 @@ __all__ = [
     "mul_local",
     "mat_vec",
     "stack",
-    "domain_by_name",
-    "register_domain",
 ]
 
 
@@ -69,8 +60,6 @@ class EntryDomain:
     coerce: Callable[[Any], Any]
     is_unit: Callable[[Any], bool]
     exact_div: Callable[[Any, Any], Any]
-    render: Callable[[Any], str]
-    parse: Callable[[str], Any]
 
     def __repr__(self):
         return f"EntryDomain({self.name})"
@@ -92,8 +81,6 @@ LAURENT = EntryDomain(
     coerce=LaurentPoly.coerce,
     is_unit=lambda f: f.is_unit(),
     exact_div=lambda a, b: a.exact_div(b),
-    render=str,
-    parse=parse_laurent,
 )
 
 RATFUNC = EntryDomain(
@@ -104,8 +91,6 @@ RATFUNC = EntryDomain(
     coerce=RationalFunction.coerce,
     is_unit=lambda x: not x.is_zero(),
     exact_div=lambda a, b: a / b,
-    render=str,
-    parse=parse_rational,
 )
 
 QQ = EntryDomain(
@@ -116,23 +101,7 @@ QQ = EntryDomain(
     coerce=_coerce_fraction,
     is_unit=lambda x: x != 0,
     exact_div=lambda a, b: a / b,
-    render=str,
-    parse=Fraction,
 )
-
-_DOMAINS: dict[str, EntryDomain] = {d.name: d for d in (LAURENT, RATFUNC, QQ)}
-
-
-def register_domain(domain: EntryDomain) -> None:
-    _DOMAINS[domain.name] = domain
-
-
-def domain_by_name(name: str) -> EntryDomain:
-    try:
-        return _DOMAINS[name]
-    except KeyError:
-        raise ValueError(f"unknown entry domain {name!r}") from None
-
 
 def _reduce(v: dict, rows) -> dict:
     """Subtract from v, in place and in the given order, the multiple of each
@@ -420,20 +389,11 @@ class Matrix:
             "rows": self.rows,
             "cols": self.cols,
             "domain": self.domain.name,
-            "entries": [[self.domain.render(e) for e in row] for row in self.entries],
+            "entries": [[str(e) for e in row] for row in self.entries],
         }
 
-    @classmethod
-    def from_json_dict(cls, obj: dict) -> Matrix:
-        dom = domain_by_name(obj["domain"])
-        entries = [[dom.parse(e) for e in row] for row in obj["entries"]]
-        m = cls(dom, entries)
-        if (m.rows, m.cols) != (obj["rows"], obj["cols"]):
-            raise ShapeMismatch("JSON shape header disagrees with entries")
-        return m
-
     def __str__(self):
-        rendered = [[self.domain.render(e) for e in row] for row in self.entries]
+        rendered = [[str(e) for e in row] for row in self.entries]
         widths = [max(len(rendered[i][j]) for i in range(self.rows)) for j in range(self.cols)]
         lines = []
         for row in rendered:
@@ -476,7 +436,7 @@ class Subspace:
         return {
             "ambient": self.ambient,
             "dim": self.dim,
-            "basis": [[self.domain.render(e) for e in vec] for vec in self.basis],
+            "basis": [[str(e) for e in vec] for vec in self.basis],
         }
 
 

@@ -232,7 +232,6 @@ _MODE_KINDS = {
 class Presentation:
     n: int
     mode: str
-    group: bool
     relations: tuple[Relation, ...]
 
     def generator_keys(self) -> tuple[tuple[str, int], ...]:
@@ -249,12 +248,13 @@ def _make_relations(kind: str, n: int) -> list[Relation]:
     return [Relation(kind, idx, lhs(*idx), rhs(*idx)) for idx in indices(n)]
 
 
-def build_presentation(n: int, mode: str, group: bool = True) -> Presentation:
+def build_presentation(n: int, mode: str) -> Presentation:
     """Defining presentation on n strands.
 
     ``mode`` picks the generator/relation family: "braid" (s only),
-    "singular" (adds t), or "virtual_singular" (adds v).  ``group`` records
-    whether t letters are invertible; the relation set is the same either way.
+    "singular" (adds t), or "virtual_singular" (adds v).  The relations are
+    the same whether or not t letters are invertible; that is a property of
+    the representation (``Representation.group``), not of the presentation.
     """
     if n < 2:
         raise BadStrandCount(f"need at least 2 strands, got {n}")
@@ -263,4 +263,4 @@ def build_presentation(n: int, mode: str, group: bool = True) -> Presentation:
     relations = []
     for kind in _MODE_KINDS[mode]:
         relations.extend(_make_relations(kind, n))
-    return Presentation(n=n, mode=mode, group=group, relations=tuple(relations))
+    return Presentation(n=n, mode=mode, relations=tuple(relations))

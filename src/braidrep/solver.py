@@ -1,18 +1,21 @@
 """Assembling and solving the matrix-relation constraint systems.
 
 Given a presentation, known generator images, and a set of generators whose
-images are unknown, ``assemble`` builds symbolic image matrices, pushes every
-relation through them, and collects the entrywise scalar equations.  Entries
-that vanish identically are discarded (counted), as is the second member of
-any pair of equations equal up to overall sign; what survives is the honest
-equation count of the problem.
+images are unknown, ``assemble`` builds symbolic image matrices, evaluates
+both sides of every relation on them with ``evaluate_word``, and collects the
+entrywise scalar equations.  Entries that vanish identically are discarded
+(counted), as is the second member of any pair of equations equal up to
+overall sign; what survives is the honest equation count of the problem,
+filed as linear (degree at most 1, in the unknowns only) or nonlinear.
 
-``solve_linear`` inserts the affine equations as sparse rows into an
-``Echelon`` basis over Q(t), stopping at the first equation inconsistent with
-the ones before it, reads the solution set off the unique reduced form, and
-presents it with the earliest-named unknowns as the free parameters, so a
-chain of forced equalities like a = e = i is reported as bindings onto ``a``
-rather than onto ``i``.
+Every equation and every solved binding is a ``SymPoly``.  ``solve_linear``
+inserts the affine equations, each as a sparse ``{unknown: coefficient}`` row
+with the constant in a last column, into an ``Echelon`` basis over Q(t),
+stopping at the first equation inconsistent with the ones before it, reads
+the solution set off the unique reduced form, and presents it with the
+earliest-named unknowns as the free parameters, so a chain of forced
+equalities like a = e = i is reported as bindings onto ``a`` rather than
+onto ``i``.
 
 ``solve_involution_2x2`` derives the 2x2 involution families from the
 quadratics of ``assemble_vsb2()`` by a four-rule case split, checks each
@@ -37,10 +40,10 @@ from .errors import (
 )
 from .irreducibility import _rational_roots
 from .laurent import T, RationalFunction
-from .matrix import RATFUNC, Echelon, Matrix, QQ, local_block, mul_local
+from .matrix import RATFUNC, Echelon, Matrix, QQ
 from .presentations import NU, SIGMA, TAU, Presentation, build_presentation
-from .reps import singular_extension, standard_rep
-from .symbolic import SYMBOLIC, LinearExpr, SymPoly
+from .reps import Representation, evaluate_word, singular_extension, standard_rep
+from .symbolic import SYMBOLIC, SymPoly
 
 __all__ = [
     "ConstraintSystem",
@@ -97,7 +100,7 @@ class ConstraintSystem:
     """The scalar equations extracted from a presentation's relations."""
 
     unknowns: tuple[str, ...]
-    equations: tuple[LinearExpr, ...]
+    equations: tuple[SymPoly, ...]
     nonlinear: tuple[SymPoly, ...]
     discarded_zero: int
     discarded_duplicate: int
@@ -105,34 +108,19 @@ class ConstraintSystem:
     def to_json_dict(self) -> dict:
         return {
             "unknowns": list(self.unknowns),
-            "equations": [e.render() for e in self.equations],
+            "equations": [str(e) for e in self.equations],
             "nonlinear": [str(p) for p in self.nonlinear],
             "discarded_zero_equations": self.discarded_zero,
             "discarded_duplicate_equations": self.discarded_duplicate,
         }
 
 
-def _rf_sign(x: RationalFunction) -> int:
-    """Deterministic sign: that of the numerator's leading coefficient."""
-    if x.is_zero():
-        return 0
-    return 1 if x.num.terms[x.num.degree()] > 0 else -1
-
-
-def _normalize_sign(expr: LinearExpr, order: dict[str, int]) -> LinearExpr:
-    """Flip the overall sign so the earliest unknown (or the constant, for
-    constant-only equations) has positive leading coefficient."""
-    if expr.coeffs:
-        lead = min(expr.coeffs, key=lambda nc: order[nc[0]])[1]
-    else:
-        lead = expr.constant
-    return expr.negated() if _rf_sign(lead) < 0 else expr
-
-
-def _sym_normalize_sign(p: SymPoly) -> SymPoly:
+def _normalize_sign(p: SymPoly) -> SymPoly:
+    """Flip the overall sign so the first monomial of top degree has a
+    coefficient whose numerator leads positive; p and -p come out alike."""
     top = p.degree()
-    mono = min(m for m in p.terms if sum(k for _, k in m) == top)
-    return -p if _rf_sign(p.terms[mono]) < 0 else p
+    lead = p.terms[min(m for m in p.terms if sum(k for _, k in m) == top)]
+    return -p if lead.num.terms[lead.num.degree()] < 0 else p
 
 
 def assemble(pres: Presentation, known: dict, unknown_gens) -> ConstraintSystem:
@@ -165,47 +153,28 @@ def assemble(pres: Presentation, known: dict, unknown_gens) -> ConstraintSystem:
         if key not in images:
             raise UnassignedGenerator(f"no image (known or unknown) for {key[0]}{key[1]}")
 
-    order = {name: k for k, name in enumerate(unknowns)}
     unknown_set = set(unknowns)
-    equations: list[LinearExpr] = []
-    seen: set = set()
+    equations: list[SymPoly] = []
     nonlinear: list[SymPoly] = []
-    nonlinear_seen: set = set()
+    seen: set = set()
     discarded_zero = 0
     discarded_duplicate = 0
 
-    identity = Matrix.identity(SYMBOLIC, dim).entries
-    blocks = {key: local_block(m) for key, m in images.items()}
-
-    def evaluate(w):
-        rows = identity
-        for g in w:
-            assert g.exp == 1, "defining relations are positive words"
-            rows = mul_local(rows, *blocks[(g.kind, g.index)])
-        return Matrix(SYMBOLIC, rows)
-
+    rep = Representation(pres.n, pres.mode, images)
     for rel in pres.relations:
-        diff = evaluate(rel.lhs) - evaluate(rel.rhs)
+        diff = evaluate_word(rep, rel.lhs) - evaluate_word(rep, rel.rhs)
         for row in diff.entries:
             for entry in row:
                 if entry.is_zero():
                     discarded_zero += 1
                     continue
-                entry_vars = entry.variables()
-                if entry.is_linear() and entry_vars <= unknown_set:
-                    expr = _normalize_sign(LinearExpr.from_sympoly(entry), order)
-                    if expr in seen:
-                        discarded_duplicate += 1
-                    else:
-                        seen.add(expr)
-                        equations.append(expr)
-                else:
-                    p = _sym_normalize_sign(entry)
-                    if p in nonlinear_seen:
-                        discarded_duplicate += 1
-                    else:
-                        nonlinear_seen.add(p)
-                        nonlinear.append(p)
+                p = _normalize_sign(entry)
+                if p in seen:
+                    discarded_duplicate += 1
+                    continue
+                seen.add(p)
+                linear = p.degree() <= 1 and p.variables() <= unknown_set
+                (equations if linear else nonlinear).append(p)
 
     return ConstraintSystem(
         unknowns=tuple(unknowns),
@@ -216,10 +185,10 @@ def assemble(pres: Presentation, known: dict, unknown_gens) -> ConstraintSystem:
     )
 
 
-def assemble_singular(n: int, group: bool = True) -> ConstraintSystem:
+def assemble_singular(n: int) -> ConstraintSystem:
     """The extension problem for the standard representation on n strands:
     s-images known, all t-images unknown."""
-    pres = build_presentation(n, "singular", group=group)
+    pres = build_presentation(n, "singular")
     known = {(SIGMA, i): m for (_, i), m in standard_rep(n).assignment.items()}
     unknown = [(TAU, i) for i in range(1, n)]
     return assemble(pres, known, unknown)
@@ -229,7 +198,7 @@ def assemble_vsb2(a=None, c=None) -> ConstraintSystem:
     """The two-strand virtual extension problem: s- and t-images known, the
     v-image unknown.  With no arguments the t-image keeps symbolic entries
     a and c, matching the general extension it restricts to."""
-    pres = build_presentation(2, "virtual_singular", group=False)
+    pres = build_presentation(2, "virtual_singular")
     if a is None and c is None:
         known = singular_extension(2, SymPoly.symbol("a"), SymPoly.symbol("c"),
                                    t=SymPoly.const(T)).assignment
@@ -245,8 +214,7 @@ def solved_images(family: SolutionFamily, dim: int, unknown_gens) -> dict:
     for key, names in _unknown_names(dim, list(unknown_gens)).items():
         entries = [
             [
-                SymPoly.symbol(name) if name in family.free
-                else family.bindings[name].to_sympoly()
+                SymPoly.symbol(name) if name in family.free else family.bindings[name]
                 for name in row
             ]
             for row in names
@@ -285,28 +253,16 @@ class SolutionFamily:
     """Solution set of a linear system, as free parameters plus bindings.
 
     Every unknown is either listed in ``free`` or bound by an affine
-    expression in the free parameters.
+    polynomial in the free parameters.
     """
 
     unknowns: tuple[str, ...]
     free: tuple[str, ...]
-    bindings: dict[str, LinearExpr] = field(compare=False)
-
-    def assignment(self, values: dict) -> dict[str, RationalFunction]:
-        """Full unknown -> Q(t) map for one choice of free-parameter values."""
-        vals = {name: RationalFunction.coerce(v) for name, v in values.items()}
-        if set(vals) != set(self.free):
-            raise KeyError(f"need values exactly for {self.free}")
-        out = dict(vals)
-        for name, expr in self.bindings.items():
-            out[name] = expr.substitute(vals)
-        return out
-
-    def binding_strings(self) -> dict[str, str]:
-        return {name: self.bindings[name].render() for name in self.bindings}
+    bindings: dict[str, SymPoly] = field(compare=False)
 
     def to_json_dict(self) -> dict:
-        return {"free": list(self.free), "bindings": self.binding_strings()}
+        return {"free": list(self.free),
+                "bindings": {name: str(e) for name, e in self.bindings.items()}}
 
 
 def solve_linear(system: ConstraintSystem) -> SolutionFamily:
@@ -328,18 +284,17 @@ def solve_linear(system: ConstraintSystem) -> SolutionFamily:
     # Sparse rows over the unknowns' columns, the constant in column ncols.
     echelon = Echelon(RATFUNC)
     for eq in system.equations:
-        row = {order[name]: c for name, c in eq.coeffs}
-        row[ncols] = -eq.constant
+        row = {order[mono[0][0]]: c for mono, c in eq.terms.items() if mono}
+        row[ncols] = -eq.terms.get((), 0)
         if echelon.insert(row) and echelon.rows[-1][0] == ncols:
-            raise Inconsistent(f"equation {eq.render()} = 0 is unsatisfiable", witness=eq)
+            raise Inconsistent(f"equation {eq} = 0 is unsatisfiable", witness=eq)
 
     rows = echelon.reduced()
     pivots = {c for c, _ in rows}
     free = [unknowns[c] for c in range(ncols) if c not in pivots]
-    bindings: dict[str, LinearExpr] = {
-        unknowns[c]: LinearExpr.build(
-            row.get(ncols, 0),
-            {unknowns[f]: -e for f, e in row.items() if f != c and f != ncols})
+    bindings: dict[str, SymPoly] = {
+        unknowns[c]: SymPoly({(): row.get(ncols, 0), **{
+            ((unknowns[f], 1),): -e for f, e in row.items() if f not in (c, ncols)}})
         for c, row in rows
     }
 
@@ -347,16 +302,16 @@ def solve_linear(system: ConstraintSystem) -> SolutionFamily:
     # forced equalities; make the chain's earliest member the free one.
     earliest = {}
     for bound, expr in bindings.items():
-        if expr.constant.is_zero() and len(expr.coeffs) == 1 and expr.coeffs[0][1].is_one():
-            param = expr.coeffs[0][0]
+        names = expr.variables()
+        if len(names) == 1 and expr == SymPoly.symbol(param := min(names)):
             if order[bound] < order[earliest.get(param, param)]:
                 earliest[param] = bound
     for param, first in earliest.items():
         del bindings[first]
-        bindings[param] = LinearExpr.build(0, {first: 1})
+        bindings[param] = SymPoly.symbol(first)
         free[free.index(param)] = first
-    for param, first in earliest.items():
-        bindings = {name: e.rename(param, first) for name, e in bindings.items()}
+    renaming = {param: SymPoly.symbol(first) for param, first in earliest.items()}
+    bindings = {name: e.substitute(renaming) for name, e in bindings.items()}
 
     free.sort(key=order.get)
     return SolutionFamily(unknowns=tuple(unknowns), free=tuple(free), bindings=bindings)
@@ -374,9 +329,8 @@ def solve_with_residue(system: ConstraintSystem) -> tuple[SolutionFamily, tuple[
         discarded_duplicate=system.discarded_duplicate,
     )
     family = solve_linear(linear_only)
-    substitution = {name: expr.to_sympoly() for name, expr in family.bindings.items()}
     residue = tuple(
-        p for p in (q.substitute(substitution) for q in system.nonlinear) if not p.is_zero()
+        p for p in (q.substitute(family.bindings) for q in system.nonlinear) if not p.is_zero()
     )
     return family, residue
 
@@ -388,14 +342,9 @@ def laurent_representability(family: SolutionFamily) -> dict:
     flagged = []
     for name in sorted(family.bindings):
         expr = family.bindings[name]
-        bad = []
-        if not expr.constant.is_zero() and not expr.constant.is_laurent():
-            bad.append(str(expr.constant.den))
-        for _, coeff in expr.coeffs:
-            if not coeff.is_laurent():
-                bad.append(str(coeff.den))
+        bad = [str(coeff.den) for coeff in expr.terms.values() if not coeff.is_laurent()]
         if bad:
-            flagged.append({"unknown": name, "binding": expr.render(), "denominators": bad})
+            flagged.append({"unknown": name, "binding": str(expr), "denominators": bad})
     return {"representable": not flagged, "flagged": flagged}
 
 

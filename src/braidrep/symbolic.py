@@ -1,21 +1,19 @@
 """Polynomials in named unknowns with coefficients in Q(t).
 
-``SymPoly`` is the sparse multivariate polynomial type used to assemble
-matrix-relation constraints before anything is known about their degree;
-``LinearExpr`` is its affine slice, the currency of the linear solver.  A
-monomial is a sorted tuple of (name, power) pairs, the empty tuple being the
-constant monomial.
+``SymPoly`` is the sparse multivariate polynomial type of the solver: it
+holds the matrix-relation constraints, linear or not, and the solved
+bindings.  A monomial is a sorted tuple of (name, power) pairs, the empty
+tuple being the constant monomial.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .laurent import RF_ONE, LaurentPoly, RationalFunction
-from .matrix import EntryDomain, register_domain
+from .matrix import EntryDomain
 
-__all__ = ["SymPoly", "LinearExpr", "SYMBOLIC"]
+__all__ = ["SymPoly", "SYMBOLIC"]
 
 Mono = tuple
 
@@ -77,23 +75,6 @@ class SymPoly:
         if not self.terms:
             return -1
         return max(_mono_degree(m) for m in self.terms)
-
-    def is_linear(self) -> bool:
-        return self.degree() <= 1
-
-    def linear_parts(self) -> tuple[RationalFunction, dict[str, RationalFunction]]:
-        """Split an affine polynomial into (constant, coefficient map)."""
-        if not self.is_linear():
-            raise ValueError(f"{self} has degree {self.degree()} > 1")
-        constant = RationalFunction(0)
-        coeffs: dict[str, RationalFunction] = {}
-        for mono, coeff in self.terms.items():
-            if mono == ():
-                constant = coeff
-            else:
-                ((name, _),) = mono
-                coeffs[name] = coeff
-        return constant, coeffs
 
     # -- arithmetic -----------------------------------------------------------
 
@@ -186,9 +167,11 @@ class SymPoly:
             elif (-coeff).is_one():
                 pieces.append(f"-{body}")
             elif coeff.den.is_one() and len(coeff.num.terms) == 1:
-                pieces.append(f"{coeff}*{body}")
+                # A monomial coefficient follows its unknowns, its sign in front.
+                sign = "-" if coeff.num.terms[coeff.num.degree()] < 0 else ""
+                pieces.append(f"{sign}{body}*{-coeff if sign else coeff}")
             else:
-                pieces.append(f"({coeff})*{body}")
+                pieces.append(f"{body}*({coeff})")
         out = pieces[0]
         for p in pieces[1:]:
             out += f" - {p[1:]}" if p.startswith("-") else f" + {p}"
@@ -217,87 +200,5 @@ SYMBOLIC = EntryDomain(
     coerce=SymPoly.coerce,
     is_unit=_sym_is_unit,
     exact_div=_sym_exact_div,
-    render=str,
-    parse=None,
 )
-register_domain(SYMBOLIC)
 
-
-@dataclass(frozen=True)
-class LinearExpr:
-    """Affine expression in named unknowns with Q(t) coefficients.
-
-    ``coeffs`` is a name-sorted tuple of (unknown, coefficient) pairs with
-    all coefficients nonzero, so equality and hashing are structural.
-    """
-
-    constant: RationalFunction
-    coeffs: tuple[tuple[str, RationalFunction], ...]
-
-    @classmethod
-    def build(cls, constant=0, coeffs: dict | None = None) -> LinearExpr:
-        cleaned = []
-        for name in sorted(coeffs or {}):
-            c = RationalFunction.coerce(coeffs[name])
-            if not c.is_zero():
-                cleaned.append((name, c))
-        return cls(RationalFunction.coerce(constant), tuple(cleaned))
-
-    @classmethod
-    def from_sympoly(cls, p: SymPoly) -> LinearExpr:
-        constant, coeffs = p.linear_parts()
-        return cls.build(constant, coeffs)
-
-    def to_sympoly(self) -> SymPoly:
-        terms = {(): self.constant}
-        for name, c in self.coeffs:
-            terms[((name, 1),)] = c
-        return SymPoly(terms)
-
-    def is_zero(self) -> bool:
-        return self.constant.is_zero() and not self.coeffs
-
-    def negated(self) -> LinearExpr:
-        return LinearExpr(-self.constant, tuple((n, -c) for n, c in self.coeffs))
-
-    def substitute(self, values: dict) -> RationalFunction:
-        """Evaluate with every unknown bound to a Q(t) value."""
-        total = self.constant
-        for name, c in self.coeffs:
-            if name not in values:
-                raise KeyError(f"no value for unknown {name!r}")
-            total = total + c * RationalFunction.coerce(values[name])
-        return total
-
-    def rename(self, old: str, new: str) -> LinearExpr:
-        if all(name != old for name, _ in self.coeffs):
-            return self
-        coeffs = {new if name == old else name: c for name, c in self.coeffs}
-        return LinearExpr.build(self.constant, coeffs)
-
-    def render(self) -> str:
-        """Compact text such as 'a', 'c*t', '2 + x*(t+1)'."""
-        pieces = []
-        for name, c in self.coeffs:
-            if c.is_one():
-                pieces.append(name)
-            elif (-c).is_one():
-                pieces.append(f"-{name}")
-            elif c.den.is_one() and len(c.num.terms) == 1 and c.num.terms[c.num.degree()] > 0:
-                pieces.append(f"{name}*{c}")
-            elif c.den.is_one() and len(c.num.terms) == 1:
-                pieces.append(f"-{name}*{-c}")
-            else:
-                pieces.append(f"{name}*({c})")
-        if not self.constant.is_zero() or not pieces:
-            pieces.append(str(self.constant))
-        out = pieces[0]
-        for p in pieces[1:]:
-            out += f" - {p[1:]}" if p.startswith("-") else f" + {p}"
-        return out
-
-    def __str__(self):
-        return self.render()
-
-    def __repr__(self):
-        return f"LinearExpr('{self.render()}')"

@@ -57,8 +57,9 @@ def test_verify_catalog_representations(capsys, kind, n):
 
 
 def test_verify_vsb2_other_families(capsys):
-    for family in ("2", "3", "4", "5"):
-        code, out, _ = run_cli(capsys, "verify", "vsb2", "2", "--family", family)
+    # A family's own free entries may be set; see INAPPLICABLE_OPTIONS for others.
+    for options in (["1", "--p", "2", "--q", "3"], ["2", "--r", "5"], ["3"], ["4"], ["5"]):
+        code, out, _ = run_cli(capsys, "verify", "vsb2", "2", "--family", *options)
         assert code == 0 and "status: pass" in out
 
 
@@ -251,18 +252,37 @@ def test_kernel_probe_multiple_pairs(capsys):
     assert report["result"]["rejected"] == []
 
 
+# Options that parse but cannot apply: refused once the representation is
+# chosen, naming the chosen family's free entries.
+INAPPLICABLE_OPTIONS = {
+    ("show-rep", "vsb2", "2", "--family", "4", "--r", "5", "--json"):
+        "error: --r does not apply to vsb2 family 4, whose free entries are none",
+    ("show-rep", "standard", "3", "--p", "5"):
+        "error: --p does not apply to the standard representation",
+}
+
+
 @pytest.mark.parametrize("argv", [
     ["kernel-probe", "4", "--pairs", "a,b;1,3"],
     ["grid", "3", "--t", "abc"],
     ["grid", "3", "--t", "1/0"],
     ["grid", "3", "--t", "2", "--ac", "1,x"],
+    ["involutions", "--check", "-5"],
+    ["grid", "3", "--ac", "2,1", "--random", "-2"],
+    *map(list, INAPPLICABLE_OPTIONS),
 ])
 def test_malformed_arguments_are_usage_errors(capsys, argv):
-    with pytest.raises(SystemExit) as info:
-        main(argv)
-    assert info.value.code == 2
-    err = capsys.readouterr().err
-    assert err.startswith("usage: braidrep")
+    message = INAPPLICABLE_OPTIONS.get(tuple(argv))
+    if message:
+        assert main(argv) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith(message)
+    else:
+        with pytest.raises(SystemExit) as info:
+            main(argv)
+        assert info.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage: braidrep")
     assert "Traceback" not in err
 
 

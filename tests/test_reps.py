@@ -74,7 +74,7 @@ def test_tau_block_is_a_plus_c_times_standard():
 @pytest.mark.parametrize("n", range(2, 7))
 def test_singular_extension_satisfies_all_relations(n):
     rng = random.Random(n)
-    pres = build_presentation(n, "singular", group=False)
+    pres = build_presentation(n, "singular")
     for _ in range(20):
         a = LaurentPoly({rng.randint(-2, 2): rng.randint(-3, 3)})
         c = LaurentPoly({rng.randint(-2, 2): rng.randint(-3, 3)})
@@ -83,7 +83,7 @@ def test_singular_extension_satisfies_all_relations(n):
 
 
 def test_singular_extension_specialized_satisfies_relations():
-    pres = build_presentation(4, "singular", group=False)
+    pres = build_presentation(4, "singular")
     rep = singular_extension(4, 2, -1, t=Fraction(3))
     assert verify_relations(rep, pres) == []
     assert rep.domain.name == "rational"
@@ -92,7 +92,7 @@ def test_singular_extension_specialized_satisfies_relations():
 def test_broken_assignment_is_caught():
     rep = singular_extension(3, 1, 1)
     rep.assignment[("t", 2)] = Matrix.identity(LAURENT, 3).scaled(T)
-    violations = verify_relations(rep, build_presentation(3, "singular", group=False))
+    violations = verify_relations(rep, build_presentation(3, "singular"))
     assert violations
     kinds = {v.relation.kind for v in violations}
     assert "tau_slide_up" in kinds or "tau_slide_down" in kinds
@@ -177,7 +177,7 @@ def test_involution_family_one_divisibility():
     (5, {}),
 ])
 def test_vsb2_extension_satisfies_all_relations(family_id, kwargs):
-    pres = build_presentation(2, "virtual_singular", group=False)
+    pres = build_presentation(2, "virtual_singular")
     for a, c in [(1, 1), (0, 1), (2, -3)]:
         rep = vsb2_extension(family_id, a=a, c=c, **kwargs)
         assert verify_relations(rep, pres) == []
@@ -186,7 +186,7 @@ def test_vsb2_extension_satisfies_all_relations(family_id, kwargs):
 def test_vsb2_family_one_nu_slide_needs_no_indices_beyond_two_strands():
     rep = vsb2_extension(1, a=1, c=1, p=2, q=3)
     assert rep.image("v", 1) == Matrix(LAURENT, [[2, 3], [-1, -2]])
-    pres = build_presentation(2, "virtual_singular", group=False)
+    pres = build_presentation(2, "virtual_singular")
     assert verify_relations(rep, pres) == []
 
 

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 from dataclasses import replace
 from fractions import Fraction
+from math import prod
 
 import pytest
 from hypothesis import given, settings
@@ -13,7 +14,6 @@ from braidrep import (
     LAURENT,
     ConstraintSystem,
     LaurentPoly,
-    LinearExpr,
     Matrix,
     QQ,
     RationalFunction,
@@ -46,6 +46,18 @@ from braidrep.errors import (
 from braidrep.reps import Representation, standard_block
 from braidrep import solver
 from braidrep.solver import entry_names
+
+a, b, c, d, x, y, z = (SymPoly.symbol(name) for name in "abcdxyz")
+
+
+def laurent_values(family, params: dict) -> dict:
+    """Every unknown's Laurent value when the free parameters take ``params``."""
+    point = {name: SymPoly.const(v) for name, v in params.items()}
+    values = dict(point, **{name: e.substitute(point) for name, e in family.bindings.items()})
+    assert set(params) == set(family.free)
+    assert not any(v.variables() for v in values.values())
+    return {name: RationalFunction.coerce(v.terms.get((), 0)).as_laurent()
+            for name, v in values.items()}
 
 
 def test_entry_names():
@@ -85,26 +97,21 @@ def test_two_strand_assembly():
     assert system.nonlinear == ()
     assert system.discarded_zero == 0
     assert system.discarded_duplicate == 1
-    assert set(system.equations) == {
-        LinearExpr.build(0, {"b": 1, "c": -T}),
-        LinearExpr.build(0, {"a": T, "d": -T}),
-        LinearExpr.build(0, {"a": 1, "d": -1}),
-    }
+    assert set(system.equations) == {b - c * T, a * T - d * T, a - d}
 
 
 def test_two_strand_solution_family():
     family = solve_linear(assemble_singular(2))
     assert family.free == ("a", "c")
-    assert family.bindings["d"] == LinearExpr.build(0, {"a": 1})
-    assert family.bindings["b"] == LinearExpr.build(0, {"c": T})
-    assert family.binding_strings() == {"d": "a", "b": "c*t"}
+    assert family.bindings["d"] == a
+    assert family.bindings["b"] == c * T
+    assert family.to_json_dict()["bindings"] == {"d": "a", "b": "c*t"}
 
 
 def test_two_strand_solution_satisfies_the_relation():
     family = solve_linear(assemble_singular(2))
-    values = family.assignment({"a": 5, "c": T})
-    entries = [[values["a"], values["b"]], [values["c"], values["d"]]]
-    tau = Matrix(LAURENT, [[e.as_laurent() for e in row] for row in entries])
+    values = laurent_values(family, {"a": 5, "c": T})
+    tau = Matrix(LAURENT, [[values["a"], values["b"]], [values["c"], values["d"]]])
     sigma = standard_block()
     assert tau * sigma == sigma * tau
     assert tau == Matrix(LAURENT, [[5, T ** 2], [T, 5]])
@@ -124,16 +131,9 @@ def test_three_strand_assembly_counts():
 def test_three_strand_solution_family():
     family = solve_linear(assemble_singular(3))
     assert family.free == ("a1", "d1", "i1")
-    zero = LinearExpr.build(0, {})
-    expected = {
-        "b1": LinearExpr.build(0, {"d1": T}),
-        "e1": LinearExpr.build(0, {"a1": 1}),
-        "a2": LinearExpr.build(0, {"i1": 1}),
-        "e2": LinearExpr.build(0, {"a1": 1}),
-        "f2": LinearExpr.build(0, {"d1": T}),
-        "h2": LinearExpr.build(0, {"d1": 1}),
-        "i2": LinearExpr.build(0, {"a1": 1}),
-    }
+    zero = SymPoly()
+    a1, d1, i1 = (SymPoly.symbol(name) for name in ("a1", "d1", "i1"))
+    expected = {"b1": d1 * T, "e1": a1, "a2": i1, "e2": a1, "f2": d1 * T, "h2": d1, "i2": a1}
     for name, expr in expected.items():
         assert family.bindings[name] == expr
     others = set(family.bindings) - set(expected)
@@ -144,23 +144,22 @@ def test_three_strand_solution_family():
 def test_three_strand_solution_annihilates_every_equation():
     system = assemble_singular(3)
     family = solve_linear(system)
-    substitution = {name: expr.to_sympoly() for name, expr in family.bindings.items()}
     for eq in system.equations:
-        assert eq.to_sympoly().substitute(substitution).is_zero()
+        assert eq.substitute(family.bindings).is_zero()
 
 
 def test_three_strand_solution_passes_relation_verification():
     family = solve_linear(assemble_singular(3))
-    values = family.assignment({"a1": 2, "d1": 3, "i1": 5})
+    values = laurent_values(family, {"a1": 2, "d1": 3, "i1": 5})
     names = entry_names(3, "t", "")
     mats = {}
     for idx in (1, 2):
-        rows = [[values[f"{name}{idx}"].as_laurent() for name in row] for row in names]
+        rows = [[values[f"{name}{idx}"] for name in row] for row in names]
         mats[("t", idx)] = Matrix(LAURENT, rows)
     assignment = dict(standard_rep(3).assignment)
     assignment.update(mats)
     rep = Representation(3, "singular", assignment, group=False)
-    pres = build_presentation(3, "singular", group=False)
+    pres = build_presentation(3, "singular")
     assert verify_relations(rep, pres) == []
     assert mats[("t", 1)] == Matrix(LAURENT, [[2, 3 * T, 0], [3, 2, 0], [0, 0, 5]])
     assert mats[("t", 2)] == Matrix(LAURENT, [[5, 0, 0], [0, 2, 3 * T], [0, 3, 2]])
@@ -196,7 +195,7 @@ def test_block_form_match_rejects_a_tampered_family(n):
     names = entry_names(n, "t", "1" if n > 2 else "")
     top_right, off = names[0][1], names[1][0]
     # tau_1's (1,2) entry is c*t; bind it to c instead.
-    bindings = dict(family.bindings, **{top_right: LinearExpr.build(0, {off: 1})})
+    bindings = dict(family.bindings, **{top_right: SymPoly.symbol(off)})
     assert not block_form_match(replace(family, bindings=bindings), n)[0]
 
 
@@ -204,7 +203,7 @@ def test_block_form_match_sets_the_residual_parameter_to_one():
     family, _ = solve_with_residue(assemble_singular(3))
     assert block_form_match(family, 3) == (True, ("i1",))
     # Binding the outer diagonal to 0 instead of leaving it free to be set to 1.
-    bindings = dict(family.bindings, i1=LinearExpr.build(0))
+    bindings = dict(family.bindings, i1=SymPoly())
     tampered = replace(family, free=("a1", "d1"), bindings=bindings)
     assert block_form_match(tampered, 3) == (False, ())
 
@@ -224,7 +223,7 @@ def test_assemble_validates_generators():
 def test_inconsistent_system_raises_with_witness():
     system = ConstraintSystem(
         unknowns=("x",),
-        equations=(LinearExpr.build(1, {"x": 1}), LinearExpr.build(0, {"x": 1})),
+        equations=(x + 1, x),
         nonlinear=(),
         discarded_zero=0,
         discarded_duplicate=0,
@@ -233,10 +232,9 @@ def test_inconsistent_system_raises_with_witness():
         solve_linear(system)
     assert info.value.witness is not None
     # The witness is the first equation inconsistent with the ones before it.
-    x = LinearExpr.build(0, {"x": 1})
     system = ConstraintSystem(
         unknowns=("x", "y"),
-        equations=(LinearExpr.build(1, {"x": 1}), x, LinearExpr.build(0, {"y": 1})),
+        equations=(x + 1, x, y),
         nonlinear=(),
         discarded_zero=0,
         discarded_duplicate=0,
@@ -254,22 +252,21 @@ def test_nonlinear_system_refuses_linear_solver():
 def test_rename_pass_prefers_earliest_names():
     system = ConstraintSystem(
         unknowns=("x", "y", "z"),
-        equations=(LinearExpr.build(0, {"x": 1, "z": -1}),
-                   LinearExpr.build(0, {"y": 1, "z": -1})),
+        equations=(x - z, y - z),
         nonlinear=(),
         discarded_zero=0,
         discarded_duplicate=0,
     )
     family = solve_linear(system)
     assert family.free == ("x",)
-    assert family.bindings["y"] == LinearExpr.build(0, {"x": 1})
-    assert family.bindings["z"] == LinearExpr.build(0, {"x": 1})
+    assert family.bindings["y"] == x
+    assert family.bindings["z"] == x
 
 
 def test_laurent_representability_flags_denominators():
     system = ConstraintSystem(
         unknowns=("x", "y"),
-        equations=(LinearExpr.build(0, {"x": T + 1, "y": -1}),),
+        equations=(x * (T + 1) - y,),
         nonlinear=(),
         discarded_zero=0,
         discarded_duplicate=0,
@@ -441,6 +438,27 @@ def test_constraint_system_json_shape():
     assert "b - c*t" in obj["equations"]
 
 
+# A non-unit coefficient follows its monomial, its sign in front: the format
+# of the binding lines that solve-extension reports.
+@pytest.mark.parametrize("poly,text", [
+    (c * T, "c*t"),
+    (x * -T, "-x*t"),
+    (x * 2, "x*2"),
+    (x * -2, "-x*2"),
+    (x * 2 * T ** -1, "x*2*t^-1"),
+    (x * (T + 1), "x*(t + 1)"),
+    (x * (-T - 1), "x*(-t - 1)"),
+    (x * RationalFunction(1, T + 1), "x*((1)/(t + 1))"),
+    (x * RationalFunction(-1, T + 1), "x*((-1)/(t + 1))"),
+    (a - b + T - 1, "a - b + t - 1"),
+    (x * 3 * T ** 2 + RationalFunction(1, T + 1), "x*3*t^2 + (1)/(t + 1)"),
+    (SymPoly(), "0"),
+    (SymPoly.const(-3), "-3"),
+])
+def test_symbolic_rendering(poly, text):
+    assert str(poly) == text
+
+
 def test_symbolic_constants_hash_like_their_coefficient():
     assert SymPoly.const(3) in {3}
     assert SymPoly.const(Fraction(2, 3)) in {Fraction(2, 3)}
@@ -451,8 +469,9 @@ def test_symbolic_constants_hash_like_their_coefficient():
 # -- sympy as an independent reference (test-only dependency) ------------------
 
 
-def _expr_to_sympy(to_sympy, expr: LinearExpr, values: dict):
-    return to_sympy(expr.constant) + sum(to_sympy(c) * values[name] for name, c in expr.coeffs)
+def _expr_to_sympy(to_sympy, expr: SymPoly, values: dict):
+    return sum((to_sympy(c) * prod((values[name] ** k for name, k in mono), start=1)
+                for mono, c in expr.terms.items()), start=0)
 
 
 def _rank_over_q_of_t(sympy, rows: list[list], ncols: int) -> int:
@@ -469,13 +488,13 @@ def check_solve_linear_against_sympy(sympy, to_sympy, system: ConstraintSystem):
     """len(free) is the nullity sympy finds, and the bindings satisfy every
     equation; an inconsistent system has a larger augmented rank."""
     names = list(system.unknowns)
-    matrix = [[to_sympy(dict(eq.coeffs).get(name, 0)) for name in names]
+    matrix = [[to_sympy(eq.terms.get(((name, 1),), 0)) for name in names]
               for eq in system.equations]
     rank = _rank_over_q_of_t(sympy, matrix, len(names))
     try:
         family = solve_linear(system)
     except Inconsistent:
-        augmented = [row + [to_sympy(eq.constant)]
+        augmented = [row + [to_sympy(eq.terms.get((), 0))]
                      for row, eq in zip(matrix, system.equations)]
         assert _rank_over_q_of_t(sympy, augmented, len(names) + 1) == rank + 1
         return
@@ -502,13 +521,17 @@ constants = st.one_of(st.just(0), coefficients)
 NAMES = ("w", "x", "y", "z")
 
 
+def affine(constant, coeffs: dict) -> SymPoly:
+    return sum((SymPoly.symbol(name) * c for name, c in coeffs.items()), SymPoly.const(constant))
+
+
 @st.composite
 def sparse_systems(draw):
     unknowns = NAMES[:draw(st.integers(1, len(NAMES)))]
     # Half the systems are homogeneous, so both outcomes occur often.
     constant = st.just(0) if draw(st.booleans()) else constants
     equations = draw(st.lists(
-        st.builds(LinearExpr.build, constant,
+        st.builds(affine, constant,
                   st.dictionaries(st.sampled_from(unknowns), coefficients,
                                   min_size=1, max_size=2)),
         min_size=1, max_size=6))

@@ -1,9 +1,11 @@
-"""The benchmark's tracer wraps braidrep functions by name; they must exist."""
+"""Names that nothing imports must still resolve: the benchmark tracer's
+wrapped functions, and every module's ``__all__``."""
 
 from __future__ import annotations
 
 import importlib
 import importlib.util
+import pkgutil
 from pathlib import Path
 
 import pytest
@@ -33,3 +35,17 @@ def test_every_traced_name_resolves(module, attr):
     for part in attr.split("."):
         target = getattr(target, part)
     assert callable(target)
+
+
+def exported_names():
+    package = importlib.import_module("braidrep")
+    names = []
+    for info in pkgutil.iter_modules(package.__path__):
+        module = importlib.import_module(f"braidrep.{info.name}")
+        names += [(module.__name__, name) for name in getattr(module, "__all__", ())]
+    return names
+
+
+@pytest.mark.parametrize("module,name", exported_names())
+def test_every_exported_name_resolves(module, name):
+    assert hasattr(importlib.import_module(module), name)
