@@ -15,6 +15,7 @@ reader of standard output closes it early.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import random
@@ -57,6 +58,10 @@ EXIT_USAGE = 2
 EXIT_BROKEN_PIPE = 141
 
 _REP_KINDS = ("standard", "burau", "f", "singular-ext", "vsb2")
+# The representation options besides --p/--q/--r, with their defaults, and
+# the kinds that read them.
+_REP_DEFAULTS = {"a": parse_laurent("1"), "c": parse_laurent("1"), "family": 1, "group": False}
+_REP_READS = {"singular-ext": ("a", "c", "group"), "vsb2": ("a", "c", "family", "group")}
 
 
 def _seed() -> int:
@@ -122,7 +127,17 @@ def _emit(args, result: dict, status: str, lines: list[str]) -> None:
 
 
 def _build_rep(args):
+    """The representation the arguments name.  An option its kind does not
+    read is refused; an absent one takes its default, so that the report
+    echoes every value as used."""
     kind = args.kind
+    unread = [f"--{name}" for name in _REP_DEFAULTS
+              if getattr(args, name) is not None and name not in _REP_READS.get(kind, ())]
+    if unread:
+        raise BraidRepError(f"{', '.join(unread)} does not apply to the {kind} representation")
+    for name, default in _REP_DEFAULTS.items():
+        if getattr(args, name) is None:
+            setattr(args, name, default)
     family = None
     if kind == "vsb2":
         if args.n != 2:
@@ -396,7 +411,10 @@ def cmd_involutions(args) -> int:
     return EXIT_OK if ok else EXIT_MISMATCH
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: every default is
+    immutable or converted at parse time, so ``main`` may reuse it."""
     parser = argparse.ArgumentParser(
         prog="braidrep",
         description="Exact computations with braid-family representations.",
@@ -406,15 +424,16 @@ def _build_parser() -> argparse.ArgumentParser:
     def add_rep_args(p, kinds):
         p.add_argument("kind", choices=kinds)
         p.add_argument("n", type=int)
-        p.add_argument("--a", type=_laurent_arg, default=parse_laurent("1"),
+        # None marks an option not given; _build_rep fills in _REP_DEFAULTS.
+        p.add_argument("--a", type=_laurent_arg, default=None,
                        help="diagonal parameter of the t-image block (Laurent literal)")
-        p.add_argument("--c", type=_laurent_arg, default=parse_laurent("1"),
+        p.add_argument("--c", type=_laurent_arg, default=None,
                        help="off-diagonal parameter of the t-image block")
-        p.add_argument("--family", type=int, choices=[1, 2, 3, 4, 5], default=1)
+        p.add_argument("--family", type=int, choices=[1, 2, 3, 4, 5], default=None)
         p.add_argument("--p", type=_laurent_arg, default=None)
         p.add_argument("--q", type=_laurent_arg, default=None)
         p.add_argument("--r", type=_laurent_arg, default=None)
-        p.add_argument("--group", action="store_true",
+        p.add_argument("--group", action="store_true", default=None,
                        help="demand invertible t-images (unit block determinant)")
 
     p = sub.add_parser("show-rep", help="print the generator matrices")

@@ -19,7 +19,11 @@ Word evaluation relies on one invariant: every image equals the identity
 outside one diagonal block.  ``Representation.local_image`` finds that block
 once per letter (inverting only the block for exponent -1), and
 ``evaluate_word`` applies the letters as block-local updates.  Any square
-image satisfies the invariant, since a full matrix is its own block.
+image satisfies the invariant, since a full matrix is its own block.  It
+follows that a word's image is the identity outside the union of its letters'
+blocks, its support, so words are multiplied on their support only, and
+``verify_relations`` compares the two sides of each relation there, building
+the full matrices only for a relation that fails.
 """
 
 from __future__ import annotations
@@ -132,7 +136,7 @@ class Representation:
         offset, block = self.local_image(kind, index, exp)
         if exp == 1:
             return self.assignment[(kind, index)]
-        return Matrix(self.domain, mul_local(_identity_rows(self), offset, block))
+        return _embed(self, range(offset, offset + block.rows), block.entries)
 
     def to_json_dict(self) -> dict:
         return {
@@ -275,15 +279,45 @@ def vsb2_extension(family_id: int, *, a, c, p=None, q=None, r=None,
 
 def evaluate_word(rep: Representation, w: Word) -> Matrix:
     """Product of the letter images; the empty word gives the identity."""
-    rows = _identity_rows(rep)
-    for g in w:
-        rows = mul_local(rows, *rep.local_image(g.kind, g.index, g.exp))
-    return Matrix(rep.domain, rows)
+    support, (rows,) = _local_products(rep, [w])
+    return _embed(rep, support, rows)
 
 
-def _identity_rows(rep: Representation) -> list[list]:
-    one, zero = rep.domain.one, rep.domain.zero
-    return [[one if i == j else zero for j in range(rep.dim)] for i in range(rep.dim)]
+def _local_products(rep: Representation, words) -> tuple[list[int], list[list[list]]]:
+    """The products of the given words on their support: the sorted union of
+    the coordinates their letters move.
+
+    Every product is the identity outside the support, so each is returned as
+    its rows restricted to the support, in order-preserving compressed
+    coordinates.  A block at offset o covers consecutive coordinates, all in
+    the support, so it stays contiguous at ``support.index(o)``.  Letters are
+    looked up word by word, in order, before any product is formed.
+    """
+    letters = [[rep.local_image(g.kind, g.index, g.exp) for g in w] for w in words]
+    support = sorted({o + k for word_letters in letters
+                      for o, block in word_letters for k in range(block.rows)})
+    position = {o: i for i, o in enumerate(support)}
+    products = []
+    for word_letters in letters:
+        rows = _identity_rows(rep.domain, len(support))
+        for o, block in word_letters:
+            rows = mul_local(rows, position[o], block)
+        products.append(rows)
+    return support, products
+
+
+def _embed(rep: Representation, support, rows) -> Matrix:
+    """The d x d matrix that is ``rows`` on the support and the identity elsewhere."""
+    full = _identity_rows(rep.domain, rep.dim)
+    for i, row in zip(support, rows):
+        for j, e in zip(support, row):
+            full[i][j] = e
+    return Matrix(rep.domain, full)
+
+
+def _identity_rows(domain: EntryDomain, size: int) -> list[list]:
+    one, zero = domain.one, domain.zero
+    return [[one if i == j else zero for j in range(size)] for i in range(size)]
 
 
 @dataclass(frozen=True)
@@ -305,16 +339,16 @@ class Violation:
 
 
 def verify_relations(rep: Representation, pres: Presentation) -> list[Violation]:
-    """Check every defining relation; returns the list of violations, each
-    carrying the two sides and their difference."""
+    """Check every defining relation on the support of its two sides; returns
+    the list of violations, each carrying the two sides and their difference."""
     if rep.n != pres.n or rep.mode != pres.mode:
         raise ModeMismatch(
             f"representation ({rep.mode}, n={rep.n}) does not match "
             f"presentation ({pres.mode}, n={pres.n})")
     violations = []
     for rel in pres.relations:
-        lhs = evaluate_word(rep, rel.lhs)
-        rhs = evaluate_word(rep, rel.rhs)
+        support, (lhs, rhs) = _local_products(rep, [rel.lhs, rel.rhs])
         if lhs != rhs:
+            lhs, rhs = _embed(rep, support, lhs), _embed(rep, support, rhs)
             violations.append(Violation(rel, lhs, rhs, lhs - rhs))
     return violations

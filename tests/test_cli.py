@@ -253,12 +253,20 @@ def test_kernel_probe_multiple_pairs(capsys):
 
 
 # Options that parse but cannot apply: refused once the representation is
-# chosen, naming the chosen family's free entries.
+# chosen, naming its kind or the chosen family's free entries.
 INAPPLICABLE_OPTIONS = {
     ("show-rep", "vsb2", "2", "--family", "4", "--r", "5", "--json"):
         "error: --r does not apply to vsb2 family 4, whose free entries are none",
     ("show-rep", "standard", "3", "--p", "5"):
         "error: --p does not apply to the standard representation",
+    ("show-rep", "standard", "3", "--family", "3", "--group", "--a", "5", "--json"):
+        "error: --a, --family, --group does not apply to the standard representation",
+    ("verify", "burau", "3", "--c", "2"):
+        "error: --c does not apply to the burau representation",
+    ("verify", "f", "3", "--group", "--json"):
+        "error: --group does not apply to the f representation",
+    ("verify", "singular-ext", "3", "--family", "2"):
+        "error: --family does not apply to the singular-ext representation",
 }
 
 

@@ -38,6 +38,7 @@ from braidrep.errors import (
 )
 from braidrep.presentations import GeneratorSymbol
 from braidrep.laurent import RationalFunction
+from braidrep.matrix import local_block
 from braidrep.reps import Representation, standard_block
 from braidrep.symbolic import SymPoly
 
@@ -208,6 +209,9 @@ LOCAL_CASES = [
     singular_extension(3, Fraction(1, 2), 3, t=Fraction(-2)),
     vsb2_extension(1, a=0, c=1, p=T, q=1 - T, group=True),
     vsb2_extension(2, a=T, c=2, r=1 + T),
+    # Seven strands: words whose letters' blocks leave gaps between them.
+    standard_rep(7),
+    singular_extension(7, 1 + T, T ** -1),
 ]
 
 
@@ -236,6 +240,32 @@ def test_local_word_product_matches_dense_fold(data):
     rep = data.draw(st.sampled_from(LOCAL_CASES))
     w = tuple(data.draw(st.lists(st.sampled_from(invertible_letters(rep)), max_size=8)))
     assert evaluate_word(rep, w) == dense_word(rep, w)
+
+
+@given(st.data())
+@settings(max_examples=60, deadline=None)
+def test_verify_relations_matches_dense_fold_on_tampered_images(data):
+    # One generator image gets one block entry changed, or is replaced by a
+    # full scalar matrix; the violations must be exactly the dense ones.
+    rep = data.draw(st.sampled_from(LOCAL_CASES))
+    key = data.draw(st.sampled_from(rep.generator_keys()))
+    change = rep.domain.coerce(data.draw(st.sampled_from([-1, 2, 3])))
+    if data.draw(st.booleans()):
+        offset, block = local_block(rep.assignment[key])
+        r, c = (offset + data.draw(st.integers(0, block.rows - 1)) for _ in range(2))
+        entries = [list(row) for row in rep.assignment[key].entries]
+        entries[r][c] += change
+        tampered = Matrix(rep.domain, entries)
+    else:
+        tampered = Matrix.identity(rep.domain, rep.dim).scaled(change)
+    rep = Representation(rep.n, rep.mode, {**rep.assignment, key: tampered}, group=rep.group)
+    pres = build_presentation(rep.n, rep.mode)
+    dense = []
+    for rel in pres.relations:
+        lhs, rhs = dense_word(rep, rel.lhs), dense_word(rep, rel.rhs)
+        if lhs != rhs:
+            dense.append((rel, lhs, rhs, lhs - rhs))
+    assert [(v.relation, v.lhs, v.rhs, v.diff) for v in verify_relations(rep, pres)] == dense
 
 
 @pytest.mark.parametrize("rep", LOCAL_CASES, ids=repr)

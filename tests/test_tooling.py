@@ -1,14 +1,19 @@
 """Names that nothing imports must still resolve: the benchmark tracer's
-wrapped functions, and every module's ``__all__``."""
+wrapped functions, and every module's ``__all__``.  And ``cli.main`` must be
+reentrant, since the benchmark calls it many times in one process."""
 
 from __future__ import annotations
 
 import importlib
 import importlib.util
 import pkgutil
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
+
+from braidrep.cli import main
 
 TRACER = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
 
@@ -49,3 +54,39 @@ def exported_names():
 @pytest.mark.parametrize("module,name", exported_names())
 def test_every_exported_name_resolves(module, name):
     assert hasattr(importlib.import_module(module), name)
+
+
+# Appends, a seeded sample, a usage error that exits 2, and reports with and
+# without --json.
+REENTRANT_ARGVS = [
+    ["kernel-probe", "4", "--pairs", "1,2;1,3", "--pairs", "2,3;3,4", "--json"],
+    ["kernel-probe", "4", "--pairs", "1,2;3,4"],
+    ["grid", "3", "--ac", "2,1", "--random", "2", "--json"],
+    ["grid", "3", "--t", "abc"],
+    ["verify", "singular-ext", "4", "--a", "1+t", "--c", "t^-1"],
+    ["verify", "vsb2", "2", "--family", "2", "--r", "3", "--json"],
+    ["show-rep", "burau", "3"],
+    ["show-rep", "singular-ext", "3", "--group", "--a", "0", "--json"],
+]
+
+
+def run_in_process(capsys, argv):
+    try:
+        code = main(list(argv))
+    except SystemExit as exc:
+        code = exc.code
+    out, err = capsys.readouterr()
+    return out, err, code
+
+
+def test_main_is_reentrant(capsys, monkeypatch):
+    monkeypatch.setenv("BRAIDREP_SEED", "3")
+    fresh = []
+    for argv in REENTRANT_ARGVS:
+        proc = subprocess.run([sys.executable, "-m", "braidrep.cli", *argv],
+                              capture_output=True, text=True, timeout=120)
+        fresh.append((proc.stdout, proc.stderr, proc.returncode))
+    assert any(code == 2 for _, _, code in fresh)
+    for _ in range(2):
+        for argv, expected in zip(REENTRANT_ARGVS, fresh):
+            assert run_in_process(capsys, argv) == expected, argv
