@@ -3,13 +3,22 @@
 A set of matrices over a field acts irreducibly (over the algebraic closure)
 exactly when the unital algebra it generates is the full matrix algebra.
 The dimension of that algebra is a rank over the base field and ranks do not
-change under field extension, so exact rational arithmetic settles the
-question outright: span = dim^2 certifies irreducibility, span < dim^2
-certifies a proper invariant subspace exists over the closure.  The span is
-measured by one ``Echelon`` basis over the images' own field: Q for a
-specialization at a rational t0, Q(t) when t stays symbolic.  Over Q(t) it
-is a genuine Q(t)-dimension, so on two strands, where sigma^2 = t*I and
-tau = a*I + c*sigma, the algebra Q(t)[sigma] has dimension 2, not 4.
+change under field extension, so exact arithmetic settles the question
+outright: span = dim^2 certifies irreducibility, span < dim^2 certifies a
+proper invariant subspace exists over the closure.  The span is measured
+over the images' own field: Q for a specialization at a rational t0, Q(t)
+when t stays symbolic.  Over Q(t) it is a genuine Q(t)-dimension, so on two
+strands, where sigma^2 = t*I and tau = a*I + c*sigma, the algebra
+Q(t)[sigma] has dimension 2, not 4.
+
+Over Q the closure runs mod the prime 2^61 - 1 when it divides no
+denominator of the images.  Independence mod p implies independence over Q,
+so a full span mod p is the answer.  A deficient span mod p is lifted to Q
+by rational reconstruction of its reduced echelon form and accepted only if
+that exact subspace holds the identity and is closed under right
+multiplication by every image, which bounds the span from above.  When the
+prime cannot settle the span this way, the exact closure on one ``Echelon``
+basis over Q gives it, as it always does over Q(t).
 
 Witness extraction (an explicit invariant line) is best effort: common fixed
 vectors, the all-ones direction, and simultaneous rational eigenvectors.  A
@@ -32,6 +41,7 @@ from .matrix import (
     Echelon,
     Matrix,
     Subspace,
+    block_columns,
     local_block,
     mat_vec,
     mul_local,
@@ -90,20 +100,43 @@ def symbolic_extension(n: int, a, c, group: bool = True) -> Representation:
 
 # -- algebra span ------------------------------------------------------------
 
+# The prime of the modular span.
+_PRIME = 2**61 - 1
+
 
 def matrix_algebra_span(images: list[Matrix]) -> int:
     """Dimension of the unital algebra generated by the given field matrices.
 
     Breadth-first closure: seed with the identity and the images, then keep
     right-multiplying new basis elements by the images (as block-local
-    updates, see ``mul_local``), inserting each product into an exact
-    ``Echelon`` basis over the images' own field (Q, or Q(t) once Laurent
-    entries are lifted), on the cells in row-major order, until nothing new
-    appears (or the full dim^2 is reached, at which point nothing larger is
-    possible).
+    updates, see ``mul_local``), until nothing new appears (or the full
+    dim^2 is reached, at which point nothing larger is possible).
+
+    Over Q the closure runs mod the prime p = ``_PRIME`` if it divides no
+    denominator of an image entry.  Every word then has entries in Z_(p)
+    and reduction mod p is a ring map, so the k words it keeps, independent
+    mod p, are independent over Q: the dimension is at least k, and k = dim^2
+    is the answer.  A smaller k is certified over Q (``_spans_algebra``): the
+    reduced echelon form mod p, rational-reconstructed entrywise, gives k
+    rows R in reduced echelon shape; if I is in span R and r*g is in span R
+    for every row r and image g, every word lies in span R and the dimension
+    is at most k.  Neither half trusts the reconstruction.  When p divides a
+    denominator, the reconstruction fails or the check refuses R, the exact
+    closure (``_exact_span``) gives the answer, as it does over Q(t).
     """
     if not images:
         raise ValueError("need at least one matrix")
+    if images[0].domain is QQ:
+        span = _modular_span(images[0].rows, [local_block(g) for g in images])
+        if span is not None:
+            return span
+    return _exact_span(images)
+
+
+def _exact_span(images: list[Matrix]) -> int:
+    """The closure of ``matrix_algebra_span`` inserting each product into an
+    exact ``Echelon`` basis over the images' own field (Q, or Q(t) once
+    Laurent entries are lifted), on the cells in row-major order."""
     dom = images[0].domain
     if not dom.is_field:
         images = [m._field_lift() for m in images]
@@ -111,7 +144,8 @@ def matrix_algebra_span(images: list[Matrix]) -> int:
     d = images[0].rows
     cap = d * d
     basis = Echelon(dom)
-    blocks = [local_block(g) for g in images]
+    blocks = [(offset, block, block_columns(block))
+              for offset, block in map(local_block, images)]
     candidates = iter([Matrix.identity(dom, d).entries, *(g.entries for g in images)])
     while True:
         frontier = []
@@ -122,8 +156,176 @@ def matrix_algebra_span(images: list[Matrix]) -> int:
                 frontier.append(rows)
         if not frontier:
             return len(basis)
-        candidates = (mul_local(rows, offset, block)
-                      for rows in frontier for offset, block in blocks)
+        candidates = (mul_local(rows, offset, block, columns)
+                      for rows in frontier for offset, block, columns in blocks)
+
+
+def _modular_span(d: int, blocks: list[tuple[int, Matrix]]) -> int | None:
+    """The span of the images given by their Q blocks (see ``local_block``),
+    decided mod ``_PRIME`` as ``matrix_algebra_span`` describes; None when
+    the prime divides a denominator or a deficient span is not certified."""
+    p = _PRIME
+    if any(e.denominator % p == 0 for _, block in blocks for row in block.entries for e in row):
+        return None
+    cap = d * d
+    mod_blocks = [
+        (offset, [[(j, b.numerator * pow(b.denominator, -1, p) % p)
+                   for j, b in enumerate(col) if b]
+                  for col in zip(*block.entries)])
+        for offset, block in blocks
+    ]
+    # Words are flat row-major lists of d^2 residues.  The basis is kept in
+    # reduced echelon form, {pivot: rest}, each rest 0 at every pivot.
+    identity = [int(i % (d + 1) == 0) for i in range(cap)]
+    basis: dict[int, dict] = {}
+    candidates = iter([identity, *(_mul_mod(identity, d, offset, columns, p)
+                                   for offset, columns in mod_blocks)])
+    while True:
+        frontier = []
+        for word in candidates:
+            if _insert_mod(basis, word, p):
+                if len(basis) == cap:
+                    return cap
+                frontier.append(word)
+        if not frontier:
+            break
+        candidates = (_mul_mod(word, d, offset, columns, p)
+                      for word in frontier for offset, columns in mod_blocks)
+    rows = _reconstruct(sorted(basis.items()), p)
+    if rows is not None and _spans_algebra(rows, blocks, d):
+        return len(rows)
+    return None
+
+
+def _mul_mod(word: list, d: int, offset: int, columns: list, p: int) -> list:
+    """The flat word times the image whose block, reduced mod p and laid out
+    as its nonzero columns, sits at ``offset``: only the block's columns
+    change, each to a combination of the old ones."""
+    out = list(word)
+    for k, col in enumerate(columns):
+        acc = [0] * d
+        for j, b in col:
+            acc = [x + y * b for x, y in zip(acc, word[offset + j::d])]
+        out[offset + k::d] = [x % p for x in acc]
+    return out
+
+
+def _insert_mod(basis: dict, word: list, p: int) -> bool:
+    """Add the flat residue vector to the reduced echelon basis mod p unless
+    it lies in its span; True iff added.
+
+    The remainder is the word minus word[q] times the row of each pivot q,
+    so it is 0 at every pivot; its smallest cell becomes the new pivot, and
+    that cell is cleared from the other rows.  Sums are reduced mod p only
+    once, at the end of each row.
+    """
+    acc: dict[int, int] = {}
+    for k, e in enumerate(word):
+        if e:
+            rest = basis.get(k)
+            if rest is None:
+                acc[k] = acc.get(k, 0) + e
+            else:
+                for j, r in rest.items():
+                    acc[j] = acc.get(j, 0) - e * r
+    acc = {k: r for k, e in acc.items() if (r := e % p)}
+    if not acc:
+        return False
+    pivot = min(acc)
+    inv = pow(acc.pop(pivot), -1, p)
+    new = {k: e * inv % p for k, e in acc.items()}
+    for rest in basis.values():
+        coeff = rest.pop(pivot, None)
+        if coeff:
+            for k, e in new.items():
+                if r := (rest.get(k, 0) - coeff * e) % p:
+                    rest[k] = r
+                else:
+                    rest.pop(k, None)
+    basis[pivot] = new
+    return True
+
+
+def _rational(e: int, p: int) -> Fraction | None:
+    """The fraction r/s with |r|, s <= floor(sqrt(p/2)) and r = s*e mod p,
+    found by the extended Euclidean algorithm, or None if there is none."""
+    bound = isqrt(p // 2)
+    r0, r1, s0, s1 = p, e, 0, 1
+    while r1 > bound:
+        q = r0 // r1
+        r0, r1, s0, s1 = r1, r0 - q * r1, s1, s0 - q * s1
+    if abs(s1) > bound:
+        return None
+    return Fraction(r1, s1)
+
+
+def _reconstruct(rows, p: int) -> list[tuple[int, dict]] | None:
+    """The rows of a reduced echelon form mod p lifted to Q entrywise, in
+    the shape of ``Echelon.reduced``; None if an entry has no lift."""
+    out = []
+    for pivot, rest in rows:
+        row = {pivot: Fraction(1)}
+        for k, e in rest.items():
+            if (lift := _rational(e, p)) is None:
+                return None
+            row[k] = lift
+        out.append((pivot, row))
+    return out
+
+
+def _spans_algebra(rows, blocks: list[tuple[int, Matrix]], d: int) -> bool:
+    """True iff the Q-rows, (pivot, row) pairs in reduced echelon shape over
+    the d x d cells in row-major order, span a space that contains I and is
+    closed under right multiplication by every image, given by its block.
+
+    Then the span contains every word.  A vector x lies in the span iff
+    x = sum of x[q] * row_q over the pivots q, which needs checking only off
+    the pivots.  For r in the span, r*g does iff r*g - r = r*(g - I) does,
+    and that is nonzero only in the block's columns.  Every check runs on
+    integers: the rows scaled by one common denominator, and g - I by its
+    own, which does not change membership and spares the gcd that every
+    ``Fraction`` operation takes.
+    """
+    pivots = {pivot for pivot, _ in rows}
+    if len(pivots) != len(rows) or any(
+            row.get(pivot) != 1 or len(row.keys() & pivots) != 1 for pivot, row in rows):
+        return False
+    scale = lcm(*(e.denominator for _, row in rows for e in row.values()))
+    scaled = {pivot: {k: e.numerator * (scale // e.denominator) for k, e in row.items()}
+              for pivot, row in rows}
+
+    def member(x: dict) -> bool:
+        acc = {k: e * scale for k, e in x.items() if k not in pivots}
+        for q, coeff in x.items():
+            if coeff and q in pivots:
+                for k, e in scaled[q].items():
+                    if k != q:
+                        acc[k] = acc.get(k, 0) - coeff * e
+        return not any(acc.values())
+
+    if not member({i * (d + 1): 1 for i in range(d)}):
+        return False
+    moves = []
+    for offset, block in blocks:
+        k = block.rows
+        shift = [[e - (i == j) for j, e in enumerate(row)] for i, row in enumerate(block.entries)]
+        den = lcm(*(e.denominator for row in shift for e in row))
+        moves.append((offset, k, [[(c, e.numerator * (den // e.denominator))
+                                   for c, e in enumerate(row) if e] for row in shift]))
+    for row in scaled.values():
+        by_column: dict[int, list] = {}
+        for cell, e in row.items():
+            base, j = divmod(cell, d)
+            by_column.setdefault(j, []).append((base * d, e))
+        for offset, k, shift in moves:
+            x: dict[int, int] = {}
+            for j in range(k):
+                for base, e in by_column.get(offset + j, ()):
+                    for c, m in shift[j]:
+                        x[base + offset + c] = x.get(base + offset + c, 0) + e * m
+            if x and not member(x):
+                return False
+    return True
 
 
 def burnside_span(rep: Representation) -> int:

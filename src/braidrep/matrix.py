@@ -6,15 +6,15 @@ fraction-free elimination.  Determinants use the one-step fraction-free
 (Bareiss) scheme, which stays inside the entry domain.  Every elimination
 over a field runs on ``Echelon``, an incremental echelon basis of sparse
 rows: rank, rref, nullspace and inverse (over the fraction field for Laurent
-entries), subspace membership, and the package's span closures and linear
+entries), subspace membership, the exact span closure and the linear
 solver.
 
 Generator images are the identity outside one small diagonal block, so word
 products apply each letter as a block-local update: ``local_block`` finds the
-block once, and ``mul_local`` right-multiplies by it in O(k^2 d) ring
-operations instead of the O(d^3) of the dense product.  The dense
-``Matrix.__mul__`` stays the general product and the reference the local one
-is tested against.
+block once, ``block_columns`` lays out its nonzero columns once, and
+``mul_local`` right-multiplies by it in O(k^2 d) ring operations instead of
+the O(d^3) of the dense product.  The dense ``Matrix.__mul__`` stays the
+general product and the reference the local one is tested against.
 """
 
 from __future__ import annotations
@@ -41,6 +41,7 @@ __all__ = [
     "QQ",
     "Matrix",
     "Subspace",
+    "block_columns",
     "block_embed",
     "local_block",
     "mul_local",
@@ -480,22 +481,29 @@ def local_block(m: Matrix) -> tuple[int, Matrix]:
     return lo, Matrix(dom, [row[lo:hi + 1] for row in m.entries[lo:hi + 1]])
 
 
-def mul_local(rows, offset: int, block: Matrix) -> list[list]:
+def block_columns(block: Matrix) -> list[list]:
+    """The block's columns in the form ``mul_local`` applies them: the
+    nonzero entries of each column as (row, entry) pairs, with None for an
+    entry equal to one."""
+    one = block.domain.one
+    return [[(j, None if b == one else b) for j, b in enumerate(col) if b]
+            for col in zip(*block.entries)]
+
+
+def mul_local(rows, offset: int, block: Matrix, columns: list) -> list[list]:
     """Rows of the product (rows) * E, where E is the identity with ``block``
-    on the diagonal at ``offset``.
+    on the diagonal at ``offset`` and ``columns`` is ``block_columns(block)``,
+    laid out once by the caller for all the products by that block.
 
     Only the block's columns change, each to the old row segment times a
     block column, so this costs O(k^2 d) ring operations.  Zero terms (every
-    entry type is falsy exactly at zero) are skipped and unit factors taken
-    as is, which keeps every entry equal to the dense product's.
+    entry type is falsy exactly at zero) are skipped, and a unit factor, or
+    a left factor that is the domain's ``one`` object itself, is taken as
+    is, which keeps every entry equal to the dense product's.
     """
     dom = block.domain
     zero, one = dom.zero, dom.one
     end = offset + block.rows
-    columns = [
-        [(j, None if b == one else b) for j, b in enumerate(col) if b]
-        for col in zip(*block.entries)
-    ]
     out = []
     for row in rows:
         segment = row[offset:end]
@@ -505,7 +513,7 @@ def mul_local(rows, offset: int, block: Matrix) -> list[list]:
             for j, b in col:
                 a = segment[j]
                 if a:
-                    term = a if b is None else a * b
+                    term = a if b is None else b if a is one else a * b
                     acc = term if acc is None else acc + term
             new.append(zero if acc is None else acc)
         out.append([*row[:offset], *new, *row[end:]])

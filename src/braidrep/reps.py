@@ -17,11 +17,12 @@ virtual generator to one of five involution families.
 
 Word evaluation relies on one invariant: every image equals the identity
 outside one diagonal block.  ``Representation.local_image`` finds that block
-once per letter (inverting only the block for exponent -1), and
-``evaluate_word`` applies the letters as block-local updates.  Any square
-image satisfies the invariant, since a full matrix is its own block.  It
-follows that a word's image is the identity outside the union of its letters'
-blocks, its support, so words are multiplied on their support only, and
+once per letter (inverting only the block for exponent -1) and lays out its
+columns for ``mul_local``, and ``evaluate_word`` applies the letters as
+block-local updates.  Any square image satisfies the invariant, since a full
+matrix is its own block.  It follows that a word's image is the identity
+outside the union of its letters' blocks, its support, so words are
+multiplied on their support only, and
 ``verify_relations`` compares the two sides of each relation there, building
 the full matrices only for a relation that fails.
 """
@@ -49,6 +50,7 @@ from .matrix import (
     RATFUNC,
     EntryDomain,
     Matrix,
+    block_columns,
     block_embed,
     local_block,
     mul_local,
@@ -105,10 +107,12 @@ class Representation:
         """The generator images in ``generator_keys`` order."""
         return [self.assignment[key] for key in self.generator_keys()]
 
-    def local_image(self, kind: str, index: int, exp: int = 1) -> tuple[int, Matrix]:
-        """The letter's image as (offset, block): the image is the identity
-        outside the diagonal block at that offset.  For exponent -1 only the
-        block is inverted; its determinant is the image's."""
+    def local_image(self, kind: str, index: int, exp: int = 1) -> tuple[int, Matrix, list]:
+        """The letter's image as (offset, block, columns): the image is the
+        identity outside the diagonal block at that offset, and columns is
+        ``block_columns(block)``, the form ``mul_local`` applies it in.  For
+        exponent -1 only the block is inverted; its determinant is the
+        image's."""
         key = (kind, index)
         if key not in self.assignment:
             raise UnassignedGenerator(f"no image assigned to {kind}{index}")
@@ -120,20 +124,21 @@ class Representation:
             )
         if (key, exp) not in self._local:
             if exp == 1:
-                self._local[key, 1] = local_block(self.assignment[key])
+                offset, block = local_block(self.assignment[key])
             else:
-                offset, block = self.local_image(kind, index)
+                offset, block, _ = self.local_image(kind, index)
                 try:
-                    self._local[key, -1] = (offset, block.inverse())
+                    block = block.inverse()
                 except NotUnitDeterminant as exc:
                     raise NonInvertibleLetter(
                         f"image of {kind}{index} is not invertible over {self.domain.name}: {exc}"
                     ) from exc
+            self._local[key, exp] = (offset, block, block_columns(block))
         return self._local[key, exp]
 
     def image(self, kind: str, index: int, exp: int = 1) -> Matrix:
         """The letter's dense image; an inverse is its block inverse, embedded."""
-        offset, block = self.local_image(kind, index, exp)
+        offset, block, _ = self.local_image(kind, index, exp)
         if exp == 1:
             return self.assignment[(kind, index)]
         return _embed(self, range(offset, offset + block.rows), block.entries)
@@ -295,13 +300,13 @@ def _local_products(rep: Representation, words) -> tuple[list[int], list[list[li
     """
     letters = [[rep.local_image(g.kind, g.index, g.exp) for g in w] for w in words]
     support = sorted({o + k for word_letters in letters
-                      for o, block in word_letters for k in range(block.rows)})
+                      for o, block, _ in word_letters for k in range(block.rows)})
     position = {o: i for i, o in enumerate(support)}
     products = []
     for word_letters in letters:
         rows = _identity_rows(rep.domain, len(support))
-        for o, block in word_letters:
-            rows = mul_local(rows, position[o], block)
+        for o, block, columns in word_letters:
+            rows = mul_local(rows, position[o], block, columns)
         products.append(rows)
     return support, products
 

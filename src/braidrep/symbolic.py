@@ -43,6 +43,14 @@ class SymPoly:
                     data[mono] = coeff
         object.__setattr__(self, "terms", data)
 
+    @classmethod
+    def _of(cls, terms: dict) -> SymPoly:
+        """The polynomial with these terms, taken as they are: every
+        coefficient must already be a nonzero element of Q(t)."""
+        out = object.__new__(cls)
+        object.__setattr__(out, "terms", terms)
+        return out
+
     def __setattr__(self, name, value):
         raise AttributeError("SymPoly is immutable")
 
@@ -86,13 +94,18 @@ class SymPoly:
         terms = dict(self.terms)
         for mono, coeff in other.terms.items():
             acc = terms.get(mono)
-            terms[mono] = coeff if acc is None else acc + coeff
-        return SymPoly(terms)
+            if acc is None:
+                terms[mono] = coeff
+            elif total := acc + coeff:
+                terms[mono] = total
+            else:
+                del terms[mono]
+        return SymPoly._of(terms)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return SymPoly({m: -c for m, c in self.terms.items()})
+        return SymPoly._of({m: -c for m, c in self.terms.items()})
 
     def __sub__(self, other):
         try:
@@ -115,8 +128,13 @@ class SymPoly:
                 m = _mono_mul(m1, m2)
                 prod = c1 * c2
                 acc = terms.get(m)
-                terms[m] = prod if acc is None else acc + prod
-        return SymPoly(terms)
+                if acc is None:
+                    terms[m] = prod
+                elif total := acc + prod:
+                    terms[m] = total
+                else:
+                    del terms[m]
+        return SymPoly._of(terms)
 
     __rmul__ = __mul__
 

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from braidrep import (
     LAURENT,
+    Echelon,
     Matrix,
     QQ,
     RATFUNC,
@@ -27,13 +28,19 @@ from braidrep import (
     symbolic_extension,
 )
 from braidrep.errors import NonInvertibleTau, SingularTau, ZeroSpecialization
+from braidrep import irreducibility
 from braidrep.irreducibility import (
     GridCell,
     GridReport,
+    _exact_span,
+    _modular_span,
+    _rational,
     _rational_roots,
+    _spans_algebra,
     grid_cell,
     invariant_line_witness,
 )
+from braidrep.matrix import local_block
 
 ONE_RF = RationalFunction(1)
 
@@ -235,6 +242,112 @@ def test_grid_report_includes_t_one_cells():
     by_params = {(cell.a, cell.c): cell for cell in report.cells}
     assert by_params[(2, -1)].verdict == "reducible"
     assert by_params[(2, 1)].verdict == "irreducible"
+
+
+# -- the modular span and its certificate ---------------------------------------
+
+small_q = st.fractions(min_value=-4, max_value=4, max_denominator=3)
+
+
+@st.composite
+def extension_cells(draw):
+    """n, t0, a, c, at t0 = 1 about half the time and with a + c = 1 about
+    half the time, so that deficient spans are common."""
+    n = draw(st.integers(2, 6))
+    t0 = draw(st.one_of(st.just(Fraction(1)), st.sampled_from(
+        [Fraction(2), Fraction(-1), Fraction(1, 2), Fraction(-3, 2), Fraction(5, 3)])))
+    a = draw(small_q)
+    c = 1 - a if draw(st.booleans()) else draw(small_q)
+    return n, t0, a, c
+
+
+@given(extension_cells())
+@settings(max_examples=30, deadline=None)
+def test_modular_span_equals_the_exact_closure(cell):
+    images = specialized_extension(*cell, group=False).images()
+    assert matrix_algebra_span(images) == _exact_span(images)
+
+
+def test_deficient_spans_are_certified_without_the_exact_closure():
+    for n, span in ((2, 2), (3, 5), (5, 17)):
+        images = specialized_extension(n, 1, 2, -1).images()
+        assert _modular_span(n, [local_block(g) for g in images]) == span
+
+
+def test_a_rank_lost_mod_p_is_refused_and_recomputed(monkeypatch):
+    # a + c = 4 is 1 mod 3, so mod 3 the cell spans only 5 of 9 dimensions.
+    monkeypatch.setattr(irreducibility, "_PRIME", 3)
+    images = specialized_extension(3, 1, 5, -1).images()
+    assert _modular_span(3, [local_block(g) for g in images]) is None
+    assert matrix_algebra_span(images) == 9
+
+
+def test_a_prime_dividing_a_denominator_falls_back(monkeypatch):
+    images = specialized_extension(3, Fraction(1, 3), 5, -1).images()
+    blocks = [local_block(g) for g in images]
+    monkeypatch.setattr(irreducibility, "_PRIME", 3)
+    assert _modular_span(3, blocks) is None
+    assert matrix_algebra_span(images) == 9
+    monkeypatch.setattr(irreducibility, "_PRIME", 5)
+    assert _modular_span(3, blocks) == 9
+
+
+def test_a_denominator_divisible_by_the_prime_falls_back():
+    p = irreducibility._PRIME
+    for t0, a, c, span in ((Fraction(1, p), 2, 1, 9), (1, Fraction(1, p), 1 - Fraction(1, p), 5)):
+        images = specialized_extension(3, t0, a, c).images()
+        assert _modular_span(3, [local_block(g) for g in images]) is None
+        assert matrix_algebra_span(images) == _exact_span(images) == span
+
+
+@pytest.mark.parametrize("value", [Fraction(0), Fraction(1), Fraction(-3, 7),
+                                   Fraction(10**9 - 7, 10**9 + 9)])
+def test_rational_reconstruction(value):
+    p = irreducibility._PRIME
+    residue = value.numerator * pow(value.denominator, -1, p) % p
+    assert _rational(residue, p) == value
+
+
+def test_rational_reconstruction_finds_a_lift_iff_there_is_one():
+    p, bound = 101, 7
+    for residue in range(p):
+        lifts = {Fraction(r, s) for r in range(-bound, bound + 1) for s in range(1, bound + 1)
+                 if (r - s * residue) % p == 0}
+        lift = _rational(residue, p)
+        assert lift in lifts if lifts else lift is None
+
+
+def _algebra_rows(images):
+    """The reduced echelon rows of the algebra, closed with dense products."""
+    basis = Echelon(QQ)
+    frontier = [Matrix.identity(QQ, images[0].rows)]
+    while frontier:
+        kept = [w for w in frontier if basis.insert([e for row in w.entries for e in row])]
+        frontier = [w * g for w in kept for g in images]
+    return basis.reduced()
+
+
+def test_the_certificate_refuses_a_tampered_basis():
+    images = specialized_extension(3, 1, 2, -1).images()
+    blocks = [local_block(g) for g in images]
+    rows = _algebra_rows(images)
+    assert len(rows) == 5
+    assert _spans_algebra(rows, blocks, 3)
+    for i, (pivot, row) in enumerate(rows):
+        others = rows[:i] + rows[i + 1:]
+        assert not _spans_algebra(others, blocks, 3)
+        for cell in range(9):
+            tampered = dict(row)
+            tampered[cell] = row.get(cell, 0) + 1
+            assert not _spans_algebra(others[:i] + [(pivot, tampered)] + others[i:], blocks, 3)
+
+
+def test_the_certificate_needs_the_identity():
+    # The matrices with rows 2 and 3 zero are closed under right
+    # multiplication by anything, but do not hold I.
+    images = specialized_extension(3, 2, 3, 1).images()
+    first_row = [(cell, {cell: Fraction(1)}) for cell in range(3)]
+    assert not _spans_algebra(first_row, [local_block(g) for g in images], 3)
 
 
 # Roots and scales far beyond what trial division up to sqrt(|const|) could

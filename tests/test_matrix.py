@@ -25,6 +25,7 @@ from braidrep import (
     stack,
 )
 from braidrep.errors import NotInvertible, NotSquare, NotUnitDeterminant, ShapeMismatch
+from braidrep.matrix import block_columns
 
 fracs = st.fractions(
     min_value=Fraction(-6), max_value=Fraction(6), max_denominator=4
@@ -214,7 +215,28 @@ def test_local_product_matches_dense_product(n, k, data):
     image = block_embed(block, data.draw(st.integers(1, n - 1)), n)
     left = data.draw(qq_matrices(3, image.rows))
     offset, local = local_block(image)
-    assert Matrix(QQ, mul_local(left.entries, offset, local)) == left * image
+    columns = block_columns(local)
+    assert Matrix(QQ, mul_local(left.entries, offset, local, columns)) == left * image
+
+
+@pytest.mark.parametrize("domain", [QQ, LAURENT, RATFUNC])
+def test_local_product_of_rows_holding_other_ones(domain):
+    # Entries equal to one that are not the domain's shared one object.
+    fresh_one = Fraction(1) if domain is QQ else domain.coerce(LaurentPoly({0: 1}))
+    assert fresh_one == domain.one and fresh_one is not domain.one
+    value = domain.coerce(3 if domain is QQ else T + 2)
+    rows = [
+        [domain.one, domain.zero, fresh_one, value],
+        [fresh_one, fresh_one, domain.zero, domain.one],
+        [domain.zero, value, domain.one, fresh_one],
+    ]
+    entries = [[2, 3], [1, 0]] if domain is QQ else [[T, 1], [1, 1 - T]]
+    block = Matrix(domain, entries)
+    for i in (1, 2, 3):
+        image = block_embed(block, i, 4)
+        offset, local = local_block(image)
+        expected = Matrix(domain, rows) * image
+        assert Matrix(domain, mul_local(rows, offset, local, block_columns(local))) == expected
 
 
 # -- the echelon engine --------------------------------------------------------

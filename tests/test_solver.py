@@ -466,6 +466,31 @@ def test_symbolic_constants_hash_like_their_coefficient():
     assert SymPoly() in {0}
 
 
+sym_coeffs = st.sampled_from([
+    RationalFunction(1), RationalFunction(-1), RationalFunction(2), RationalFunction(T),
+    RationalFunction(-T), RationalFunction(T + 1), RationalFunction(1, T + 1),
+    RationalFunction(1, 2),
+])
+sym_monos = st.sampled_from([(), (("x", 1),), (("y", 1),), (("x", 1), ("y", 1)), (("x", 2),)])
+sym_polys = st.dictionaries(sym_monos, sym_coeffs, max_size=4).map(SymPoly)
+
+
+@given(sym_polys, sym_polys)
+@settings(max_examples=100, deadline=None)
+def test_sympoly_arithmetic_keeps_canonical_terms(p, q):
+    """Sums, differences, negations and products store no zero coefficient
+    and equal the same terms passed through the public constructor."""
+    for result in (p + q, p - q, -p, p * q, q * p, p + 3, p * Fraction(1, 2)):
+        assert all(isinstance(c, RationalFunction) and not c.is_zero()
+                   for c in result.terms.values())
+        assert result == SymPoly(dict(result.terms))
+    assert not (p + (-p)).terms
+    assert not (p - p).terms
+    monos = p.terms.keys() | q.terms.keys()
+    assert p + q == SymPoly({m: p.terms.get(m, 0) + q.terms.get(m, 0) for m in monos})
+    assert -p == SymPoly({m: c * -1 for m, c in p.terms.items()})
+
+
 # -- sympy as an independent reference (test-only dependency) ------------------
 
 
