@@ -29,9 +29,7 @@ from .matrix import (
     Echelon,
     Matrix,
     Subspace,
-    block_embed,
     local_block,
-    mat_vec,
     mul_local,
     stack,
 )

@@ -175,7 +175,7 @@ def cmd_show_rep(args) -> int:
     lines = [f"{rep.name or args.kind}: n={rep.n}, dim={rep.dim}, domain={rep.domain.name}"]
     for kind, index in rep.generator_keys():
         lines.append(f"{kind}{index} ->")
-        lines.append(str(rep.assignment[(kind, index)]))
+        lines.append(str(rep.image(kind, index)))
     _emit(args, rep.to_json_dict(), "pass", lines)
     return EXIT_OK
 

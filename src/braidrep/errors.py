@@ -43,10 +43,6 @@ class NotUnitDeterminant(BraidRepError):
         self.det = det
 
 
-class IndexOutOfRange(BraidRepError):
-    """A strand or block position lies outside the admissible range."""
-
-
 # -- presentations and words ------------------------------------------------
 
 class BadStrandCount(BraidRepError):

@@ -20,10 +20,12 @@ multiplication by every image, which bounds the span from above.  When the
 prime cannot settle the span this way, the exact closure on one ``Echelon``
 basis over Q gives it, as it always does over Q(t).
 
-Witness extraction (an explicit invariant line) is best effort: common fixed
-vectors, the all-ones direction, and simultaneous rational eigenvectors.  A
-verdict never depends on finding a witness, since eigenvectors may need
-irrational coordinates that the span criterion happily avoids.
+The span and the witness checks read each generator's local image, its
+block, and build no dense image.  Witness extraction (an explicit invariant
+line) is best effort: the all-ones direction, common fixed vectors, and
+simultaneous rational eigenvectors, in that order.  A verdict never depends
+on finding a witness, since eigenvectors may need irrational coordinates
+that the span criterion happily avoids.
 """
 
 from __future__ import annotations
@@ -42,8 +44,6 @@ from .matrix import (
     Matrix,
     Subspace,
     block_columns,
-    local_block,
-    mat_vec,
     mul_local,
     stack,
 )
@@ -67,24 +67,25 @@ __all__ = [
 
 
 def specialize(rep: Representation, t0) -> Representation:
-    """Evaluate every Laurent entry at t0 (recorded as the parameter t0), or
-    lift to Q(t) when t0 is None."""
+    """Evaluate every Laurent entry of the blocks at t0 (recorded as the
+    parameter t0), or lift them to Q(t) when t0 is None."""
     if rep.domain is not LAURENT:
         raise TypeError(f"can only specialize Laurent-entry representations, got {rep.domain.name}")
     params = dict(rep.params)
     if t0 is None:
-        assignment = {key: m._field_lift() for key, m in rep.assignment.items()}
+        lift = Matrix._field_lift
     else:
         t0 = Fraction(t0)
         if t0 == 0:
             raise ZeroSpecialization("t may not be specialized to 0")
-        assignment = {
-            key: m.map_entries(lambda e: e.evaluate(t0), QQ)
-            for key, m in rep.assignment.items()
-        }
         params["t0"] = t0
-    return Representation(rep.n, rep.mode, assignment, group=rep.group,
-                          name=rep.name, params=params)
+
+        def lift(block):
+            return block.map_entries(lambda e: e.evaluate(t0), QQ)
+    blocks = {key: (offset, lift(block))
+              for key, (offset, block, _) in zip(rep.generator_keys(), rep.local_images())}
+    return Representation.from_blocks(rep.n, rep.mode, rep.dim, blocks, group=rep.group,
+                                      name=rep.name, params=params)
 
 
 def specialized_extension(n: int, t0, a, c, group: bool = True) -> Representation:
@@ -104,13 +105,15 @@ def symbolic_extension(n: int, a, c, group: bool = True) -> Representation:
 _PRIME = 2**61 - 1
 
 
-def matrix_algebra_span(images: list[Matrix]) -> int:
-    """Dimension of the unital algebra generated by the given field matrices.
+def matrix_algebra_span(images: list[tuple[int, Matrix, list]], dim: int) -> int:
+    """Dimension of the unital algebra generated by the given dim x dim
+    matrices, each given by its local image (offset, block, columns), as
+    ``Representation.local_image`` returns it.
 
-    Breadth-first closure: seed with the identity and the images, then keep
-    right-multiplying new basis elements by the images (as block-local
-    updates, see ``mul_local``), until nothing new appears (or the full
-    dim^2 is reached, at which point nothing larger is possible).
+    Breadth-first closure: seed with the identity, then keep right-multiplying
+    new basis elements by the images (as block-local updates, see
+    ``mul_local``), until nothing new appears (or the full dim^2 is reached,
+    at which point nothing larger is possible).
 
     Over Q the closure runs mod the prime p = ``_PRIME`` if it divides no
     denominator of an image entry.  Every word then has entries in Z_(p)
@@ -126,27 +129,24 @@ def matrix_algebra_span(images: list[Matrix]) -> int:
     """
     if not images:
         raise ValueError("need at least one matrix")
-    if images[0].domain is QQ:
-        span = _modular_span(images[0].rows, [local_block(g) for g in images])
+    if images[0][1].domain is QQ:
+        span = _modular_span(dim, images)
         if span is not None:
             return span
-    return _exact_span(images)
+    return _exact_span(images, dim)
 
 
-def _exact_span(images: list[Matrix]) -> int:
+def _exact_span(images: list[tuple[int, Matrix, list]], d: int) -> int:
     """The closure of ``matrix_algebra_span`` inserting each product into an
     exact ``Echelon`` basis over the images' own field (Q, or Q(t) once
-    Laurent entries are lifted), on the cells in row-major order."""
-    dom = images[0].domain
-    if not dom.is_field:
-        images = [m._field_lift() for m in images]
-        dom = images[0].domain
-    d = images[0].rows
+    Laurent blocks are lifted), on the cells in row-major order."""
+    if not images[0][1].domain.is_field:
+        lifted = [(offset, block._field_lift()) for offset, block, _ in images]
+        images = [(offset, block, block_columns(block)) for offset, block in lifted]
+    dom = images[0][1].domain
     cap = d * d
     basis = Echelon(dom)
-    blocks = [(offset, block, block_columns(block))
-              for offset, block in map(local_block, images)]
-    candidates = iter([Matrix.identity(dom, d).entries, *(g.entries for g in images)])
+    candidates = iter([Matrix.identity(dom, d).entries])
     while True:
         frontier = []
         for rows in candidates:
@@ -157,22 +157,22 @@ def _exact_span(images: list[Matrix]) -> int:
         if not frontier:
             return len(basis)
         candidates = (mul_local(rows, offset, block, columns)
-                      for rows in frontier for offset, block, columns in blocks)
+                      for rows in frontier for offset, block, columns in images)
 
 
-def _modular_span(d: int, blocks: list[tuple[int, Matrix]]) -> int | None:
-    """The span of the images given by their Q blocks (see ``local_block``),
-    decided mod ``_PRIME`` as ``matrix_algebra_span`` describes; None when
-    the prime divides a denominator or a deficient span is not certified."""
+def _modular_span(d: int, blocks: list[tuple[int, Matrix, list]]) -> int | None:
+    """The span of the images given by their local images over Q, decided
+    mod ``_PRIME`` as ``matrix_algebra_span`` describes; None when the prime
+    divides a denominator or a deficient span is not certified."""
     p = _PRIME
-    if any(e.denominator % p == 0 for _, block in blocks for row in block.entries for e in row):
+    if any(e.denominator % p == 0 for _, block, _ in blocks for row in block.entries for e in row):
         return None
     cap = d * d
     mod_blocks = [
         (offset, [[(j, b.numerator * pow(b.denominator, -1, p) % p)
                    for j, b in enumerate(col) if b]
                   for col in zip(*block.entries)])
-        for offset, block in blocks
+        for offset, block, _ in blocks
     ]
     # Words are flat row-major lists of d^2 residues.  The basis is kept in
     # reduced echelon form, {pivot: rest}, each rest 0 at every pivot.
@@ -273,10 +273,11 @@ def _reconstruct(rows, p: int) -> list[tuple[int, dict]] | None:
     return out
 
 
-def _spans_algebra(rows, blocks: list[tuple[int, Matrix]], d: int) -> bool:
+def _spans_algebra(rows, blocks: list[tuple[int, Matrix, list]], d: int) -> bool:
     """True iff the Q-rows, (pivot, row) pairs in reduced echelon shape over
     the d x d cells in row-major order, span a space that contains I and is
-    closed under right multiplication by every image, given by its block.
+    closed under right multiplication by every image, given by its local
+    image.
 
     Then the span contains every word.  A vector x lies in the span iff
     x = sum of x[q] * row_q over the pivots q, which needs checking only off
@@ -306,7 +307,7 @@ def _spans_algebra(rows, blocks: list[tuple[int, Matrix]], d: int) -> bool:
     if not member({i * (d + 1): 1 for i in range(d)}):
         return False
     moves = []
-    for offset, block in blocks:
+    for offset, block, _ in blocks:
         k = block.rows
         shift = [[e - (i == j) for j, e in enumerate(row)] for i, row in enumerate(block.entries)]
         den = lcm(*(e.denominator for row in shift for e in row))
@@ -329,19 +330,23 @@ def _spans_algebra(rows, blocks: list[tuple[int, Matrix]], d: int) -> bool:
 
 
 def burnside_span(rep: Representation) -> int:
-    return matrix_algebra_span(rep.images())
+    return matrix_algebra_span(rep.local_images(), rep.dim)
 
 
 # -- witness search ----------------------------------------------------------
 
 
 def all_ones_check(rep: Representation) -> bool:
-    """True iff every image maps (1, ..., 1)^T to a scalar multiple of it."""
+    """True iff every image maps (1, ..., 1)^T to a scalar multiple of it.
+
+    An image moves only its block's coordinates, to the block's row sums.
+    They must all be one scalar, and when the block is smaller than the
+    image the coordinates outside it stay 1, so the scalar must be 1.
+    """
     dom = rep.domain
-    ones = [dom.one] * rep.dim
-    for g in rep.images():
-        w = mat_vec(g, ones)
-        if any(e != w[0] for e in w[1:]):
+    for _, block, _ in rep.local_images():
+        sums = [sum(row, dom.zero) for row in block.entries]
+        if any(s != sums[0] for s in sums) or (block.rows < rep.dim and sums[0] != dom.one):
             return False
     return True
 
@@ -446,8 +451,20 @@ def _intersect(basis1: list, basis2: list, dom: EntryDomain, ambient: int) -> li
     return _independent(vectors, dom)
 
 
-def _maps_into(images: list[Matrix], sub: Subspace) -> bool:
-    return all(sub.contains(mat_vec(g, v)) for g in images for v in sub.basis)
+def _maps_into(rep: Representation, sub: Subspace) -> bool:
+    """True iff every image maps the subspace into itself.  For v in it, g*v
+    lies in it iff (g - I)*v does, which is zero outside g's block, where it
+    is the block times v's coordinates there, minus those coordinates."""
+    zero = rep.domain.zero
+    for offset, block, _ in rep.local_images():
+        for v in sub.basis:
+            segment = v[offset:offset + block.rows]
+            moved = [zero] * rep.dim
+            for i, row in enumerate(block.entries):
+                moved[offset + i] = sum((a * b for a, b in zip(row, segment)), zero) - segment[i]
+            if not sub.contains(moved):
+                return False
+    return True
 
 
 def invariant_line_witness(rep: Representation) -> Subspace | None:
@@ -456,19 +473,18 @@ def invariant_line_witness(rep: Representation) -> Subspace | None:
     Tries, in order: the all-ones line, the common fixed subspace, and (over
     Q) a simultaneous rational eigenvector.  Returns None when all three come
     up empty; reducibility itself is already settled by the span criterion.
+    Each witness is checked exactly once: the all-ones line by
+    ``all_ones_check``, any other by ``_maps_into``.
     """
     dom = rep.domain
     d = rep.dim
-    images = rep.images()
     if all_ones_check(rep):
-        ones = Subspace(dom, d, (tuple([dom.one] * d),))
-        if _maps_into(images, ones):
-            return ones
+        return Subspace(dom, d, (tuple([dom.one] * d),))
+    images = rep.images()
     identity = Matrix.identity(dom, d)
     fixed = stack([g - identity for g in images]).nullspace()
-    if fixed.dim:
-        if _maps_into(images, fixed):
-            return fixed
+    if fixed.dim and _maps_into(rep, fixed):
+        return fixed
     if dom is not QQ:
         return None
     candidates: list[list] | None = None
@@ -488,7 +504,7 @@ def invariant_line_witness(rep: Representation) -> Subspace | None:
             return None
     for space in candidates or []:
         line = Subspace(dom, d, (tuple(space[0]),))
-        if _maps_into(images, line):
+        if _maps_into(rep, line):
             return line
     return None
 
@@ -517,10 +533,7 @@ def is_irreducible(rep: Representation) -> IrreducibilityVerdict:
     d = rep.dim
     if span == d * d:
         return IrreducibilityVerdict("irreducible", span, d, None)
-    witness = invariant_line_witness(rep)
-    if witness is not None:
-        assert _maps_into(rep.images(), witness)
-    return IrreducibilityVerdict("reducible", span, d, witness)
+    return IrreducibilityVerdict("reducible", span, d, invariant_line_witness(rep))
 
 
 # -- parameter grid ----------------------------------------------------------

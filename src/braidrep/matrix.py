@@ -11,9 +11,9 @@ solver.
 
 Generator images are the identity outside one small diagonal block, so word
 products apply each letter as a block-local update: ``local_block`` finds the
-block once, ``block_columns`` lays out its nonzero columns once, and
-``mul_local`` right-multiplies by it in O(k^2 d) ring operations instead of
-the O(d^3) of the dense product.  The dense ``Matrix.__mul__`` stays the
+block of a dense image, ``block_columns`` lays out its nonzero columns once,
+and ``mul_local`` right-multiplies by it in O(k^2 d) ring operations instead
+of the O(d^3) of the dense product.  The dense ``Matrix.__mul__`` stays the
 general product and the reference the local one is tested against.
 """
 
@@ -25,7 +25,6 @@ from fractions import Fraction
 from typing import Any, Callable
 
 from .errors import (
-    IndexOutOfRange,
     NotInvertible,
     NotSquare,
     NotUnitDeterminant,
@@ -42,10 +41,8 @@ __all__ = [
     "Matrix",
     "Subspace",
     "block_columns",
-    "block_embed",
     "local_block",
     "mul_local",
-    "mat_vec",
     "stack",
 ]
 
@@ -441,25 +438,6 @@ class Subspace:
         }
 
 
-def block_embed(block: Matrix, i: int, n: int) -> Matrix:
-    """Embed a k x k block at strand position i into the identity, giving a
-    matrix of size (n + k - 2): identity of size i-1, then the block, then
-    identity of size n - i - 1."""
-    if not block.is_square():
-        raise NotSquare("block must be square")
-    if not 1 <= i <= n - 1:
-        raise IndexOutOfRange(f"position {i} not in 1..{n - 1}")
-    k = block.rows
-    dim = n + k - 2
-    dom = block.domain
-    entries = [[dom.one if r == c else dom.zero for c in range(dim)] for r in range(dim)]
-    off = i - 1
-    for r in range(k):
-        for c in range(k):
-            entries[off + r][off + c] = block.entries[r][c]
-    return Matrix(dom, entries)
-
-
 def local_block(m: Matrix) -> tuple[int, Matrix]:
     """The smallest diagonal block outside which the square matrix m equals
     the identity, as (offset, block).
@@ -518,19 +496,6 @@ def mul_local(rows, offset: int, block: Matrix, columns: list) -> list[list]:
             new.append(zero if acc is None else acc)
         out.append([*row[:offset], *new, *row[end:]])
     return out
-
-
-def mat_vec(m: Matrix, vec) -> tuple:
-    if len(vec) != m.cols:
-        raise ShapeMismatch("vector length does not match matrix columns")
-    vec = [m.domain.coerce(v) for v in vec]
-    out = []
-    for row in m.entries:
-        acc = m.domain.zero
-        for a, b in zip(row, vec):
-            acc = acc + a * b
-        out.append(acc)
-    return tuple(out)
 
 
 def stack(matrices) -> Matrix:

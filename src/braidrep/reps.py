@@ -16,21 +16,24 @@ of the solver.  On two strands the virtual extension additionally sends the
 virtual generator to one of five involution families.
 
 Word evaluation relies on one invariant: every image equals the identity
-outside one diagonal block.  ``Representation.local_image`` finds that block
-once per letter (inverting only the block for exponent -1) and lays out its
-columns for ``mul_local``, and ``evaluate_word`` applies the letters as
-block-local updates.  Any square image satisfies the invariant, since a full
-matrix is its own block.  It follows that a word's image is the identity
+outside one diagonal block.  A ``Representation`` holds each generator as
+that block alone: the builders store the block they write, and the dense
+constructor finds it once per image with ``local_block`` (any square image
+has one, since a full matrix is its own block).  ``local_image`` returns the
+block with its columns laid out for ``mul_local``, inverting only the block
+for exponent -1, and ``evaluate_word`` applies the letters as block-local
+updates; dense images are built on demand.  A word's image is the identity
 outside the union of its letters' blocks, its support, so words are
-multiplied on their support only, and
-``verify_relations`` compares the two sides of each relation there, building
-the full matrices only for a relation that fails.
+multiplied on their support only, and ``verify_relations`` compares the two
+sides of each relation there, building the full matrices only for a relation
+that fails.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from types import MappingProxyType
 
 from .errors import (
     BadStrandCount,
@@ -51,7 +54,6 @@ from .matrix import (
     EntryDomain,
     Matrix,
     block_columns,
-    block_embed,
     local_block,
     mul_local,
 )
@@ -74,38 +76,68 @@ __all__ = [
 
 
 class Representation:
-    """An assignment of a square matrix to every generator of one mode.
+    """An image for every generator of one mode, each held as its local
+    image: the identity outside one diagonal block.
 
     ``group`` records whether t-kind letters may be inverted when evaluating
-    words; s- and v-kind images are always invertible by construction.
+    words; s- and v-kind images are always invertible by construction.  A
+    representation is immutable: the blocks are its only state, and dense
+    images are built from them on demand.
     """
+
+    __slots__ = ("n", "mode", "dim", "domain", "group", "name", "params", "_blocks", "_inverses")
 
     def __init__(self, n: int, mode: str, assignment: dict, group: bool = True,
                  name: str = "", params: dict | None = None):
+        """From dense images, each stored as its block (``local_block``)."""
+        mats = list(assignment.values())
+        for m in mats:
+            if not m.is_square() or m.rows != mats[0].rows or m.domain is not mats[0].domain:
+                raise ModeMismatch("all generator images must share one square shape and domain")
+        self._store(n, mode, mats[0].rows, {key: local_block(m) for key, m in assignment.items()},
+                    group, name, params)
+
+    @classmethod
+    def from_blocks(cls, n: int, mode: str, dim: int, blocks: dict, group: bool = True,
+                    name: str = "", params: dict | None = None) -> Representation:
+        """The representation whose image of each key is the d x d identity
+        outside the diagonal block given for it as (offset, block)."""
+        rep = object.__new__(cls)
+        rep._store(n, mode, dim, blocks, group, name, params)
+        return rep
+
+    def _store(self, n, mode, dim, blocks, group, name, params):
         if n < 2:
             raise BadStrandCount(f"need at least 2 strands, got {n}")
-        mats = list(assignment.values())
-        dim = mats[0].rows
-        domain = mats[0].domain
-        for m in mats:
-            if not m.is_square() or m.rows != dim or m.domain is not domain:
-                raise ModeMismatch("all generator images must share one square shape and domain")
-        self.n = n
-        self.mode = mode
-        self.dim = dim
-        self.domain = domain
-        self.group = group
-        self.name = name
-        self.params = dict(params or {})
-        self.assignment = dict(assignment)
-        self._local: dict = {}
+        fields = {
+            "n": n, "mode": mode, "dim": dim, "group": group, "name": name,
+            "domain": next(iter(blocks.values()))[1].domain,
+            "params": MappingProxyType(dict(params or {})),
+            "_blocks": {key: (offset, block, block_columns(block))
+                        for key, (offset, block) in blocks.items()},
+            "_inverses": {},
+        }
+        for attr, value in fields.items():
+            object.__setattr__(self, attr, value)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("Representation is immutable")
 
     def generator_keys(self):
-        return sorted(self.assignment, key=lambda k: (k[0], k[1]))
+        return sorted(self._blocks, key=lambda k: (k[0], k[1]))
+
+    def local_images(self) -> list[tuple[int, Matrix, list]]:
+        """The generators' local images in ``generator_keys`` order."""
+        return [self._blocks[key] for key in self.generator_keys()]
 
     def images(self) -> list[Matrix]:
-        """The generator images in ``generator_keys`` order."""
-        return [self.assignment[key] for key in self.generator_keys()]
+        """The dense generator images in ``generator_keys`` order."""
+        return [self.image(*key) for key in self.generator_keys()]
+
+    @property
+    def assignment(self) -> MappingProxyType:
+        """The dense image of every generator, built on demand; read-only."""
+        return MappingProxyType({key: self.image(*key) for key in self.generator_keys()})
 
     def local_image(self, kind: str, index: int, exp: int = 1) -> tuple[int, Matrix, list]:
         """The letter's image as (offset, block, columns): the image is the
@@ -114,33 +146,31 @@ class Representation:
         exponent -1 only the block is inverted; its determinant is the
         image's."""
         key = (kind, index)
-        if key not in self.assignment:
+        if key not in self._blocks:
             raise UnassignedGenerator(f"no image assigned to {kind}{index}")
         if exp not in (1, -1):
             raise ValueError(f"letter exponent must be +-1, got {exp}")
-        if exp == -1 and kind == TAU and not self.group:
+        if exp == 1:
+            return self._blocks[key]
+        if kind == TAU and not self.group:
             raise NonInvertibleLetter(
                 f"{kind}{index} has no inverse in monoid mode"
             )
-        if (key, exp) not in self._local:
-            if exp == 1:
-                offset, block = local_block(self.assignment[key])
-            else:
-                offset, block, _ = self.local_image(kind, index)
-                try:
-                    block = block.inverse()
-                except NotUnitDeterminant as exc:
-                    raise NonInvertibleLetter(
-                        f"image of {kind}{index} is not invertible over {self.domain.name}: {exc}"
-                    ) from exc
-            self._local[key, exp] = (offset, block, block_columns(block))
-        return self._local[key, exp]
+        if key not in self._inverses:
+            offset, block, _ = self._blocks[key]
+            try:
+                block = block.inverse()
+            except NotUnitDeterminant as exc:
+                raise NonInvertibleLetter(
+                    f"image of {kind}{index} is not invertible over {self.domain.name}: {exc}"
+                ) from exc
+            self._inverses[key] = (offset, block, block_columns(block))
+        return self._inverses[key]
 
     def image(self, kind: str, index: int, exp: int = 1) -> Matrix:
-        """The letter's dense image; an inverse is its block inverse, embedded."""
+        """The letter's dense image: its block (inverted for exponent -1),
+        embedded in the identity."""
         offset, block, _ = self.local_image(kind, index, exp)
-        if exp == 1:
-            return self.assignment[(kind, index)]
         return _embed(self, range(offset, offset + block.rows), block.entries)
 
     def to_json_dict(self) -> dict:
@@ -152,7 +182,7 @@ class Representation:
             "domain": self.domain.name,
             "params": {k: str(v) for k, v in sorted(self.params.items())},
             "assignment": {
-                f"{kind}{index}": self.assignment[(kind, index)].to_json_dict()
+                f"{kind}{index}": self.image(kind, index).to_json_dict()
                 for kind, index in self.generator_keys()
             },
         }
@@ -179,10 +209,9 @@ def standard_block(t=T) -> Matrix:
 
 
 def _block_rep(n: int, block: Matrix, name: str) -> Representation:
-    if n < 2:
-        raise BadStrandCount(f"need at least 2 strands, got {n}")
-    assignment = {(SIGMA, i): block_embed(block, i, n) for i in range(1, n)}
-    return Representation(n, "braid", assignment, group=True, name=name)
+    """Sends sigma_i to ``block`` at strand position i, in dimension n + k - 2."""
+    blocks = {(SIGMA, i): (i - 1, block) for i in range(1, n)}
+    return Representation.from_blocks(n, "braid", n + block.rows - 2, blocks, name=name)
 
 
 def standard_rep(n: int) -> Representation:
@@ -202,7 +231,7 @@ def f_rep(n: int) -> Representation:
 
 def singular_extension(n: int, a, c, group: bool = False, t=T) -> Representation:
     """Extension of the standard representation by t-generators with the
-    embedded block [[a, c*t], [c, a]] = a*I + c*(standard block).
+    block [[a, c*t], [c, a]] = a*I + c*(standard block) at each position.
 
     Everything is built over the ring that t lives in: the Laurent ring (t
     the variable, the default), Q (t a nonzero rational t0), Q(t), or the
@@ -221,11 +250,11 @@ def singular_extension(n: int, a, c, group: bool = False, t=T) -> Representation
             f"tau block determinant {d} is not a unit, so the images "
             "do not land in the general linear group", det=d)
     sigma = standard_block(t)
-    assignment = {(SIGMA, i): block_embed(sigma, i, n) for i in range(1, n)}
-    assignment.update({(TAU, i): block_embed(block, i, n) for i in range(1, n)})
+    blocks = {(kind, i): (i - 1, image)
+              for kind, image in ((SIGMA, sigma), (TAU, block)) for i in range(1, n)}
     params = {"a": a, "c": c} if t == T else {"t0": t, "a": a, "c": c}
-    return Representation(n, "singular", assignment, group=group,
-                          name="singular-extension", params=params)
+    return Representation.from_blocks(n, "singular", n, blocks, group=group,
+                                      name="singular-extension", params=params)
 
 
 def involution_matrix(family_id: int, *, p=None, q=None, r=None,
@@ -272,14 +301,13 @@ def vsb2_extension(family_id: int, *, a, c, p=None, q=None, r=None,
     """Two-strand virtual singular representation: standard s-image, the
     (a, c) t-image, and a v-image from the chosen involution family."""
     base = singular_extension(2, a, c, group=group)
-    nu_image = involution_matrix(family_id, p=p, q=q, r=r, domain=LAURENT)
-    assignment = dict(base.assignment)
-    assignment[(NU, 1)] = nu_image
+    blocks = {key: base.local_image(*key)[:2] for key in base.generator_keys()}
+    blocks[(NU, 1)] = (0, involution_matrix(family_id, p=p, q=q, r=r, domain=LAURENT))
     params = dict(base.params)
     params.update({k: v for k, v in (("p", p), ("q", q), ("r", r)) if v is not None})
     params["family"] = family_id
-    return Representation(2, "virtual_singular", assignment, group=group,
-                          name=f"vsb2-extension-family-{family_id}", params=params)
+    return Representation.from_blocks(2, "virtual_singular", 2, blocks, group=group,
+                                      name=f"vsb2-extension-family-{family_id}", params=params)
 
 
 def evaluate_word(rep: Representation, w: Word) -> Matrix:

@@ -18,7 +18,6 @@ from braidrep import (
     T,
     assemble_singular,
     assemble_vsb2,
-    block_embed,
     build_presentation,
     burnside_span,
     evaluate_word,
@@ -39,6 +38,7 @@ from braidrep import (
 )
 from braidrep.irreducibility import all_ones_check
 from braidrep.presentations import TAU
+from braidrep.reps import _block_rep
 from braidrep.symbolic import SYMBOLIC
 
 
@@ -75,7 +75,7 @@ def test_criterion_02_three_strand_equations_and_block_form():
     core = Matrix(SYMBOLIC, [[diag, off * SymPoly.const(T)], [off, diag]])
     for position in (1, 2):
         substituted = images[(TAU, position)].map_entries(lambda e: e.substitute(setting))
-        assert substituted == block_embed(core, position, 3)
+        assert substituted == _block_rep(3, core, "").image("s", position)
     print("criterion 2: PASS")
 
 
@@ -244,7 +244,7 @@ def test_criterion_10_infrastructure_properties():
     for _ in range(50):
         block1 = Matrix(LAURENT, [[poly(), poly()], [poly(), poly()]])
         block2 = Matrix(LAURENT, [[poly(), poly()], [poly(), poly()]])
-        left = block_embed(block1, 1, 5)
-        right = block_embed(block2, rng.choice([3, 4]), 5)
+        left = _block_rep(5, block1, "").image("s", 1)
+        right = _block_rep(5, block2, "").image("s", rng.choice([3, 4]))
         assert left * right == right * left
     print("criterion 10: PASS")

@@ -111,6 +111,40 @@ def test_solve_extension_json_report_is_pinned(capsys, n, digest):
     assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
+@pytest.mark.parametrize("argv,code,digest", [
+    # Deficient span with the all-ones witness, a full span, an eigenline
+    # witness, a denominator in t, and a span over Q(t).
+    ("irreducible 6 --t 1 --a 3 --c -2", 0,
+     "bd3c8a525229b208c0e77d0eeb09a50bf369eb2a5f557688c88cb2f86699fc37"),
+    ("irreducible 5 --t 2 --a 3 --c 1", 0,
+     "68977e7d94db40ee3b622c182aa00bfe2d69e0d27c439e4120aa96f1398aa9a5"),
+    ("irreducible 2 --t 4 --a 1 --c 1", 0,
+     "c2b30d4ee54608a71caf458eb312257bbc9eec3de7d12482a2291e9332154df3"),
+    ("irreducible 3 --t 1/3 --a 2 --c 1", 0,
+     "6ce65526b32ec9fbb999d3337ee0b666c9081c1ba524e4a21ef3eec37e1fbf29"),
+    ("irreducible 3 --symbolic --a 2 --c 1", 0,
+     "1daf4c411b7bac48b3cb96ac62198eeef708c2c42a1bb61fc7aedb68affe10eb"),
+    ("show-rep singular-ext 3 --a 1+t --c t^-1", 0,
+     "ba916fe661068fc7e9e12ce28f8e015d73dfb3060181a3cab23ae22823d77998"),
+    ("show-rep f 3", 0, "3816ae7754d3bb4e06dda59eec9801384a52d6a383ed6d0be79c91498c707856"),
+    ("show-rep vsb2 2 --family 1 --p 2 --q 3", 0,
+     "c40091f8714d06465a386aeb02d93b20e9bc1609b2d2b6e18f5e61122858487c"),
+    ("verify singular-ext 4 --a 0 --c 1 --group", 0,
+     "1785c4c1a7032f0d6c43f1540c2b195bbfa17e35417b4f5a36a935f226296427"),
+    # 1 - t is not a unit: a usage error with nothing on stdout.
+    ("verify singular-ext 4 --a 1 --c 1 --group", 2,
+     "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+])
+def test_json_reports_are_pinned(capsys, argv, code, digest):
+    try:
+        got = main([*argv.split(), "--json"])
+    except SystemExit as exc:
+        got = exc.code
+    out = capsys.readouterr().out
+    assert got == code
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 @pytest.mark.parametrize("n,residual", [
     (2, []), (3, ["i1"]), (4, ["k1"]), (5, ["m1"]), (6, ["x3_3_1"]),
 ])

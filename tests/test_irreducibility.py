@@ -15,6 +15,7 @@ from braidrep import (
     QQ,
     RATFUNC,
     RationalFunction,
+    Subspace,
     T,
     all_ones_check,
     burnside_span,
@@ -33,6 +34,7 @@ from braidrep.irreducibility import (
     GridCell,
     GridReport,
     _exact_span,
+    _maps_into,
     _modular_span,
     _rational,
     _rational_roots,
@@ -40,9 +42,16 @@ from braidrep.irreducibility import (
     grid_cell,
     invariant_line_witness,
 )
-from braidrep.matrix import local_block
+from braidrep.matrix import block_columns, local_block
 
 ONE_RF = RationalFunction(1)
+
+
+def span(images):
+    """The algebra span of dense images, each given to the span as its
+    local image."""
+    local = [(offset, block, block_columns(block)) for offset, block in map(local_block, images)]
+    return matrix_algebra_span(local, images[0].rows)
 
 
 def test_specialize_to_rational_point():
@@ -72,32 +81,32 @@ def test_specialize_needs_laurent_entries():
 
 def test_span_oracles_over_q():
     identity = Matrix.identity(QQ, 2)
-    assert matrix_algebra_span([identity]) == 1
+    assert span([identity]) == 1
     flip = Matrix(QQ, [[0, 1], [1, 0]])
-    assert matrix_algebra_span([flip]) == 2
+    assert span([flip]) == 2
     e12 = Matrix(QQ, [[0, 1], [0, 0]])
     e21 = Matrix(QQ, [[0, 0], [1, 0]])
-    assert matrix_algebra_span([e12, e21]) == 4
+    assert span([e12, e21]) == 4
     diag = Matrix(QQ, [[1, 0, 0], [0, 2, 0], [0, 0, 3]])
-    assert matrix_algebra_span([diag]) == 3
+    assert span([diag]) == 3
 
 
 def test_span_lifts_laurent_entries():
     # Lifted to Q(t): sigma^2 = t*I, so the algebra is span{I, sigma}.
     s = Matrix(LAURENT, [[0, T], [1, 0]])
-    assert matrix_algebra_span([s]) == 2
+    assert span([s]) == 2
 
 
 def test_symbolic_span_is_a_dimension_over_q_of_t():
     # t is a scalar of Q(t), so t*I spans the same line as I.
     t = RationalFunction(T)
     scaled_identity = Matrix(RATFUNC, [[t, 0], [0, t]])
-    assert matrix_algebra_span([scaled_identity]) == 1
-    assert matrix_algebra_span([Matrix.identity(RATFUNC, 2)]) == 1
+    assert span([scaled_identity]) == 1
+    assert span([Matrix.identity(RATFUNC, 2)]) == 1
     sigma = Matrix(RATFUNC, [[0, t], [1, 0]])
-    assert matrix_algebra_span([scaled_identity, sigma]) == 2
+    assert span([scaled_identity, sigma]) == 2
     e12 = Matrix(RATFUNC, [[0, t], [0, 0]])
-    assert matrix_algebra_span([e12, sigma]) == 4
+    assert span([e12, sigma]) == 4
 
 
 def test_permutation_image_span_at_t_one():
@@ -109,7 +118,7 @@ def test_permutation_image_span_at_t_one():
     )
     # the 3-dim permutation representation splits as trivial + 2-dim,
     # so its algebra has dimension 1 + 4
-    assert matrix_algebra_span(perms) == 5
+    assert span(perms) == 5
 
 
 @pytest.mark.parametrize("n", [3, 4])
@@ -264,40 +273,65 @@ def extension_cells(draw):
 @given(extension_cells())
 @settings(max_examples=30, deadline=None)
 def test_modular_span_equals_the_exact_closure(cell):
-    images = specialized_extension(*cell, group=False).images()
-    assert matrix_algebra_span(images) == _exact_span(images)
+    rep = specialized_extension(*cell, group=False)
+    assert burnside_span(rep) == _exact_span(rep.local_images(), rep.dim)
+
+
+@given(extension_cells(), st.sampled_from(["random", "changed"]), st.data())
+@settings(max_examples=80, deadline=None)
+def test_block_local_witness_checks_agree_with_dense_products(cell, kind, data):
+    # The reference multiplies every dense image by the whole vector.  Each
+    # cell checks the all-ones line and a random line or the all-ones line
+    # with one coordinate changed.
+    rep = specialized_extension(*cell, group=False)
+    d = rep.dim
+
+    def dense_products(v):
+        column = Matrix(QQ, [[e] for e in v])
+        return [tuple(row[0] for row in (g * column).entries) for g in rep.images()]
+
+    ones = [Fraction(1)] * d
+    assert all_ones_check(rep) == all(len(set(w)) == 1 for w in dense_products(ones))
+    if kind == "random":
+        other = data.draw(st.lists(small_q, min_size=d, max_size=d).filter(any))
+    else:
+        other = list(ones)
+        other[data.draw(st.integers(0, d - 1))] = data.draw(small_q.filter(lambda x: x != 1))
+    for v in (ones, other):
+        line = Subspace(QQ, d, (tuple(v),))
+        assert _maps_into(rep, line) == all(line.contains(w) for w in dense_products(v))
 
 
 def test_deficient_spans_are_certified_without_the_exact_closure():
-    for n, span in ((2, 2), (3, 5), (5, 17)):
-        images = specialized_extension(n, 1, 2, -1).images()
-        assert _modular_span(n, [local_block(g) for g in images]) == span
+    for n, dim in ((2, 2), (3, 5), (5, 17)):
+        blocks = specialized_extension(n, 1, 2, -1).local_images()
+        assert _modular_span(n, blocks) == dim
 
 
 def test_a_rank_lost_mod_p_is_refused_and_recomputed(monkeypatch):
     # a + c = 4 is 1 mod 3, so mod 3 the cell spans only 5 of 9 dimensions.
     monkeypatch.setattr(irreducibility, "_PRIME", 3)
-    images = specialized_extension(3, 1, 5, -1).images()
-    assert _modular_span(3, [local_block(g) for g in images]) is None
-    assert matrix_algebra_span(images) == 9
+    rep = specialized_extension(3, 1, 5, -1)
+    assert _modular_span(3, rep.local_images()) is None
+    assert burnside_span(rep) == 9
 
 
 def test_a_prime_dividing_a_denominator_falls_back(monkeypatch):
-    images = specialized_extension(3, Fraction(1, 3), 5, -1).images()
-    blocks = [local_block(g) for g in images]
+    rep = specialized_extension(3, Fraction(1, 3), 5, -1)
+    blocks = rep.local_images()
     monkeypatch.setattr(irreducibility, "_PRIME", 3)
     assert _modular_span(3, blocks) is None
-    assert matrix_algebra_span(images) == 9
+    assert burnside_span(rep) == 9
     monkeypatch.setattr(irreducibility, "_PRIME", 5)
     assert _modular_span(3, blocks) == 9
 
 
 def test_a_denominator_divisible_by_the_prime_falls_back():
     p = irreducibility._PRIME
-    for t0, a, c, span in ((Fraction(1, p), 2, 1, 9), (1, Fraction(1, p), 1 - Fraction(1, p), 5)):
-        images = specialized_extension(3, t0, a, c).images()
-        assert _modular_span(3, [local_block(g) for g in images]) is None
-        assert matrix_algebra_span(images) == _exact_span(images) == span
+    for t0, a, c, dim in ((Fraction(1, p), 2, 1, 9), (1, Fraction(1, p), 1 - Fraction(1, p), 5)):
+        rep = specialized_extension(3, t0, a, c)
+        assert _modular_span(3, rep.local_images()) is None
+        assert burnside_span(rep) == _exact_span(rep.local_images(), 3) == dim
 
 
 @pytest.mark.parametrize("value", [Fraction(0), Fraction(1), Fraction(-3, 7),
@@ -328,9 +362,9 @@ def _algebra_rows(images):
 
 
 def test_the_certificate_refuses_a_tampered_basis():
-    images = specialized_extension(3, 1, 2, -1).images()
-    blocks = [local_block(g) for g in images]
-    rows = _algebra_rows(images)
+    rep = specialized_extension(3, 1, 2, -1)
+    blocks = rep.local_images()
+    rows = _algebra_rows(rep.images())
     assert len(rows) == 5
     assert _spans_algebra(rows, blocks, 3)
     for i, (pivot, row) in enumerate(rows):
@@ -345,9 +379,9 @@ def test_the_certificate_refuses_a_tampered_basis():
 def test_the_certificate_needs_the_identity():
     # The matrices with rows 2 and 3 zero are closed under right
     # multiplication by anything, but do not hold I.
-    images = specialized_extension(3, 2, 3, 1).images()
+    blocks = specialized_extension(3, 2, 3, 1).local_images()
     first_row = [(cell, {cell: Fraction(1)}) for cell in range(3)]
-    assert not _spans_algebra(first_row, [local_block(g) for g in images], 3)
+    assert not _spans_algebra(first_row, blocks, 3)
 
 
 # Roots and scales far beyond what trial division up to sqrt(|const|) could

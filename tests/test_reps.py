@@ -91,14 +91,33 @@ def test_singular_extension_specialized_satisfies_relations():
 
 
 def test_broken_assignment_is_caught():
-    rep = singular_extension(3, 1, 1)
-    rep.assignment[("t", 2)] = Matrix.identity(LAURENT, 3).scaled(T)
+    base = singular_extension(3, 1, 1)
+    broken = {**base.assignment, ("t", 2): Matrix.identity(LAURENT, 3).scaled(T)}
+    rep = Representation(3, "singular", broken, group=base.group)
     violations = verify_relations(rep, build_presentation(3, "singular"))
     assert violations
     kinds = {v.relation.kind for v in violations}
     assert "tau_slide_up" in kinds or "tau_slide_down" in kinds
     v = violations[0]
     assert v.diff == v.lhs - v.rhs and not v.diff.is_zero()
+
+
+def test_a_representation_cannot_be_changed_after_use():
+    # The blocks are a representation's only state, so a write to an image
+    # after its block was used must raise instead of going unseen.
+    rep = singular_extension(3, 1, 1)
+    pres = build_presentation(3, "singular")
+    assert verify_relations(rep, pres) == []
+    tau2 = rep.image("t", 2)
+    with pytest.raises(TypeError):
+        rep.assignment[("t", 2)] = Matrix.identity(LAURENT, 3).scaled(T)
+    with pytest.raises(TypeError):
+        rep.params["a"] = 2
+    for attr in ("assignment", "dim", "group"):
+        with pytest.raises(AttributeError):
+            setattr(rep, attr, None)
+    assert rep.image("t", 2) == tau2
+    assert verify_relations(rep, pres) == []
 
 
 def test_group_mode_rejects_non_unit_tau_determinant():
@@ -220,7 +239,7 @@ def dense_word(rep, w):
     with Matrix.inverse()."""
     out = Matrix.identity(rep.domain, rep.dim)
     for g in w:
-        image = rep.assignment[(g.kind, g.index)]
+        image = rep.image(g.kind, g.index)
         out = out * (image if g.exp == 1 else image.inverse())
     return out
 
@@ -272,7 +291,7 @@ def test_verify_relations_matches_dense_fold_on_tampered_images(data):
 def test_block_inverse_matches_dense_inverse(rep):
     for g in invertible_letters(rep):
         if g.exp == -1:
-            dense = rep.assignment[(g.kind, g.index)]
+            dense = rep.image(g.kind, g.index)
             assert rep.image(g.kind, g.index, -1) == dense.inverse()
 
 

@@ -90,3 +90,27 @@ def test_main_is_reentrant(capsys, monkeypatch):
     for _ in range(2):
         for argv, expected in zip(REENTRANT_ARGVS, fresh):
             assert run_in_process(capsys, argv) == expected, argv
+
+
+def test_traced_spans_stay_on_the_irreducibility_path(capsys):
+    # A span that leaves the call path it names reads a silent zero, so
+    # trace one reducible and one irreducible op through the CLI.
+    tracer = load_tracer().Tracer()
+    ops = [(5, ["irreducible", "5", "--t", "1", "--a", "3", "--c", "-2", "--json"], True),
+           (4, ["irreducible", "4", "--t", "2", "--a", "3", "--c", "1", "--json"], False)]
+    tracer.install()
+    try:
+        for op, (_, argv, _) in enumerate(ops):
+            tracer.op = op
+            assert main(argv) == 0
+    finally:
+        tracer.uninstall()
+    capsys.readouterr()
+    for op, (n, _, reducible) in enumerate(ops):
+        spans = [(name, notes) for name, _, _, _, at, notes in tracer.spans if at == op]
+        names = [name for name, _ in spans]
+        assert names.count("irreducibility.span") == 1
+        assert names.count("irreducibility.verdict") == 1
+        assert names.count("irreducibility.witness") == int(reducible)
+        assert dict(spans)["irreducibility.span"]["images"] == 2 * (n - 1)
+        assert dict(spans)["irreducibility.verdict"]["reducible"] == int(reducible)
