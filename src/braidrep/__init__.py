@@ -29,7 +29,6 @@ from .matrix import (
     Echelon,
     Matrix,
     Subspace,
-    local_block,
     mul_local,
     stack,
 )

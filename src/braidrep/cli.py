@@ -252,6 +252,8 @@ def cmd_solve_extension(args) -> int:
 
 def cmd_irreducible(args) -> int:
     if args.symbolic:
+        if args.t is not None:
+            raise BraidRepError("--t and --symbolic exclude each other")
         rep = symbolic_extension(args.n, args.a, args.c)
         predicted = True
         where = "t symbolic"

@@ -84,8 +84,8 @@ def specialize(rep: Representation, t0) -> Representation:
             return block.map_entries(lambda e: e.evaluate(t0), QQ)
     blocks = {key: (offset, lift(block))
               for key, (offset, block, _) in zip(rep.generator_keys(), rep.local_images())}
-    return Representation.from_blocks(rep.n, rep.mode, rep.dim, blocks, group=rep.group,
-                                      name=rep.name, params=params)
+    return Representation(rep.n, rep.mode, rep.dim, blocks, group=rep.group,
+                          name=rep.name, params=params)
 
 
 def specialized_extension(n: int, t0, a, c, group: bool = True) -> Representation:

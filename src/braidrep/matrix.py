@@ -10,11 +10,11 @@ entries), subspace membership, the exact span closure and the linear
 solver.
 
 Generator images are the identity outside one small diagonal block, so word
-products apply each letter as a block-local update: ``local_block`` finds the
-block of a dense image, ``block_columns`` lays out its nonzero columns once,
-and ``mul_local`` right-multiplies by it in O(k^2 d) ring operations instead
-of the O(d^3) of the dense product.  The dense ``Matrix.__mul__`` stays the
-general product and the reference the local one is tested against.
+products apply each letter as a block-local update: ``block_columns`` lays
+out the block's nonzero columns once, and ``mul_local`` right-multiplies by
+it in O(k^2 d) ring operations instead of the O(d^3) of the dense product.
+The dense ``Matrix.__mul__`` stays the general product and the reference the
+local one is tested against.
 """
 
 from __future__ import annotations
@@ -41,7 +41,6 @@ __all__ = [
     "Matrix",
     "Subspace",
     "block_columns",
-    "local_block",
     "mul_local",
     "stack",
 ]
@@ -436,27 +435,6 @@ class Subspace:
             "dim": self.dim,
             "basis": [[str(e) for e in vec] for vec in self.basis],
         }
-
-
-def local_block(m: Matrix) -> tuple[int, Matrix]:
-    """The smallest diagonal block outside which the square matrix m equals
-    the identity, as (offset, block).
-
-    A full matrix is the block at offset 0 of size d; the identity gives its
-    1 x 1 block at offset 0.
-    """
-    if not m.is_square():
-        raise NotSquare("block of a non-square matrix")
-    dom = m.domain
-    moved = [
-        k
-        for i, row in enumerate(m.entries)
-        for j, e in enumerate(row)
-        if e != (dom.one if i == j else dom.zero)
-        for k in (i, j)
-    ]
-    lo, hi = (min(moved), max(moved)) if moved else (0, 0)
-    return lo, Matrix(dom, [row[lo:hi + 1] for row in m.entries[lo:hi + 1]])
 
 
 def block_columns(block: Matrix) -> list[list]:

@@ -16,17 +16,17 @@ of the solver.  On two strands the virtual extension additionally sends the
 virtual generator to one of five involution families.
 
 Word evaluation relies on one invariant: every image equals the identity
-outside one diagonal block.  A ``Representation`` holds each generator as
-that block alone: the builders store the block they write, and the dense
-constructor finds it once per image with ``local_block`` (any square image
-has one, since a full matrix is its own block).  ``local_image`` returns the
-block with its columns laid out for ``mul_local``, inverting only the block
-for exponent -1, and ``evaluate_word`` applies the letters as block-local
-updates; dense images are built on demand.  A word's image is the identity
-outside the union of its letters' blocks, its support, so words are
-multiplied on their support only, and ``verify_relations`` compares the two
-sides of each relation there, building the full matrices only for a relation
-that fails.
+outside one diagonal block.  A ``Representation`` is built from those blocks
+and holds each generator as its block alone: the builders pass the block they
+write, and a caller with only a dense image passes it as the full block at
+offset 0.  ``local_image`` returns the block with its columns laid out for
+``mul_local``, inverting only the block for exponent -1, and
+``evaluate_word`` applies the letters as block-local updates; dense images
+are built on demand.  A word's image is the identity outside the union of its
+letters' blocks, its support, so words are multiplied on their support only
+(``_local_products``), and ``verify_relations`` compares the two sides of
+each relation there, building the full matrices only for a relation that
+fails.
 """
 
 from __future__ import annotations
@@ -54,7 +54,6 @@ from .matrix import (
     EntryDomain,
     Matrix,
     block_columns,
-    local_block,
     mul_local,
 )
 from .presentations import NU, SIGMA, TAU, Presentation, Relation, Word
@@ -87,31 +86,24 @@ class Representation:
 
     __slots__ = ("n", "mode", "dim", "domain", "group", "name", "params", "_blocks", "_inverses")
 
-    def __init__(self, n: int, mode: str, assignment: dict, group: bool = True,
+    def __init__(self, n: int, mode: str, dim: int, blocks: dict, group: bool = True,
                  name: str = "", params: dict | None = None):
-        """From dense images, each stored as its block (``local_block``)."""
-        mats = list(assignment.values())
-        for m in mats:
-            if not m.is_square() or m.rows != mats[0].rows or m.domain is not mats[0].domain:
-                raise ModeMismatch("all generator images must share one square shape and domain")
-        self._store(n, mode, mats[0].rows, {key: local_block(m) for key, m in assignment.items()},
-                    group, name, params)
-
-    @classmethod
-    def from_blocks(cls, n: int, mode: str, dim: int, blocks: dict, group: bool = True,
-                    name: str = "", params: dict | None = None) -> Representation:
         """The representation whose image of each key is the d x d identity
-        outside the diagonal block given for it as (offset, block)."""
-        rep = object.__new__(cls)
-        rep._store(n, mode, dim, blocks, group, name, params)
-        return rep
-
-    def _store(self, n, mode, dim, blocks, group, name, params):
+        outside the diagonal block given for it as (offset, block); a dense
+        image is its own block at offset 0."""
         if n < 2:
             raise BadStrandCount(f"need at least 2 strands, got {n}")
+        if not blocks:
+            raise ModeMismatch("a representation needs at least one generator image")
+        domain = next(iter(blocks.values()))[1].domain
+        for (kind, index), (offset, block) in blocks.items():
+            if not block.is_square() or block.domain is not domain:
+                raise ModeMismatch("all generator blocks must be square over one domain")
+            if not 0 <= offset <= dim - block.rows:
+                raise ModeMismatch(f"the block of {kind}{index} at offset {offset} "
+                                   f"does not fit in dimension {dim}")
         fields = {
-            "n": n, "mode": mode, "dim": dim, "group": group, "name": name,
-            "domain": next(iter(blocks.values()))[1].domain,
+            "n": n, "mode": mode, "dim": dim, "group": group, "name": name, "domain": domain,
             "params": MappingProxyType(dict(params or {})),
             "_blocks": {key: (offset, block, block_columns(block))
                         for key, (offset, block) in blocks.items()},
@@ -211,7 +203,7 @@ def standard_block(t=T) -> Matrix:
 def _block_rep(n: int, block: Matrix, name: str) -> Representation:
     """Sends sigma_i to ``block`` at strand position i, in dimension n + k - 2."""
     blocks = {(SIGMA, i): (i - 1, block) for i in range(1, n)}
-    return Representation.from_blocks(n, "braid", n + block.rows - 2, blocks, name=name)
+    return Representation(n, "braid", n + block.rows - 2, blocks, name=name)
 
 
 def standard_rep(n: int) -> Representation:
@@ -253,8 +245,8 @@ def singular_extension(n: int, a, c, group: bool = False, t=T) -> Representation
     blocks = {(kind, i): (i - 1, image)
               for kind, image in ((SIGMA, sigma), (TAU, block)) for i in range(1, n)}
     params = {"a": a, "c": c} if t == T else {"t0": t, "a": a, "c": c}
-    return Representation.from_blocks(n, "singular", n, blocks, group=group,
-                                      name="singular-extension", params=params)
+    return Representation(n, "singular", n, blocks, group=group,
+                          name="singular-extension", params=params)
 
 
 def involution_matrix(family_id: int, *, p=None, q=None, r=None,
@@ -306,8 +298,8 @@ def vsb2_extension(family_id: int, *, a, c, p=None, q=None, r=None,
     params = dict(base.params)
     params.update({k: v for k, v in (("p", p), ("q", q), ("r", r)) if v is not None})
     params["family"] = family_id
-    return Representation.from_blocks(2, "virtual_singular", 2, blocks, group=group,
-                                      name=f"vsb2-extension-family-{family_id}", params=params)
+    return Representation(2, "virtual_singular", 2, blocks, group=group,
+                          name=f"vsb2-extension-family-{family_id}", params=params)
 
 
 def evaluate_word(rep: Representation, w: Word) -> Matrix:

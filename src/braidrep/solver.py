@@ -1,12 +1,14 @@
 """Assembling and solving the matrix-relation constraint systems.
 
-Given a presentation, known generator images, and a set of generators whose
-images are unknown, ``assemble`` builds symbolic image matrices, evaluates
-both sides of every relation on them with ``evaluate_word``, and collects the
+Given a presentation, a representation holding the known generator images,
+and a set of generators whose images are unknown, ``assemble`` builds a
+representation from symbolic blocks, multiplies the two sides of every
+relation on their support as ``verify_relations`` does, and collects the
 entrywise scalar equations.  Entries that vanish identically are discarded
-(counted), as is the second member of any pair of equations equal up to
-overall sign; what survives is the honest equation count of the problem,
-filed as linear (degree at most 1, in the unknowns only) or nonlinear.
+(counted, those outside the support without being formed), as is the second
+member of any pair of equations equal up to overall sign; what survives is
+the honest equation count of the problem, filed as linear (degree at most 1,
+in the unknowns only) or nonlinear.
 
 Every equation and every solved binding is a ``SymPoly``.  ``solve_linear``
 inserts the affine equations, each as a sparse ``{unknown: coefficient}`` row
@@ -41,8 +43,8 @@ from .errors import (
 from .irreducibility import _rational_roots
 from .laurent import T, RationalFunction
 from .matrix import RATFUNC, Echelon, Matrix, QQ
-from .presentations import NU, SIGMA, TAU, Presentation, build_presentation
-from .reps import Representation, evaluate_word, singular_extension, standard_rep
+from .presentations import NU, TAU, Presentation, build_presentation
+from .reps import Representation, _local_products, singular_extension, standard_rep
 from .symbolic import SYMBOLIC, SymPoly
 
 __all__ = [
@@ -123,34 +125,32 @@ def _normalize_sign(p: SymPoly) -> SymPoly:
     return -p if lead.num.terms[lead.num.degree()] < 0 else p
 
 
-def assemble(pres: Presentation, known: dict, unknown_gens) -> ConstraintSystem:
+def assemble(pres: Presentation, known: Representation, unknown_gens) -> ConstraintSystem:
     """Entrywise constraints making the unknown images satisfy the relations.
 
-    ``known`` maps (kind, index) to a matrix (Laurent or already-symbolic
-    entries); ``unknown_gens`` lists the (kind, index) pairs to solve for, in
-    the order that fixes the unknown naming and the elimination order.
+    ``known`` holds the known generator images (its blocks are lifted to
+    symbolic entries); ``unknown_gens`` lists the (kind, index) pairs to
+    solve for, each a full symbolic block, in the order that fixes the
+    unknown naming and the elimination order.  The two sides of a relation
+    are multiplied on their support, outside which both are the identity, so
+    every entry there is counted as discarded without being formed.
     """
     unknown_gens = list(unknown_gens)
     for kind, index in unknown_gens:
         if (kind, index) not in pres.generator_keys():
             raise ModeMismatch(
                 f"generator {kind}{index} does not exist in mode {pres.mode} on n={pres.n}")
-    images: dict = {}
-    dim = None
-    for key, mat in known.items():
-        entries = [[SymPoly.coerce(e) for e in row] for row in mat.entries]
-        images[key] = Matrix(SYMBOLIC, entries)
-        dim = mat.rows
-    if dim is None:
-        raise UnassignedGenerator("assemble needs at least one known image to fix the dimension")
-
+    dim = known.dim
+    blocks = {key: (offset, block.map_entries(SymPoly.coerce, SYMBOLIC))
+              for key, (offset, block, _) in zip(known.generator_keys(), known.local_images())}
     unknowns: list[str] = []
     for key, names in _unknown_names(dim, unknown_gens).items():
         unknowns.extend(name for row in names for name in row)
-        images[key] = Matrix(SYMBOLIC, [[SymPoly.symbol(name) for name in row] for row in names])
+        blocks[key] = (0, Matrix(SYMBOLIC, [[SymPoly.symbol(name) for name in row]
+                                            for row in names]))
 
     for key in pres.generator_keys():
-        if key not in images:
+        if key not in blocks:
             raise UnassignedGenerator(f"no image (known or unknown) for {key[0]}{key[1]}")
 
     unknown_set = set(unknowns)
@@ -160,11 +160,13 @@ def assemble(pres: Presentation, known: dict, unknown_gens) -> ConstraintSystem:
     discarded_zero = 0
     discarded_duplicate = 0
 
-    rep = Representation(pres.n, pres.mode, images)
+    rep = Representation(pres.n, pres.mode, dim, blocks)
     for rel in pres.relations:
-        diff = evaluate_word(rep, rel.lhs) - evaluate_word(rep, rel.rhs)
-        for row in diff.entries:
-            for entry in row:
+        support, (lhs, rhs) = _local_products(rep, [rel.lhs, rel.rhs])
+        discarded_zero += dim * dim - len(support) ** 2
+        for lrow, rrow in zip(lhs, rhs):
+            for left, right in zip(lrow, rrow):
+                entry = left - right
                 if entry.is_zero():
                     discarded_zero += 1
                     continue
@@ -189,9 +191,7 @@ def assemble_singular(n: int) -> ConstraintSystem:
     """The extension problem for the standard representation on n strands:
     s-images known, all t-images unknown."""
     pres = build_presentation(n, "singular")
-    known = {(SIGMA, i): m for (_, i), m in standard_rep(n).assignment.items()}
-    unknown = [(TAU, i) for i in range(1, n)]
-    return assemble(pres, known, unknown)
+    return assemble(pres, standard_rep(n), [(TAU, i) for i in range(1, n)])
 
 
 def assemble_vsb2(a=None, c=None) -> ConstraintSystem:
@@ -201,9 +201,9 @@ def assemble_vsb2(a=None, c=None) -> ConstraintSystem:
     pres = build_presentation(2, "virtual_singular")
     if a is None and c is None:
         known = singular_extension(2, SymPoly.symbol("a"), SymPoly.symbol("c"),
-                                   t=SymPoly.const(T)).assignment
+                                   t=SymPoly.const(T))
     else:
-        known = singular_extension(2, a, c).assignment
+        known = singular_extension(2, a, c)
     return assemble(pres, known, [(NU, 1)])
 
 
@@ -239,10 +239,10 @@ def block_form_match(family: SolutionFamily, n: int) -> tuple[bool, tuple[str, .
     residual = tuple(name for name in family.free if name not in (diag, off))
     setting = {name: SymPoly.const(1) for name in residual}
     expected = singular_extension(n, SymPoly.symbol(diag), SymPoly.symbol(off),
-                                  t=SymPoly.const(T)).assignment
+                                  t=SymPoly.const(T))
     images = solved_images(family, n, unknown)
     ok = all(
-        images[key].map_entries(lambda e: e.substitute(setting)) == expected[key]
+        images[key].map_entries(lambda e: e.substitute(setting)) == expected.image(*key)
         for key in unknown
     )
     return ok, residual

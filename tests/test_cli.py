@@ -232,6 +232,15 @@ def test_irreducible_needs_t_or_symbolic(capsys):
     assert code == 2 and "--t or --symbolic" in err
 
 
+def test_irreducible_takes_t_or_symbolic_not_both(capsys):
+    # The --symbolic verdict is over Q(t), so a --t beside it would be echoed
+    # as an input that played no part; at t = 4 the block (2, 1) is singular.
+    for json_flag in ([], ["--json"]):
+        code, out, err = run_cli(capsys, "irreducible", "3", "--t", "4", "--a", "2", "--c", "1",
+                                 "--symbolic", *json_flag)
+        assert code == 2 and out == "" and "--t and --symbolic" in err
+
+
 def test_grid_three_strands(capsys):
     code, out, _ = run_cli(capsys, "grid", "3", "--t", "2,-1", "--ac", "0,1;2,-1")
     assert code == 0

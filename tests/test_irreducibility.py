@@ -42,15 +42,15 @@ from braidrep.irreducibility import (
     grid_cell,
     invariant_line_witness,
 )
-from braidrep.matrix import block_columns, local_block
+from braidrep.matrix import block_columns
 
 ONE_RF = RationalFunction(1)
 
 
 def span(images):
-    """The algebra span of dense images, each given to the span as its
-    local image."""
-    local = [(offset, block, block_columns(block)) for offset, block in map(local_block, images)]
+    """The algebra span of dense images, each given to the span as its full
+    block at offset 0."""
+    local = [(0, image, block_columns(image)) for image in images]
     return matrix_algebra_span(local, images[0].rows)
 
 

@@ -18,12 +18,10 @@ from braidrep import (
     RationalFunction,
     Subspace,
     T,
-    local_block,
     mul_local,
     stack,
 )
 from braidrep.errors import NotInvertible, NotSquare, NotUnitDeterminant, ShapeMismatch
-from braidrep.matrix import block_columns
 from braidrep.reps import _block_rep
 
 
@@ -201,24 +199,14 @@ def test_field_lift_preserves_values():
     assert lifted.map_entries(lambda e: e.as_laurent(), LAURENT) == m
 
 
-def test_local_block_is_the_smallest_non_identity_block():
-    block = Matrix(LAURENT, [[0, T], [1, 0]])
-    assert local_block(embed(block, 2, 5)) == (1, block)
-    full = Matrix(QQ, [[1, 2], [3, 4]])
-    assert local_block(full) == (0, full)
-    assert local_block(Matrix.identity(QQ, 3)) == (0, Matrix.identity(QQ, 1))
-    corner = Matrix(QQ, [[1, 0, 0], [0, 1, 0], [5, 0, 1]])
-    assert local_block(corner) == (0, corner)
-
-
 @given(st.integers(2, 4), st.integers(2, 3), st.data())
 @settings(max_examples=60, deadline=None)
 def test_local_product_matches_dense_product(n, k, data):
     block = data.draw(qq_matrices(k, k))
-    image = embed(block, data.draw(st.integers(1, n - 1)), n)
+    rep, i = _block_rep(n, block, ""), data.draw(st.integers(1, n - 1))
+    image = rep.image("s", i)
     left = data.draw(qq_matrices(3, image.rows))
-    offset, local = local_block(image)
-    columns = block_columns(local)
+    offset, local, columns = rep.local_image("s", i)
     assert Matrix(QQ, mul_local(left.entries, offset, local, columns)) == left * image
 
 
@@ -235,11 +223,11 @@ def test_local_product_of_rows_holding_other_ones(domain):
     ]
     entries = [[2, 3], [1, 0]] if domain is QQ else [[T, 1], [1, 1 - T]]
     block = Matrix(domain, entries)
+    rep = _block_rep(4, block, "")
     for i in (1, 2, 3):
-        image = embed(block, i, 4)
-        offset, local = local_block(image)
-        expected = Matrix(domain, rows) * image
-        assert Matrix(domain, mul_local(rows, offset, local, block_columns(local))) == expected
+        offset, local, columns = rep.local_image("s", i)
+        expected = Matrix(domain, rows) * rep.image("s", i)
+        assert Matrix(domain, mul_local(rows, offset, local, columns)) == expected
 
 
 # -- the echelon engine --------------------------------------------------------

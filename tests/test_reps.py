@@ -38,9 +38,13 @@ from braidrep.errors import (
 )
 from braidrep.presentations import GeneratorSymbol
 from braidrep.laurent import RationalFunction
-from braidrep.matrix import local_block
 from braidrep.reps import Representation, standard_block
 from braidrep.symbolic import SymPoly
+
+
+def full_blocks(assignment: dict) -> dict:
+    """Each dense image as its own block at offset 0."""
+    return {key: (0, m) for key, m in assignment.items()}
 
 
 @pytest.mark.parametrize("builder", [standard_rep, burau_rep, f_rep])
@@ -93,13 +97,38 @@ def test_singular_extension_specialized_satisfies_relations():
 def test_broken_assignment_is_caught():
     base = singular_extension(3, 1, 1)
     broken = {**base.assignment, ("t", 2): Matrix.identity(LAURENT, 3).scaled(T)}
-    rep = Representation(3, "singular", broken, group=base.group)
+    rep = Representation(3, "singular", 3, full_blocks(broken), group=base.group)
     violations = verify_relations(rep, build_presentation(3, "singular"))
     assert violations
     kinds = {v.relation.kind for v in violations}
     assert "tau_slide_up" in kinds or "tau_slide_down" in kinds
     v = violations[0]
     assert v.diff == v.lhs - v.rhs and not v.diff.is_zero()
+
+
+def test_a_representation_needs_a_generator():
+    with pytest.raises(ModeMismatch):
+        Representation(3, "braid", 3, {})
+
+
+def test_a_generator_block_must_be_square():
+    with pytest.raises(ModeMismatch):
+        Representation(3, "braid", 3, {("s", 1): (0, Matrix(LAURENT, [[1, T]]))})
+
+
+def test_generator_blocks_must_share_one_domain():
+    blocks = {("s", 1): (0, standard_block()), ("s", 2): (1, standard_block(Fraction(2)))}
+    with pytest.raises(ModeMismatch):
+        Representation(3, "braid", 3, blocks)
+
+
+@pytest.mark.parametrize("offset", [-1, 2])
+def test_a_generator_block_must_fit_in_the_dimension(offset):
+    # A 2 x 2 block fits in dimension 3 at offsets 0 and 1 only.
+    with pytest.raises(ModeMismatch):
+        Representation(3, "braid", 3, {("s", 1): (offset, standard_block())})
+    fits = Representation(3, "braid", 3, {("s", 1): (1, standard_block())})
+    assert fits.image("s", 1) == standard_rep(3).image("s", 2)
 
 
 def test_a_representation_cannot_be_changed_after_use():
@@ -269,15 +298,16 @@ def test_verify_relations_matches_dense_fold_on_tampered_images(data):
     rep = data.draw(st.sampled_from(LOCAL_CASES))
     key = data.draw(st.sampled_from(rep.generator_keys()))
     change = rep.domain.coerce(data.draw(st.sampled_from([-1, 2, 3])))
+    blocks = {k: rep.local_image(*k)[:2] for k in rep.generator_keys()}
     if data.draw(st.booleans()):
-        offset, block = local_block(rep.assignment[key])
-        r, c = (offset + data.draw(st.integers(0, block.rows - 1)) for _ in range(2))
-        entries = [list(row) for row in rep.assignment[key].entries]
+        offset, block = blocks[key]
+        r, c = (data.draw(st.integers(0, block.rows - 1)) for _ in range(2))
+        entries = [list(row) for row in block.entries]
         entries[r][c] += change
-        tampered = Matrix(rep.domain, entries)
+        blocks[key] = (offset, Matrix(rep.domain, entries))
     else:
-        tampered = Matrix.identity(rep.domain, rep.dim).scaled(change)
-    rep = Representation(rep.n, rep.mode, {**rep.assignment, key: tampered}, group=rep.group)
+        blocks[key] = (0, Matrix.identity(rep.domain, rep.dim).scaled(change))
+    rep = Representation(rep.n, rep.mode, rep.dim, blocks, group=rep.group)
     pres = build_presentation(rep.n, rep.mode)
     dense = []
     for rel in pres.relations:
@@ -298,7 +328,7 @@ def test_block_inverse_matches_dense_inverse(rep):
 @pytest.mark.parametrize("a,c", [(1, 1), (2, 0), (1 + T, T)])
 def test_group_mode_non_unit_tau_block_is_not_invertible(a, c):
     assignment = singular_extension(3, a, c).assignment
-    rep = Representation(3, "singular", assignment, group=True)
+    rep = Representation(3, "singular", 3, full_blocks(assignment), group=True)
     with pytest.raises(NonInvertibleLetter):
         rep.image("t", 2, -1)
     with pytest.raises(NonInvertibleLetter):

@@ -43,7 +43,8 @@ from braidrep.errors import (
     UnassignedGenerator,
     Unclassifiable,
 )
-from braidrep.reps import Representation, standard_block
+from braidrep.reps import Representation, singular_extension, standard_block
+from braidrep.symbolic import SYMBOLIC
 from braidrep import solver
 from braidrep.solver import entry_names
 
@@ -158,7 +159,8 @@ def test_three_strand_solution_passes_relation_verification():
         mats[("t", idx)] = Matrix(LAURENT, rows)
     assignment = dict(standard_rep(3).assignment)
     assignment.update(mats)
-    rep = Representation(3, "singular", assignment, group=False)
+    rep = Representation(3, "singular", 3, {key: (0, m) for key, m in assignment.items()},
+                         group=False)
     pres = build_presentation(3, "singular")
     assert verify_relations(rep, pres) == []
     assert mats[("t", 1)] == Matrix(LAURENT, [[2, 3 * T, 0], [3, 2, 0], [0, 0, 5]])
@@ -211,13 +213,65 @@ def test_block_form_match_sets_the_residual_parameter_to_one():
 def test_assemble_validates_generators():
     pres = build_presentation(2, "singular")
     with pytest.raises(ModeMismatch):
-        assemble(pres, {("s", 1): standard_block()}, [("v", 1)])
+        assemble(pres, standard_rep(2), [("v", 1)])
+    only_s1 = Representation(3, "braid", 3, {("s", 1): (0, standard_block())})
     with pytest.raises(UnassignedGenerator):
-        assemble(pres, {}, [("t", 1)])
-    with pytest.raises(UnassignedGenerator):
-        assemble(build_presentation(3, "singular"),
-                 {("s", 1): standard_rep(3).assignment[("s", 1)]},
-                 [("t", 1), ("t", 2)])
+        assemble(build_presentation(3, "singular"), only_s1, [("t", 1), ("t", 2)])
+
+
+def dense_assemble(pres, known, unknown_gens) -> ConstraintSystem:
+    """The constraint system of ``assemble``, with each relation folded by
+    the dense ``Matrix.__mul__`` and the two sides subtracted in full."""
+    dim = known.dim
+    images = {key: known.image(*key).map_entries(SymPoly.coerce, SYMBOLIC)
+              for key in known.generator_keys()}
+    unknowns = []
+    for key, names in solver._unknown_names(dim, unknown_gens).items():
+        unknowns += [name for row in names for name in row]
+        images[key] = Matrix(SYMBOLIC, [[SymPoly.symbol(name) for name in row] for row in names])
+    rep = Representation(pres.n, pres.mode, dim, {key: (0, m) for key, m in images.items()})
+    equations, nonlinear, seen, zero, duplicate = [], [], set(), 0, 0
+    for rel in pres.relations:
+        lhs, rhs = (prod((rep.image(g.kind, g.index, g.exp) for g in w),
+                         start=Matrix.identity(SYMBOLIC, dim)) for w in (rel.lhs, rel.rhs))
+        for entry in (e for row in (lhs - rhs).entries for e in row):
+            if entry.is_zero():
+                zero += 1
+                continue
+            p = solver._normalize_sign(entry)
+            if p in seen:
+                duplicate += 1
+                continue
+            seen.add(p)
+            linear = p.degree() <= 1 and p.variables() <= set(unknowns)
+            (equations if linear else nonlinear).append(p)
+    return ConstraintSystem(tuple(unknowns), tuple(equations), tuple(nonlinear), zero, duplicate)
+
+
+# (dim^2 times the relation count, the problem, its assembly)
+SUPPORT_CASES = [
+    *[(entries, lambda n=n: (build_presentation(n, "singular"), standard_rep(n),
+                             [("t", i) for i in range(1, n)]),
+       lambda n=n: assemble_singular(n)) for n, entries in [(2, 4), (3, 45), (4, 208), (5, 625)]],
+    (8, lambda: (build_presentation(2, "virtual_singular"),
+                 singular_extension(2, a, c, t=SymPoly.const(T)), [("v", 1)]),
+     assemble_vsb2),
+    (8, lambda: (build_presentation(2, "virtual_singular"),
+                 singular_extension(2, 1 + T, T ** -1), [("v", 1)]),
+     lambda: assemble_vsb2(1 + T, T ** -1)),
+]
+
+
+@pytest.mark.parametrize("entries,problem,assembled", SUPPORT_CASES,
+                         ids=["sb2", "sb3", "sb4", "sb5", "vsb2-symbolic", "vsb2-laurent"])
+def test_support_local_assembly_equals_the_dense_reference(entries, problem, assembled):
+    pres, known, unknown = problem()
+    system, reference = assembled(), dense_assemble(pres, known, unknown)
+    assert system == reference
+    assert system.to_json_dict() == reference.to_json_dict()
+    assert entries == known.dim ** 2 * len(pres.relations) == (
+        len(system.equations) + len(system.nonlinear)
+        + system.discarded_zero + system.discarded_duplicate)
 
 
 def test_inconsistent_system_raises_with_witness():

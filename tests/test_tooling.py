@@ -114,3 +114,21 @@ def test_traced_spans_stay_on_the_irreducibility_path(capsys):
         assert names.count("irreducibility.witness") == int(reducible)
         assert dict(spans)["irreducibility.span"]["images"] == 2 * (n - 1)
         assert dict(spans)["irreducibility.verdict"]["reducible"] == int(reducible)
+
+
+def test_traced_solver_spans_stay_on_the_solve_path(capsys):
+    # One assembly, one linear solve and one residue pass per solve op.
+    tracer = load_tracer().Tracer()
+    ops = [["solve-extension", "sb", "3", "--json"], ["solve-extension", "sb", "4", "--json"]]
+    tracer.install()
+    try:
+        for op, argv in enumerate(ops):
+            tracer.op = op
+            assert main(argv) == 0
+    finally:
+        tracer.uninstall()
+    capsys.readouterr()
+    for op in range(len(ops)):
+        names = [name for name, _, _, _, at, _ in tracer.spans if at == op]
+        for span in ("solver.assemble", "solver.solve_linear", "solver.residue"):
+            assert names.count(span) == 1
