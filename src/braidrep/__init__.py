@@ -30,7 +30,6 @@ from .matrix import (
     Matrix,
     Subspace,
     mul_local,
-    stack,
 )
 from .presentations import (
     GeneratorSymbol,

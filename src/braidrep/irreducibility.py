@@ -20,12 +20,14 @@ multiplication by every image, which bounds the span from above.  When the
 prime cannot settle the span this way, the exact closure on one ``Echelon``
 basis over Q gives it, as it always does over Q(t).
 
-The span and the witness checks read each generator's local image, its
+The span and the witness search read each generator's local image, its
 block, and build no dense image.  Witness extraction (an explicit invariant
-line) is best effort: the all-ones direction, common fixed vectors, and
-simultaneous rational eigenvectors, in that order.  A verdict never depends
-on finding a witness, since eigenvectors may need irrational coordinates
-that the span criterion happily avoids.
+subspace) is best effort: the all-ones direction, common fixed vectors, and
+simultaneous rational eigenvectors, in that order.  The last two are
+nullspaces of rows read off the blocks: those of g - lam*I for each image g,
+which is the block minus lam inside it and (1 - lam)*I outside.  A verdict
+never depends on finding a witness, since eigenvectors may need irrational
+coordinates that the span criterion happily avoids.
 """
 
 from __future__ import annotations
@@ -39,13 +41,11 @@ from .laurent import T, RationalFunction
 from .matrix import (
     LAURENT,
     QQ,
-    EntryDomain,
     Echelon,
     Matrix,
     Subspace,
     block_columns,
     mul_local,
-    stack,
 )
 from .reps import Representation, singular_extension
 
@@ -415,42 +415,6 @@ def _rational_roots(coeffs: list[Fraction]) -> list[Fraction]:
     return sorted(roots)
 
 
-def _eigenspaces(m: Matrix) -> list[list[tuple]]:
-    """Bases (as vector lists) of the rational eigenspaces of a Q-matrix."""
-    out = []
-    identity = Matrix.identity(QQ, m.rows)
-    for lam in _rational_roots(_char_poly(m)):
-        space = (m - identity.scaled(lam)).nullspace()
-        if space.dim:
-            out.append([list(v) for v in space.basis])
-    return out
-
-
-def _independent(vectors: list, dom: EntryDomain) -> list:
-    """Echelon-filter a list of vectors down to an independent subset."""
-    basis = Echelon(dom)
-    return [list(vec) for vec in vectors if basis.insert(vec)]
-
-
-def _intersect(basis1: list, basis2: list, dom: EntryDomain, ambient: int) -> list:
-    """Basis of span(basis1) meet span(basis2)."""
-    if not basis1 or not basis2:
-        return []
-    cols = len(basis1) + len(basis2)
-    rows = []
-    for i in range(ambient):
-        rows.append([b[i] for b in basis1] + [-b[i] for b in basis2])
-    null = Matrix(dom, rows).nullspace()
-    vectors = []
-    for coeff in null.basis:
-        vec = [dom.zero] * ambient
-        for k, b in enumerate(basis1):
-            if coeff[k] != dom.zero:
-                vec = [x + coeff[k] * y for x, y in zip(vec, b)]
-        vectors.append(vec)
-    return _independent(vectors, dom)
-
-
 def _maps_into(rep: Representation, sub: Subspace) -> bool:
     """True iff every image maps the subspace into itself.  For v in it, g*v
     lies in it iff (g - I)*v does, which is zero outside g's block, where it
@@ -467,43 +431,60 @@ def _maps_into(rep: Representation, sub: Subspace) -> bool:
     return True
 
 
+def _minus_rows(offset: int, block: Matrix, lam, d: int) -> list[list]:
+    """Rows spanning the row space of g - lam*I, where g is ``block`` at
+    ``offset`` and the identity elsewhere: the block's rows of
+    block - lam*I, embedded at ``offset``, and when lam != 1 one unit row
+    per coordinate outside the block, where g - lam*I is (1 - lam)*I."""
+    dom = block.domain
+    k = block.rows
+    rows = [[dom.zero] * offset + [e - lam if i == j else e for j, e in enumerate(row)]
+            + [dom.zero] * (d - offset - k) for i, row in enumerate(block.entries)]
+    if lam != dom.one:
+        rows += [[dom.one if j == i else dom.zero for j in range(d)]
+                 for i in range(d) if not offset <= i < offset + k]
+    return rows
+
+
 def invariant_line_witness(rep: Representation) -> Subspace | None:
     """Best-effort explicit invariant subspace for a reducible specialization.
 
-    Tries, in order: the all-ones line, the common fixed subspace, and (over
-    Q) a simultaneous rational eigenvector.  Returns None when all three come
-    up empty; reducibility itself is already settled by the span criterion.
-    Each witness is checked exactly once: the all-ones line by
-    ``all_ones_check``, any other by ``_maps_into``.
+    Tries, in order: the all-ones line, the common fixed subspace (the
+    kernel of every g - I), and over Q a common eigenvector (in the kernel
+    of every g - lam*I, for one rational eigenvalue lam of each generator,
+    in sorted order; a block smaller than the image adds the eigenvalue 1).
+    Kernels are taken of stacked ``_minus_rows`` and their bases read off
+    the unique reduced echelon form.  Returns None when all three come up
+    empty; reducibility itself is already settled by the span criterion.
+    Witnesses are over the fraction field of the entries, and each is
+    checked exactly once: the all-ones line by ``all_ones_check``, any other
+    by ``_maps_into``.
     """
-    dom = rep.domain
     d = rep.dim
+    blocks = [(offset, block._field_lift()) for offset, block, _ in rep.local_images()]
+    dom = blocks[0][1].domain
     if all_ones_check(rep):
         return Subspace(dom, d, (tuple([dom.one] * d),))
-    images = rep.images()
-    identity = Matrix.identity(dom, d)
-    fixed = stack([g - identity for g in images]).nullspace()
+    fixed = Matrix(dom, [row for offset, block in blocks
+                         for row in _minus_rows(offset, block, dom.one, d)]).nullspace()
     if fixed.dim and _maps_into(rep, fixed):
         return fixed
     if dom is not QQ:
         return None
-    candidates: list[list] | None = None
-    for g in images:
-        spaces = _eigenspaces(g)
-        if candidates is None:
-            candidates = spaces
-        else:
-            candidates = [
-                meet
-                for prev in candidates
-                for space in spaces
-                for meet in [_intersect(prev, space, dom, d)]
-                if meet
-            ]
-        if not candidates:
+    # Each choice is its stacked rows and their kernel, nonzero.
+    choices = [([], None)]
+    for offset, block in blocks:
+        lams = set(_rational_roots(_char_poly(block)))
+        if block.rows < d:
+            lams.add(dom.one)
+        extended = (rows + _minus_rows(offset, block, lam, d)
+                    for rows, _ in choices for lam in sorted(lams))
+        choices = [(rows, space) for rows in extended
+                   if (space := Matrix(dom, rows).nullspace()).dim]
+        if not choices:
             return None
-    for space in candidates or []:
-        line = Subspace(dom, d, (tuple(space[0]),))
+    for _, space in choices:
+        line = Subspace(dom, d, space.basis[:1])
         if _maps_into(rep, line):
             return line
     return None

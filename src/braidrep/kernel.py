@@ -107,10 +107,11 @@ def pure_commutator_certificate(rep: Representation,
 
     The guard rejects pair choices whose commutator is already trivial as a
     group element (equal, disjoint, or nested pairs) and pair choices outside
-    the cited family.
+    the cited family.  It runs after the word is built, so a strand out of
+    range raises ``BadIndices`` rather than a rejection.
     """
     if rep.n < 3:
         raise BadIndices("pure-braid commutators need at least 3 strands")
-    _guard(pair1, pair2)
     word = commutator_word(pair1, pair2, rep.n)
+    _guard(pair1, pair2)
     return certify(rep, word, nontriviality=CITED_SOURCE)

@@ -42,7 +42,6 @@ __all__ = [
     "Subspace",
     "block_columns",
     "mul_local",
-    "stack",
 ]
 
 
@@ -475,17 +474,3 @@ def mul_local(rows, offset: int, block: Matrix, columns: list) -> list[list]:
         out.append([*row[:offset], *new, *row[end:]])
     return out
 
-
-def stack(matrices) -> Matrix:
-    """Stack matrices with equal column counts vertically."""
-    matrices = list(matrices)
-    if not matrices:
-        raise ShapeMismatch("nothing to stack")
-    dom = matrices[0].domain
-    cols = matrices[0].cols
-    rows = []
-    for m in matrices:
-        if m.domain is not dom or m.cols != cols:
-            raise ShapeMismatch("stack needs one domain and one width")
-        rows.extend(list(r) for r in m.entries)
-    return Matrix(dom, rows)

@@ -122,10 +122,6 @@ class Representation:
         """The generators' local images in ``generator_keys`` order."""
         return [self._blocks[key] for key in self.generator_keys()]
 
-    def images(self) -> list[Matrix]:
-        """The dense generator images in ``generator_keys`` order."""
-        return [self.image(*key) for key in self.generator_keys()]
-
     @property
     def assignment(self) -> MappingProxyType:
         """The dense image of every generator, built on demand; read-only."""

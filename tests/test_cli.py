@@ -287,6 +287,14 @@ def test_kernel_probe_rejects_disjoint_pairs(capsys):
     assert "status: fail" in out
 
 
+@pytest.mark.parametrize("pairs", ["0,5;1,2", "1,2;3,5", "2,1;2,1"])
+def test_kernel_probe_strands_out_of_range_are_usage_errors(capsys, pairs):
+    # The strands are checked before the guard can call the pairs commuting.
+    code, out, err = run_cli(capsys, "kernel-probe", "4", "--pairs", pairs)
+    assert code == 2
+    assert out == "" and "need 1 <= i < j <= n" in err
+
+
 def test_kernel_probe_multiple_pairs(capsys):
     code, report, _ = run_json(
         capsys, "kernel-probe", "4", "--pairs", "1,2;1,3", "--pairs", "2,3;3,4")

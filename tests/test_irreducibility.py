@@ -15,10 +15,13 @@ from braidrep import (
     QQ,
     RATFUNC,
     RationalFunction,
+    Representation,
     Subspace,
     T,
     all_ones_check,
+    burau_rep,
     burnside_span,
+    f_rep,
     grid_report,
     is_irreducible,
     matrix_algebra_span,
@@ -33,6 +36,7 @@ from braidrep import irreducibility
 from braidrep.irreducibility import (
     GridCell,
     GridReport,
+    _char_poly,
     _exact_span,
     _maps_into,
     _modular_span,
@@ -58,14 +62,14 @@ def test_specialize_to_rational_point():
     spec = specialize(standard_rep(3), 2)
     assert spec.domain is QQ
     assert spec.params["t0"] == 2
-    assert spec.images()[0] == Matrix(QQ, [[0, 2, 0], [1, 0, 0], [0, 0, 1]])
+    assert spec.image("s", 1) == Matrix(QQ, [[0, 2, 0], [1, 0, 0], [0, 0, 1]])
 
 
 def test_specialize_symbolically():
     spec = specialize(standard_rep(3), None)
     assert spec.domain is RATFUNC
     assert "t0" not in spec.params
-    assert spec.images()[0].entries[0][1] == RationalFunction(T)
+    assert spec.image("s", 1).entries[0][1] == RationalFunction(T)
 
 
 def test_specialize_rejects_zero():
@@ -111,7 +115,7 @@ def test_symbolic_span_is_a_dimension_over_q_of_t():
 
 def test_permutation_image_span_at_t_one():
     spec = specialize(standard_rep(3), 1)
-    perms = spec.images()
+    perms = list(spec.assignment.values())
     assert all(
         sorted(e for row in g.entries for e in row) == [0] * 6 + [1] * 3
         for g in perms
@@ -194,6 +198,103 @@ def test_invariant_line_witness_maps_into_itself():
     assert witness is not None and witness.dim == 1
     ones = tuple([Fraction(1)] * 4)
     assert witness.contains(ones)
+
+
+def test_laurent_representations_get_witnesses_over_q_of_t():
+    ones = is_irreducible(burau_rep(3))
+    assert ones.status == "reducible"
+    assert ones.witness == Subspace(RATFUNC, 3, ((ONE_RF,) * 3,))
+    fixed = is_irreducible(f_rep(3)).witness
+    zero = RationalFunction(0)
+    assert fixed == Subspace(RATFUNC, 4, ((ONE_RF, zero, zero, zero), (zero, zero, zero, ONE_RF)))
+
+
+def two_block_rep():
+    """s1 = [[0, 4], [1, 0]] at offset 1 and s2 = diag(2, -2) at offset 0:
+    no common fixed vector, but e1 is fixed by s1 (the eigenvalue 1 outside
+    its block) and an eigenvector of s2."""
+    return Representation(2, "braid", 3, {("s", 1): (1, Matrix(QQ, [[0, 4], [1, 0]])),
+                                          ("s", 2): (0, Matrix(QQ, [[2, 0], [0, -2]]))})
+
+
+# One witness per branch of the search: the common fixed space, eigenlines
+# of a single block, an eigenline through the eigenvalue 1 outside a block,
+# a fixed vector outside a lone block, and none over Q(t).
+PINNED_WITNESSES = [
+    (lambda: specialize(f_rep(3), 2), [[1, 0, 0, 0], [0, 0, 0, 1]]),
+    (lambda: specialize(standard_rep(2), 4), [[-2, 1]]),
+    (lambda: specialize(standard_rep(2), Fraction(9, 4)), [[Fraction(-3, 2), 1]]),
+    (lambda: specialize(standard_rep(2), Fraction(1, 4)), [[Fraction(-1, 2), 1]]),
+    (lambda: specialize(standard_rep(2), 16), [[-4, 1]]),
+    (two_block_rep, [[1, 0, 0]]),
+    (lambda: Representation(2, "braid", 3, {("s", 1): (0, Matrix(QQ, [[0, 4], [1, 0]]))}),
+     [[0, 0, 1]]),
+    (lambda: symbolic_extension(2, 0, 1), None),
+]
+
+
+@pytest.mark.parametrize("build,basis", PINNED_WITNESSES)
+def test_pinned_witnesses(build, basis):
+    witness = invariant_line_witness(build())
+    if basis is None:
+        assert witness is None
+    else:
+        assert [list(v) for v in witness.basis] == basis
+
+
+def dense_reference_witness(rep):
+    """The witness search on dense images: the kernel of the stacked g - I,
+    then one stack of g - lam*I per choice of a rational root lam of each
+    dense characteristic polynomial, checked by dense products."""
+    d = rep.dim
+    images = list(rep.assignment.values())
+    identity = Matrix.identity(QQ, d)
+
+    def invariant(sub):
+        return all(sub.contains([row[0] for row in (g * Matrix(QQ, [[e] for e in v])).entries])
+                   for g in images for v in sub.basis)
+
+    ones = Subspace(QQ, d, ((Fraction(1),) * d,))
+    if invariant(ones):
+        return ones
+    fixed = Matrix(QQ, [row for g in images for row in (g - identity).entries]).nullspace()
+    if fixed.dim and invariant(fixed):
+        return fixed
+    choices = [[]]
+    for g in images:
+        minus = [(g - identity.scaled(lam)).entries for lam in _rational_roots(_char_poly(g))]
+        choices = [rows + list(m) for rows in choices for m in minus
+                   if Matrix(QQ, rows + list(m)).nullspace().dim]
+    for rows in choices:
+        line = Subspace(QQ, d, Matrix(QQ, rows).nullspace().basis[:1])
+        if invariant(line):
+            return line
+    return None
+
+
+@st.composite
+def block_reps(draw):
+    """Rational representations of 1-3 generators, each a block of size 1-3
+    at some offset in dimension 2-5; half the blocks are triangular, so
+    that rational eigenvalues are common."""
+    d = draw(st.integers(2, 5))
+    blocks = {}
+    for i in range(draw(st.integers(1, 3))):
+        k = draw(st.integers(1, min(3, d)))
+        offset = draw(st.integers(0, d - k))
+        entries = draw(st.lists(st.lists(st.integers(-2, 2), min_size=k, max_size=k),
+                                min_size=k, max_size=k))
+        if draw(st.booleans()):
+            entries = [[e if j >= r else 0 for j, e in enumerate(row)]
+                       for r, row in enumerate(entries)]
+        blocks[("s", i + 1)] = (offset, Matrix(QQ, entries))
+    return Representation(2, "braid", d, blocks)
+
+
+@given(block_reps())
+@settings(max_examples=150, deadline=None)
+def test_block_row_witness_equals_the_dense_reference(rep):
+    assert invariant_line_witness(rep) == dense_reference_witness(rep)
 
 
 def test_predicted_irreducible_dichotomy():
@@ -288,7 +389,7 @@ def test_block_local_witness_checks_agree_with_dense_products(cell, kind, data):
 
     def dense_products(v):
         column = Matrix(QQ, [[e] for e in v])
-        return [tuple(row[0] for row in (g * column).entries) for g in rep.images()]
+        return [tuple(row[0] for row in (g * column).entries) for g in rep.assignment.values()]
 
     ones = [Fraction(1)] * d
     assert all_ones_check(rep) == all(len(set(w)) == 1 for w in dense_products(ones))
@@ -364,7 +465,7 @@ def _algebra_rows(images):
 def test_the_certificate_refuses_a_tampered_basis():
     rep = specialized_extension(3, 1, 2, -1)
     blocks = rep.local_images()
-    rows = _algebra_rows(rep.images())
+    rows = _algebra_rows(list(rep.assignment.values()))
     assert len(rows) == 5
     assert _spans_algebra(rows, blocks, 3)
     for i, (pivot, row) in enumerate(rows):

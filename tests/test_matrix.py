@@ -19,7 +19,6 @@ from braidrep import (
     Subspace,
     T,
     mul_local,
-    stack,
 )
 from braidrep.errors import NotInvertible, NotSquare, NotUnitDeterminant, ShapeMismatch
 from braidrep.reps import _block_rep
@@ -182,14 +181,6 @@ def test_adjacent_blocks_need_not_commute():
     left = embed(block, 1, 3)
     right = embed(block, 2, 3)
     assert left * right != right * left
-
-
-def test_stack():
-    a = Matrix(QQ, [[1, 0], [0, 1]])
-    b = Matrix(QQ, [[2, 3]])
-    s = stack([a, b])
-    assert (s.rows, s.cols) == (3, 2)
-    assert s == Matrix(QQ, [[1, 0], [0, 1], [2, 3]])
 
 
 def test_field_lift_preserves_values():

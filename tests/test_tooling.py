@@ -1,6 +1,7 @@
 """Names that nothing imports must still resolve: the benchmark tracer's
 wrapped functions, and every module's ``__all__``.  And ``cli.main`` must be
-reentrant, since the benchmark calls it many times in one process."""
+reentrant, since the benchmark calls it many times in one process.  The
+witness search must build no dense image."""
 
 from __future__ import annotations
 
@@ -13,6 +14,16 @@ from pathlib import Path
 
 import pytest
 
+from braidrep import (
+    QQ,
+    Matrix,
+    Representation,
+    f_rep,
+    is_irreducible,
+    reps,
+    specialize,
+    specialized_extension,
+)
 from braidrep.cli import main
 
 TRACER = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
@@ -132,3 +143,39 @@ def test_traced_solver_spans_stay_on_the_solve_path(capsys):
         names = [name for name, _, _, _, at, _ in tracer.spans if at == op]
         for span in ("solver.assemble", "solver.solve_linear", "solver.residue"):
             assert names.count(span) == 1
+
+
+def test_the_witness_search_builds_no_dense_image():
+    # One representation per witness branch: a rational eigenline, the
+    # common fixed space, and the all-ones line.
+    cases = [
+        Representation(2, "braid", 3, {("s", 1): (1, Matrix(QQ, [[0, 4], [1, 0]])),
+                                       ("s", 2): (0, Matrix(QQ, [[2, 0], [0, -2]]))}),
+        specialize(f_rep(4), 2),
+        specialized_extension(4, 1, 3, -2),
+    ]
+    embedded = []
+    shapes = []
+    dense_mul = Matrix.__mul__
+
+    def refuse(*args):
+        embedded.append(args)
+        raise AssertionError("a dense image was built")
+
+    def recording_mul(self, other):
+        shapes.append((self.rows, self.cols, other.rows, other.cols))
+        return dense_mul(self, other)
+
+    saved = reps._embed
+    reps._embed = refuse
+    Matrix.__mul__ = recording_mul
+    try:
+        for rep in cases:
+            verdict = is_irreducible(rep)
+            assert verdict.status == "reducible" and verdict.witness is not None
+    finally:
+        reps._embed = saved
+        Matrix.__mul__ = dense_mul
+    assert embedded == []
+    largest = max(block.rows for rep in cases for _, block, _ in rep.local_images())
+    assert all(max(shape) <= largest for shape in shapes)
