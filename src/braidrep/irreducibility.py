@@ -12,12 +12,14 @@ strands, where sigma^2 = t*I and tau = a*I + c*sigma, the algebra
 Q(t)[sigma] has dimension 2, not 4.
 
 Over Q the closure runs mod the prime 2^61 - 1 when it divides no
-denominator of the images.  Independence mod p implies independence over Q,
-so a full span mod p is the answer.  A deficient span mod p is lifted to Q
-by rational reconstruction of its reduced echelon form and accepted only if
+denominator of the images, on an ``Echelon`` basis over the residue field,
+an ``EntryDomain`` whose ``coerce`` reduces mod p.  Independence mod p
+implies independence over Q, so a full span mod p is the answer.  A
+deficient span mod p is lifted to Q by rational reconstruction of its
+reduced echelon form, which the basis keeps as it goes, and accepted only if
 that exact subspace holds the identity and is closed under right
 multiplication by every image, which bounds the span from above.  When the
-prime cannot settle the span this way, the exact closure on one ``Echelon``
+prime cannot settle the span this way, the exact closure on an ``Echelon``
 basis over Q gives it, as it always does over Q(t).
 
 The span and the witness search read each generator's local image, its
@@ -42,6 +44,7 @@ from .matrix import (
     LAURENT,
     QQ,
     Echelon,
+    EntryDomain,
     Matrix,
     Subspace,
     block_columns,
@@ -116,16 +119,18 @@ def matrix_algebra_span(images: list[tuple[int, Matrix, list]], dim: int) -> int
     at which point nothing larger is possible).
 
     Over Q the closure runs mod the prime p = ``_PRIME`` if it divides no
-    denominator of an image entry.  Every word then has entries in Z_(p)
-    and reduction mod p is a ring map, so the k words it keeps, independent
-    mod p, are independent over Q: the dimension is at least k, and k = dim^2
-    is the answer.  A smaller k is certified over Q (``_spans_algebra``): the
-    reduced echelon form mod p, rational-reconstructed entrywise, gives k
-    rows R in reduced echelon shape; if I is in span R and r*g is in span R
-    for every row r and image g, every word lies in span R and the dimension
-    is at most k.  Neither half trusts the reconstruction.  When p divides a
-    denominator, the reconstruction fails or the check refuses R, the exact
-    closure (``_exact_span``) gives the answer, as it does over Q(t).
+    denominator of an image entry, inserting each word into an ``Echelon``
+    basis over the residue field mod p.  Every word then has entries in
+    Z_(p) and reduction mod p is a ring map, so the k words it keeps,
+    independent mod p, are independent over Q: the dimension is at least k,
+    and k = dim^2 is the answer.  A smaller k is certified over Q
+    (``_spans_algebra``): the basis's reduced echelon form mod p,
+    rational-reconstructed entrywise, gives k rows R in reduced echelon
+    shape; if I is in span R and r*g is in span R for every row r and
+    image g, every word lies in span R and the dimension is at most k.
+    Neither half trusts the reconstruction.  When p divides a denominator,
+    the reconstruction fails or the check refuses R, the exact closure
+    (``_exact_span``) gives the answer, as it does over Q(t).
     """
     if not images:
         raise ValueError("need at least one matrix")
@@ -167,6 +172,8 @@ def _modular_span(d: int, blocks: list[tuple[int, Matrix, list]]) -> int | None:
     p = _PRIME
     if any(e.denominator % p == 0 for _, block, _ in blocks for row in block.entries for e in row):
         return None
+    residues = EntryDomain(f"F_{p}", 0, 1, True, p.__rmod__, bool,
+                           lambda a, b: a * pow(b, -1, p) % p)
     cap = d * d
     mod_blocks = [
         (offset, [[(j, b.numerator * pow(b.denominator, -1, p) % p)
@@ -174,16 +181,13 @@ def _modular_span(d: int, blocks: list[tuple[int, Matrix, list]]) -> int | None:
                   for col in zip(*block.entries)])
         for offset, block, _ in blocks
     ]
-    # Words are flat row-major lists of d^2 residues.  The basis is kept in
-    # reduced echelon form, {pivot: rest}, each rest 0 at every pivot.
-    identity = [int(i % (d + 1) == 0) for i in range(cap)]
-    basis: dict[int, dict] = {}
-    candidates = iter([identity, *(_mul_mod(identity, d, offset, columns, p)
-                                   for offset, columns in mod_blocks)])
+    # Words are flat row-major lists of d^2 residues.
+    basis = Echelon(residues)
+    candidates = iter([[int(i % (d + 1) == 0) for i in range(cap)]])
     while True:
         frontier = []
         for word in candidates:
-            if _insert_mod(basis, word, p):
+            if basis.insert(word):
                 if len(basis) == cap:
                     return cap
                 frontier.append(word)
@@ -191,7 +195,7 @@ def _modular_span(d: int, blocks: list[tuple[int, Matrix, list]]) -> int | None:
             break
         candidates = (_mul_mod(word, d, offset, columns, p)
                       for word in frontier for offset, columns in mod_blocks)
-    rows = _reconstruct(sorted(basis.items()), p)
+    rows = _reconstruct(sorted(basis.rows.items()), p)
     if rows is not None and _spans_algebra(rows, blocks, d):
         return len(rows)
     return None
@@ -208,42 +212,6 @@ def _mul_mod(word: list, d: int, offset: int, columns: list, p: int) -> list:
             acc = [x + y * b for x, y in zip(acc, word[offset + j::d])]
         out[offset + k::d] = [x % p for x in acc]
     return out
-
-
-def _insert_mod(basis: dict, word: list, p: int) -> bool:
-    """Add the flat residue vector to the reduced echelon basis mod p unless
-    it lies in its span; True iff added.
-
-    The remainder is the word minus word[q] times the row of each pivot q,
-    so it is 0 at every pivot; its smallest cell becomes the new pivot, and
-    that cell is cleared from the other rows.  Sums are reduced mod p only
-    once, at the end of each row.
-    """
-    acc: dict[int, int] = {}
-    for k, e in enumerate(word):
-        if e:
-            rest = basis.get(k)
-            if rest is None:
-                acc[k] = acc.get(k, 0) + e
-            else:
-                for j, r in rest.items():
-                    acc[j] = acc.get(j, 0) - e * r
-    acc = {k: r for k, e in acc.items() if (r := e % p)}
-    if not acc:
-        return False
-    pivot = min(acc)
-    inv = pow(acc.pop(pivot), -1, p)
-    new = {k: e * inv % p for k, e in acc.items()}
-    for rest in basis.values():
-        coeff = rest.pop(pivot, None)
-        if coeff:
-            for k, e in new.items():
-                if r := (rest.get(k, 0) - coeff * e) % p:
-                    rest[k] = r
-                else:
-                    rest.pop(k, None)
-    basis[pivot] = new
-    return True
 
 
 def _rational(e: int, p: int) -> Fraction | None:

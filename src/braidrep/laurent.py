@@ -220,14 +220,15 @@ class LaurentPoly:
     # -- comparison / text -------------------------------------------------
 
     def __eq__(self, other):
-        if isinstance(other, int):
-            other = LaurentPoly({0: other})
-        if not isinstance(other, LaurentPoly):
-            return NotImplemented
-        return self.terms == other.terms
+        if isinstance(other, LaurentPoly):
+            return self.terms == other.terms
+        if isinstance(other, int) or isinstance(other, Fraction) and other.denominator == 1:
+            return self.terms == LaurentPoly({0: int(other)}).terms
+        return NotImplemented
 
     def __hash__(self):
-        # Constants compare equal to ints, so they hash like them.
+        # Constants compare equal to ints and integral Fractions, so they
+        # hash like them.
         if self.terms.keys() <= {0}:
             return hash(self.terms.get(0, 0))
         return hash(frozenset(self.terms.items()))
@@ -513,7 +514,6 @@ class RationalFunction:
         return f"RationalFunction('{self}')"
 
 
-RF_ZERO = RationalFunction(0)
 RF_ONE = RationalFunction(1)
 
 

@@ -4,10 +4,12 @@ A matrix carries an ``EntryDomain`` tag (Laurent ring, Q(t), or Q) that
 supplies the zero/one elements, coercion, and the division notion used by the
 fraction-free elimination.  Determinants use the one-step fraction-free
 (Bareiss) scheme, which stays inside the entry domain.  Every elimination
-over a field runs on ``Echelon``, an incremental echelon basis of sparse
-rows: rank, rref, nullspace and inverse (over the fraction field for Laurent
-entries), subspace membership, the exact span closure and the linear
-solver.
+over a field runs on ``Echelon``, an incremental basis of sparse rows kept in
+reduced echelon form: rank, rref, nullspace and inverse (over the fraction
+field for Laurent entries), subspace membership, the span closure and the
+linear solver.  It sums entries with plain arithmetic and puts each sum into
+the domain with ``coerce`` at the end, so a residue field mod p is one more
+``EntryDomain``, on integers, whose ``coerce`` reduces mod p.
 
 Generator images are the identity outside one small diagonal block, so word
 products apply each letter as a block-local update: ``block_columns`` lays
@@ -99,35 +101,18 @@ QQ = EntryDomain(
     exact_div=lambda a, b: a / b,
 )
 
-def _reduce(v: dict, rows) -> dict:
-    """Subtract from v, in place and in the given order, the multiple of each
-    (pivot, rest) row that clears v at that pivot; returns v."""
-    for pivot, rest in rows:
-        coeff = v.pop(pivot, None)
-        if coeff is None:
-            continue
-        for k, e in rest.items():
-            term = coeff * e
-            val = v.get(k)
-            if val is None:
-                v[k] = -term
-            elif val := val - term:
-                v[k] = val
-            else:
-                del v[k]
-    return v
-
 
 class Echelon:
-    """Incremental echelon basis over a field, on sparse rows.
+    """Incremental basis over a field, on sparse rows in reduced echelon form.
 
     A vector is a ``{coordinate: entry}`` dict with orderable coordinates; a
     sequence is read as ``{index: entry}``.  Zero entries are dropped (every
     entry type is falsy exactly at zero), so a vector is zero iff it is empty.
-    Each kept row is scaled to 1 at its pivot, its smallest coordinate, and
-    is reduced against the rows kept before it.  ``rows`` holds them in
-    insertion order as (pivot, rest) pairs, rest being the row's entries
-    other than the 1 at its pivot.
+    ``rows`` maps each pivot, its row's smallest coordinate, to the row's
+    other entries, in insertion order; each row is 1 at its pivot and 0 at
+    every other, so a vector's entry at a pivot is its coefficient on that
+    row.  Entries are summed with plain ``+ - *`` and put into the domain
+    with ``coerce`` when done: integers whose ``coerce`` is mod p are F_p.
     """
 
     __slots__ = ("domain", "rows")
@@ -137,7 +122,7 @@ class Echelon:
             raise TypeError(f"echelon form needs field entries, got {domain.name}; "
                             "lift Laurent matrices first")
         self.domain = domain
-        self.rows: list[tuple[Any, dict]] = []
+        self.rows: dict[Any, dict] = {}
         for vec in vectors:
             self.insert(vec)
 
@@ -146,32 +131,57 @@ class Echelon:
 
     def remainder(self, vec) -> dict:
         """The vector reduced against the basis: empty iff it lies in the span."""
-        items = vec.items() if isinstance(vec, dict) else enumerate(vec)
+        rows = self.rows
+        acc: dict = {}
+        get = acc.get
+        for k, e in (vec.items() if isinstance(vec, dict) else enumerate(vec)):
+            if e:
+                rest = rows.get(k)
+                if rest is None:
+                    val = get(k)
+                    acc[k] = e if val is None else val + e
+                else:
+                    e = -e
+                    for j, r in rest.items():
+                        val = get(j)
+                        acc[j] = e * r if val is None else val + e * r
         coerce = self.domain.coerce
-        return _reduce({k: coerce(e) for k, e in items if e}, self.rows)
+        return {k: r for k, e in acc.items() if (r := coerce(e))}
 
     def insert(self, vec) -> bool:
-        """Keep the vector's remainder if it is nonzero; True iff kept."""
+        """Keep the vector's remainder, scaled to 1 at its pivot, if it is
+        nonzero, and clear that pivot from the other rows; True iff kept."""
         v = self.remainder(vec)
         if not v:
             return False
+        dom = self.domain
+        coerce = dom.coerce
         pivot = min(v)
         lead = v.pop(pivot)
-        if lead != self.domain.one:
-            inv = self.domain.exact_div(self.domain.one, lead)
-            v = {k: e * inv for k, e in v.items()}
-        self.rows.append((pivot, v))
+        if lead != dom.one:
+            inv = dom.exact_div(dom.one, lead)
+            v = {k: coerce(e * inv) for k, e in v.items()}
+        for rest in self.rows.values():
+            coeff = rest.pop(pivot, None)
+            if coeff is not None:
+                coeff = -coeff
+                for k, e in v.items():
+                    val = rest.get(k)
+                    if val is None:
+                        rest[k] = coerce(coeff * e)
+                    elif r := coerce(val + coeff * e):
+                        rest[k] = r
+                    else:
+                        del rest[k]
+        self.rows[pivot] = v
         return True
 
     def reduced(self) -> list[tuple[Any, dict]]:
         """The reduced row echelon form of the span, which is unique, as
         (pivot, row) pairs sorted by pivot; each row is 1 at its own pivot
         and 0 at every other."""
-        done: list[tuple[Any, dict]] = []
-        for pivot, rest in sorted(self.rows, key=lambda r: r[0], reverse=True):
-            done.append((pivot, _reduce(dict(rest), done)))
         one = self.domain.one
-        return [(pivot, {pivot: one, **rest}) for pivot, rest in reversed(done)]
+        return [(pivot, {pivot: one, **rest}) for pivot, rest in sorted(self.rows.items())]
 
 
 class Matrix:
@@ -338,17 +348,18 @@ class Matrix:
         return Matrix(dom, dense), tuple(pivot for pivot, _ in rows)
 
     def nullspace(self) -> "Subspace":
-        """Basis of the right kernel, over a field."""
-        reduced, pivots = self._field_lift().rref()
-        dom = reduced.domain
-        free = [c for c in range(self.cols) if c not in pivots]
+        """Basis of the right kernel, over a field, read off the reduced rows."""
+        lifted = self._field_lift()
+        dom = lifted.domain
+        rows = Echelon(dom, lifted.entries).rows
         basis = []
-        for f in free:
-            vec = [dom.zero] * self.cols
-            vec[f] = dom.one
-            for r, p in enumerate(pivots):
-                vec[p] = -reduced.entries[r][f]
-            basis.append(tuple(vec))
+        for f in range(self.cols):
+            if f not in rows:
+                vec = [dom.zero] * self.cols
+                vec[f] = dom.one
+                for pivot, rest in rows.items():
+                    vec[pivot] = -rest.get(f, dom.zero)
+                basis.append(tuple(vec))
         return Subspace(dom, self.cols, tuple(basis))
 
     def inverse(self) -> Matrix:
@@ -356,18 +367,14 @@ class Matrix:
             raise NotSquare("inverse of a non-square matrix")
         dom = self.domain
         if dom.is_field:
+            # Reduce [self | I]: invertible iff every column of self is a pivot.
             n = self.rows
-            aug = Matrix(
-                dom,
-                [
-                    list(row) + [dom.one if i == j else dom.zero for j in range(n)]
-                    for i, row in enumerate(self.entries)
-                ],
-            )
-            reduced, pivots = aug.rref()
-            if pivots[:n] != tuple(range(n)):
+            rows = Echelon(dom, ({**dict(enumerate(row)), n + i: dom.one}
+                                 for i, row in enumerate(self.entries))).rows
+            if any(i not in rows for i in range(n)):
                 raise NotInvertible("matrix is singular", det=self.det())
-            return Matrix(dom, [row[n:] for row in reduced.entries])
+            return Matrix(dom, [[rows[i].get(n + j, dom.zero) for j in range(n)]
+                                for i in range(n)])
         if dom is LAURENT:
             d = self.det()
             if not d.is_unit():

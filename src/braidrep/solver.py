@@ -27,7 +27,7 @@ matches a rational involution against the derived families.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from math import prod
 
@@ -286,16 +286,15 @@ def solve_linear(system: ConstraintSystem) -> SolutionFamily:
     for eq in system.equations:
         row = {order[mono[0][0]]: c for mono, c in eq.terms.items() if mono}
         row[ncols] = -eq.terms.get((), 0)
-        if echelon.insert(row) and echelon.rows[-1][0] == ncols:
+        if echelon.insert(row) and ncols in echelon.rows:
             raise Inconsistent(f"equation {eq} = 0 is unsatisfiable", witness=eq)
 
-    rows = echelon.reduced()
-    pivots = {c for c, _ in rows}
-    free = [unknowns[c] for c in range(ncols) if c not in pivots]
+    rows = echelon.rows
+    free = [unknowns[c] for c in range(ncols) if c not in rows]
     bindings: dict[str, SymPoly] = {
-        unknowns[c]: SymPoly({(): row.get(ncols, 0), **{
-            ((unknowns[f], 1),): -e for f, e in row.items() if f not in (c, ncols)}})
-        for c, row in rows
+        unknowns[c]: SymPoly({(): rest.get(ncols, 0), **{
+            ((unknowns[f], 1),): -e for f, e in rest.items() if f != ncols}})
+        for c, rest in sorted(rows.items())
     }
 
     # A free parameter and the unknowns bound to exactly it form a chain of
@@ -321,14 +320,7 @@ def solve_with_residue(system: ConstraintSystem) -> tuple[SolutionFamily, tuple[
     """Solve the affine part, then push the solution through the nonlinear
     equations; the returned residue is what remains of them (empty when the
     affine solution already satisfies everything)."""
-    linear_only = ConstraintSystem(
-        unknowns=system.unknowns,
-        equations=system.equations,
-        nonlinear=(),
-        discarded_zero=system.discarded_zero,
-        discarded_duplicate=system.discarded_duplicate,
-    )
-    family = solve_linear(linear_only)
+    family = solve_linear(replace(system, nonlinear=()))
     residue = tuple(
         p for p in (q.substitute(family.bindings) for q in system.nonlinear) if not p.is_zero()
     )

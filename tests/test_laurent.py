@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from braidrep import (
     LaurentPoly,
     RationalFunction,
+    SymPoly,
     laurent_gcd,
     parse_laurent,
     parse_rational,
@@ -193,6 +194,16 @@ def test_constants_hash_like_the_numbers_they_equal():
     assert RationalFunction(2, 4) in {Fraction(1, 2)}
     assert RationalFunction(-3) in {-3, LaurentPoly({0: 7})}
     assert RationalFunction(T + 1) in {T + 1}
+
+
+def test_laurent_constants_equal_the_fractions_they_hash_like():
+    two = LaurentPoly({0: 2})
+    assert two == Fraction(2) and Fraction(2) == two
+    assert two != Fraction(5, 2) and Fraction(5, 2) != two
+    assert LaurentPoly({0: 5}) != Fraction(5, 2)
+    assert ZERO == Fraction(0) and T != Fraction(1)
+    assert len({two, Fraction(2)}) == 1
+    assert len({Fraction(2), RationalFunction(2), two, SymPoly.const(2)}) == 1
 
 
 @given(polys, polys)

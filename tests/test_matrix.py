@@ -21,6 +21,7 @@ from braidrep import (
     mul_local,
 )
 from braidrep.errors import NotInvertible, NotSquare, NotUnitDeterminant, ShapeMismatch
+from braidrep.matrix import EntryDomain
 from braidrep.reps import _block_rep
 
 
@@ -257,10 +258,43 @@ def test_echelon_remainder_is_empty_exactly_on_the_span(keys, data):
     assert not basis.insert(combination)
     probe = data.draw(st.fixed_dictionaries({k: small_fracs for k in keys}))
     rest = basis.remainder(probe)
-    assert all(p not in rest for p, _ in basis.rows)
+    assert all(p not in rest for p in basis.rows)
     grown = Echelon(QQ, [*vectors, probe])
     assert len(grown) == len(basis) + (1 if rest else 0)
     assert Echelon(QQ, [*vectors, rest]).reduced() == grown.reduced()
+
+
+def residue_field(p):
+    """F_p as an entry domain: integer entries, reduced by ``coerce``."""
+    return EntryDomain(f"F_{p}", 0, 1, True, p.__rmod__, bool,
+                       lambda a, b: a * pow(b, -1, p) % p)
+
+
+@given(st.sampled_from([5, 7, 2**61 - 1]), st.integers(1, 5), st.data())
+@settings(max_examples=100, deadline=None)
+def test_echelon_over_a_residue_field_is_the_rational_form_mod_p(p, cols, data):
+    vectors = data.draw(st.lists(
+        st.lists(st.integers(-4, 4), min_size=cols, max_size=cols), min_size=1, max_size=5))
+    basis = Echelon(residue_field(p))
+    for vec in vectors:
+        basis.insert(vec)
+        for rest in basis.rows.values():
+            assert not rest.keys() & basis.rows.keys()
+            assert all(0 < e < p for e in rest.values())
+    rational = Echelon(QQ, vectors).reduced()
+    assert len(basis) <= len(rational)
+    if len(basis) == len(rational) and all(
+            e.denominator % p for _, row in rational for e in row.values()):
+        assert basis.reduced() == [
+            (pivot, {k: r for k, e in row.items()
+                     if (r := e.numerator * pow(e.denominator, -1, p) % p)})
+            for pivot, row in rational]
+
+
+def test_echelon_over_f5_drops_a_multiple_of_5():
+    basis = Echelon(residue_field(5), [[1, 2], [3, 1]])
+    assert basis.reduced() == [(0, {0: 1, 1: 2})]
+    assert len(Echelon(QQ, [[1, 2], [3, 1]])) == 2
 
 
 def test_echelon_reads_sequences_as_indexed_vectors():

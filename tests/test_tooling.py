@@ -1,7 +1,8 @@
 """Names that nothing imports must still resolve: the benchmark tracer's
 wrapped functions, and every module's ``__all__``.  And ``cli.main`` must be
 reentrant, since the benchmark calls it many times in one process.  The
-witness search must build no dense image."""
+witness search must build no dense image, and the modular span must run on
+the one echelon engine."""
 
 from __future__ import annotations
 
@@ -20,6 +21,7 @@ from braidrep import (
     Representation,
     f_rep,
     is_irreducible,
+    matrix,
     reps,
     specialize,
     specialized_extension,
@@ -179,3 +181,22 @@ def test_the_witness_search_builds_no_dense_image():
     assert embedded == []
     largest = max(block.rows for rep in cases for _, block, _ in rep.local_images())
     assert all(max(shape) <= largest for shape in shapes)
+
+
+def test_the_modular_span_inserts_into_echelon():
+    # A deficient cell, whose closure runs to the end, and a full one.
+    inserts = []
+    insert = matrix.Echelon.insert
+
+    def counting(self, vec):
+        inserts.append(self.domain.name)
+        return insert(self, vec)
+
+    matrix.Echelon.insert = counting
+    try:
+        for t0, a, c in ((1, 2, -1), (2, 3, 1)):
+            inserts.clear()
+            verdict = is_irreducible(specialized_extension(5, t0, a, c))
+            assert len(inserts) >= verdict.span_dim
+    finally:
+        matrix.Echelon.insert = insert
