@@ -11,31 +11,28 @@ when t stays symbolic.  Over Q(t) it is a genuine Q(t)-dimension, so on two
 strands, where sigma^2 = t*I and tau = a*I + c*sigma, the algebra
 Q(t)[sigma] has dimension 2, not 4.
 
-Over Q the closure runs mod the prime 2^61 - 1 when it divides no
-denominator of the images, on an ``Echelon`` basis over the residue field,
-an ``EntryDomain`` whose ``coerce`` reduces mod p.  Independence mod p
-implies independence over Q, so a full span mod p is the answer.  A
-deficient span mod p is lifted to Q by rational reconstruction of its
-reduced echelon form, which the basis keeps as it goes, and accepted only if
-that exact subspace holds the identity and is closed under right
-multiplication by every image, which bounds the span from above.  When the
-prime cannot settle the span this way, the exact closure on an ``Echelon``
-basis over Q gives it, as it always does over Q(t).
+The span is certified from one rank-one element u*v^T of the algebra, read
+off the generators' blocks, and two spins of length-d vectors: u under the
+images and v under their transposes.  Full spins give d^2; spins of d - 1
+whose invariant subspaces split the space give 1 + (d - 1)^2 (see
+``matrix_algebra_span``).  Any other case, or no rank-one element, falls
+back to the exact closure on an ``Echelon`` basis of d x d matrices.  Both
+paths are exact over the images' field and read each generator's local
+image, its block, and build no dense image.
 
-The span and the witness search read each generator's local image, its
-block, and build no dense image.  Witness extraction (an explicit invariant
-subspace) is best effort: the all-ones direction, common fixed vectors, and
-simultaneous rational eigenvectors, in that order.  The last two are
-nullspaces of rows read off the blocks: those of g - lam*I for each image g,
-which is the block minus lam inside it and (1 - lam)*I outside.  A verdict
-never depends on finding a witness, since eigenvectors may need irrational
-coordinates that the span criterion happily avoids.
+Witness extraction (an explicit invariant subspace) is best effort: the
+all-ones direction, common fixed vectors (a nullspace of rows read off the
+blocks), and the smaller invariant subspace of the certificate's spins, in
+that order.  A verdict never depends on finding a witness, since an
+invariant subspace may need irrational coordinates that the span criterion
+happily avoids.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations
 from math import isqrt, lcm
 
 from .errors import SingularTau, ZeroSpecialization
@@ -44,7 +41,6 @@ from .matrix import (
     LAURENT,
     QQ,
     Echelon,
-    EntryDomain,
     Matrix,
     Subspace,
     block_columns,
@@ -104,47 +100,47 @@ def symbolic_extension(n: int, a, c, group: bool = True) -> Representation:
 
 # -- algebra span ------------------------------------------------------------
 
-# The prime of the modular span.
-_PRIME = 2**61 - 1
-
 
 def matrix_algebra_span(images: list[tuple[int, Matrix, list]], dim: int) -> int:
-    """Dimension of the unital algebra generated by the given dim x dim
+    """Dimension of the unital algebra A generated by the given dim x dim
     matrices, each given by its local image (offset, block, columns), as
     ``Representation.local_image`` returns it.
 
-    Breadth-first closure: seed with the identity, then keep right-multiplying
-    new basis elements by the images (as block-local updates, see
-    ``mul_local``), until nothing new appears (or the full dim^2 is reached,
-    at which point nothing larger is possible).
-
-    Over Q the closure runs mod the prime p = ``_PRIME`` if it divides no
-    denominator of an image entry, inserting each word into an ``Echelon``
-    basis over the residue field mod p.  Every word then has entries in
-    Z_(p) and reduction mod p is a ring map, so the k words it keeps,
-    independent mod p, are independent over Q: the dimension is at least k,
-    and k = dim^2 is the answer.  A smaller k is certified over Q
-    (``_spans_algebra``): the basis's reduced echelon form mod p,
-    rational-reconstructed entrywise, gives k rows R in reduced echelon
-    shape; if I is in span R and r*g is in span R for every row r and
-    image g, every word lies in span R and the dimension is at most k.
-    Neither half trusts the reconstruction.  When p divides a denominator,
-    the reconstruction fails or the check refuses R, the exact closure
-    (``_exact_span``) gives the answer, as it does over Q(t).
+    First a certificate, exact over the images' field.  ``_rank_one`` reads
+    an element x = u*v^T of A off the blocks; S is the spin of u under the
+    images and R the spin of v under their transposes (``_spins``).  Then
+    A*x*A, the sums of s*r^T with s in S and r in R, lies in A and has
+    dimension |S|*|R|, so |S| = |R| = d gives d^2.  If |S| = |R| = d - 1,
+    S and the line L = R^perp are invariant (checked), and L is not inside
+    S, then V = S + L is direct: A lies in End(S) x End(L), so
+    dim A <= (d - 1)^2 + 1; and A*x*A kills L and restricts onto End(S),
+    so I is not in it and dim A >= (d - 1)^2 + 1.  Anything else falls back
+    to the exact closure (``_exact_span``).
     """
     if not images:
         raise ValueError("need at least one matrix")
-    if images[0][1].domain is QQ:
-        span = _modular_span(dim, images)
-        if span is not None:
-            return span
-    return _exact_span(images, dim)
+    d = dim
+    blocks = [(offset, block._field_lift()) for offset, block, _ in images]
+    spins = _spins(blocks, d)
+    if spins is not None:
+        s, r = spins
+        if len(s) == len(r) == d:
+            return d * d
+        if len(s) == len(r) == d - 1:
+            ell = _kernel(r, d).basis[0]
+            if s.remainder(ell) and _invariant(s, blocks) \
+                    and _invariant(Echelon(s.domain, [ell]), blocks):
+                return 1 + (d - 1) ** 2
+    return _exact_span(images, d)
 
 
 def _exact_span(images: list[tuple[int, Matrix, list]], d: int) -> int:
-    """The closure of ``matrix_algebra_span`` inserting each product into an
-    exact ``Echelon`` basis over the images' own field (Q, or Q(t) once
-    Laurent blocks are lifted), on the cells in row-major order."""
+    """Breadth-first closure: seed with the identity, then keep
+    right-multiplying new basis elements by the images (as block-local
+    updates, see ``mul_local``) until nothing new appears or the full d^2
+    is reached.  Each product goes into an exact ``Echelon`` basis over the
+    images' own field (Q, or Q(t) once Laurent blocks are lifted), on the
+    cells in row-major order."""
     if not images[0][1].domain.is_field:
         lifted = [(offset, block._field_lift()) for offset, block, _ in images]
         images = [(offset, block, block_columns(block)) for offset, block in lifted]
@@ -165,158 +161,96 @@ def _exact_span(images: list[tuple[int, Matrix, list]], d: int) -> int:
                       for rows in frontier for offset, block, columns in images)
 
 
-def _modular_span(d: int, blocks: list[tuple[int, Matrix, list]]) -> int | None:
-    """The span of the images given by their local images over Q, decided
-    mod ``_PRIME`` as ``matrix_algebra_span`` describes; None when the prime
-    divides a denominator or a deficient span is not certified."""
-    p = _PRIME
-    if any(e.denominator % p == 0 for _, block, _ in blocks for row in block.entries for e in row):
+def _rank_one(blocks: list[tuple[int, Matrix]], d: int) -> tuple[dict, dict] | None:
+    """Vectors u and v with u*v^T in the algebra the images generate, read
+    off their blocks (over a field), or None.
+
+    A block B smaller than d with det(I - B) != 0 gives the projection onto
+    its coordinates, I - chi_B(g)/chi_B(1): by Cayley-Hamilton chi_B(g) is
+    0 on the block and chi_B(1)*I off it.  If two such blocks share exactly
+    one coordinate j, their projections multiply to e_j*e_j^T.  Otherwise,
+    over Q, take the first block with a rational eigenvalue lam != 1 whose
+    eigenvectors form a line, at its smallest one, and q(x) =
+    chi_B(x)*(x - 1)/(x - lam).  Then q(g) is zero off the block, since
+    q(1) = 0.  On it q(B) kills every generalized eigenspace but lam's, on
+    which B - lam is one Jordan block of some size m and q(B) is
+    (B - lam)^(m-1) times an invertible factor: rank one, so a nonzero
+    multiple of u*v^T for B's right and left eigenvectors u and v for lam.
+    """
+    dom = blocks[0][1].domain
+    one = dom.one
+    projections = [(offset, offset + block.rows) for offset, block in blocks
+                   if block.rows < d and (Matrix.identity(dom, block.rows) - block).det()]
+    for (start, end), (start2, end2) in combinations(projections, 2):
+        if min(end, end2) - max(start, start2) == 1:
+            j = max(start, start2)
+            return {j: one}, {j: one}
+    if dom is not QQ:
         return None
-    residues = EntryDomain(f"F_{p}", 0, 1, True, p.__rmod__, bool,
-                           lambda a, b: a * pow(b, -1, p) % p)
-    cap = d * d
-    mod_blocks = [
-        (offset, [[(j, b.numerator * pow(b.denominator, -1, p) % p)
-                   for j, b in enumerate(col) if b]
-                  for col in zip(*block.entries)])
-        for offset, block, _ in blocks
-    ]
-    # Words are flat row-major lists of d^2 residues.
-    basis = Echelon(residues)
-    candidates = iter([[int(i % (d + 1) == 0) for i in range(cap)]])
-    while True:
-        frontier = []
-        for word in candidates:
-            if basis.insert(word):
-                if len(basis) == cap:
-                    return cap
-                frontier.append(word)
-        if not frontier:
-            break
-        candidates = (_mul_mod(word, d, offset, columns, p)
-                      for word in frontier for offset, columns in mod_blocks)
-    rows = _reconstruct(sorted(basis.rows.items()), p)
-    if rows is not None and _spans_algebra(rows, blocks, d):
-        return len(rows)
+    for offset, block in blocks:
+        for lam in _rational_roots(_char_poly(block)):
+            if lam != 1:
+                shift = block - Matrix.identity(QQ, block.rows).scaled(lam)
+                right = shift.nullspace().basis
+                if len(right) == 1:
+                    left = shift.transpose().nullspace().basis
+                    return ({offset + i: e for i, e in enumerate(right[0]) if e},
+                            {offset + i: e for i, e in enumerate(left[0]) if e})
     return None
 
 
-def _mul_mod(word: list, d: int, offset: int, columns: list, p: int) -> list:
-    """The flat word times the image whose block, reduced mod p and laid out
-    as its nonzero columns, sits at ``offset``: only the block's columns
-    change, each to a combination of the old ones."""
-    out = list(word)
-    for k, col in enumerate(columns):
-        acc = [0] * d
-        for j, b in col:
-            acc = [x + y * b for x, y in zip(acc, word[offset + j::d])]
-        out[offset + k::d] = [x % p for x in acc]
-    return out
-
-
-def _rational(e: int, p: int) -> Fraction | None:
-    """The fraction r/s with |r|, s <= floor(sqrt(p/2)) and r = s*e mod p,
-    found by the extended Euclidean algorithm, or None if there is none."""
-    bound = isqrt(p // 2)
-    r0, r1, s0, s1 = p, e, 0, 1
-    while r1 > bound:
-        q = r0 // r1
-        r0, r1, s0, s1 = r1, r0 - q * r1, s1, s0 - q * s1
-    if abs(s1) > bound:
+def _spins(blocks: list[tuple[int, Matrix]], d: int) -> tuple[Echelon, Echelon] | None:
+    """The spins S of u under the images and R of v under their transposes,
+    for the u*v^T that ``_rank_one`` finds, or None when it finds none."""
+    found = _rank_one(blocks, d)
+    if found is None:
         return None
-    return Fraction(r1, s1)
+    u, v = found
+    return (_spin(u, blocks, d),
+            _spin(v, [(offset, block.transpose()) for offset, block in blocks], d))
 
 
-def _reconstruct(rows, p: int) -> list[tuple[int, dict]] | None:
-    """The rows of a reduced echelon form mod p lifted to Q entrywise, in
-    the shape of ``Echelon.reduced``; None if an entry has no lift."""
-    out = []
-    for pivot, rest in rows:
-        row = {pivot: Fraction(1)}
-        for k, e in rest.items():
-            if (lift := _rational(e, p)) is None:
-                return None
-            row[k] = lift
-        out.append((pivot, row))
-    return out
+def _spin(seed: dict, blocks: list[tuple[int, Matrix]], d: int) -> Echelon:
+    """An ``Echelon`` basis of the span of the seed's images under every
+    word in the images, cut short once it has all d dimensions.  Each kept
+    vector is moved by every g - I, which adds what g does to a span that
+    already holds the vector, and leaves a vector of at most k entries."""
+    basis = Echelon(blocks[0][1].domain, [seed])
+    kept = [seed]
+    for w in kept:
+        for offset, block in blocks:
+            if len(basis) == d:
+                return basis
+            moved = _moved(w, offset, block)
+            if basis.insert(moved):
+                kept.append(moved)
+    return basis
 
 
-def _spans_algebra(rows, blocks: list[tuple[int, Matrix, list]], d: int) -> bool:
-    """True iff the Q-rows, (pivot, row) pairs in reduced echelon shape over
-    the d x d cells in row-major order, span a space that contains I and is
-    closed under right multiplication by every image, given by its local
-    image.
-
-    Then the span contains every word.  A vector x lies in the span iff
-    x = sum of x[q] * row_q over the pivots q, which needs checking only off
-    the pivots.  For r in the span, r*g does iff r*g - r = r*(g - I) does,
-    and that is nonzero only in the block's columns.  Every check runs on
-    integers: the rows scaled by one common denominator, and g - I by its
-    own, which does not change membership and spares the gcd that every
-    ``Fraction`` operation takes.
-    """
-    pivots = {pivot for pivot, _ in rows}
-    if len(pivots) != len(rows) or any(
-            row.get(pivot) != 1 or len(row.keys() & pivots) != 1 for pivot, row in rows):
-        return False
-    scale = lcm(*(e.denominator for _, row in rows for e in row.values()))
-    scaled = {pivot: {k: e.numerator * (scale // e.denominator) for k, e in row.items()}
-              for pivot, row in rows}
-
-    def member(x: dict) -> bool:
-        acc = {k: e * scale for k, e in x.items() if k not in pivots}
-        for q, coeff in x.items():
-            if coeff and q in pivots:
-                for k, e in scaled[q].items():
-                    if k != q:
-                        acc[k] = acc.get(k, 0) - coeff * e
-        return not any(acc.values())
-
-    if not member({i * (d + 1): 1 for i in range(d)}):
-        return False
-    moves = []
-    for offset, block, _ in blocks:
-        k = block.rows
-        shift = [[e - (i == j) for j, e in enumerate(row)] for i, row in enumerate(block.entries)]
-        den = lcm(*(e.denominator for row in shift for e in row))
-        moves.append((offset, k, [[(c, e.numerator * (den // e.denominator))
-                                   for c, e in enumerate(row) if e] for row in shift]))
-    for row in scaled.values():
-        by_column: dict[int, list] = {}
-        for cell, e in row.items():
-            base, j = divmod(cell, d)
-            by_column.setdefault(j, []).append((base * d, e))
-        for offset, k, shift in moves:
-            x: dict[int, int] = {}
-            for j in range(k):
-                for base, e in by_column.get(offset + j, ()):
-                    for c, m in shift[j]:
-                        x[base + offset + c] = x.get(base + offset + c, 0) + e * m
-            if x and not member(x):
-                return False
-    return True
+def _moved(w: dict, offset: int, block: Matrix) -> dict:
+    """(g - I)*w for the image g with ``block`` at ``offset``: zero off the
+    block, and on it the block times w's coordinates there, minus them."""
+    zero = block.domain.zero
+    segment = [w.get(offset + j, zero) for j in range(block.rows)]
+    if not any(segment):
+        return {}
+    return {offset + i: sum((b * x for b, x in zip(row, segment) if x), zero) - segment[i]
+            for i, row in enumerate(block.entries)}
 
 
-def burnside_span(rep: Representation) -> int:
-    return matrix_algebra_span(rep.local_images(), rep.dim)
+def _invariant(basis: Echelon, blocks: list[tuple[int, Matrix]]) -> bool:
+    """True iff every image maps the span into itself: (g - I)*r lies in it
+    for every reduced row r."""
+    return not any(basis.remainder(_moved(row, offset, block))
+                   for _, row in basis.reduced() for offset, block in blocks)
 
 
-# -- witness search ----------------------------------------------------------
-
-
-def all_ones_check(rep: Representation) -> bool:
-    """True iff every image maps (1, ..., 1)^T to a scalar multiple of it.
-
-    An image moves only its block's coordinates, to the block's row sums.
-    They must all be one scalar, and when the block is smaller than the
-    image the coordinates outside it stay 1, so the scalar must be 1.
-    """
-    dom = rep.domain
-    for _, block, _ in rep.local_images():
-        sums = [sum(row, dom.zero) for row in block.entries]
-        if any(s != sums[0] for s in sums) or (block.rows < rep.dim and sums[0] != dom.one):
-            return False
-    return True
+def _kernel(basis: Echelon, d: int) -> Subspace:
+    """The vectors that every vector of the span kills, in the basis that
+    ``Matrix.nullspace`` reads off: each 1 at its last nonzero coordinate."""
+    zero = basis.domain.zero
+    return Matrix(basis.domain, [[row.get(j, zero) for j in range(d)]
+                                 for _, row in basis.reduced()]).nullspace()
 
 
 def _char_poly(m: Matrix) -> list[Fraction]:
@@ -383,79 +317,72 @@ def _rational_roots(coeffs: list[Fraction]) -> list[Fraction]:
     return sorted(roots)
 
 
-def _maps_into(rep: Representation, sub: Subspace) -> bool:
-    """True iff every image maps the subspace into itself.  For v in it, g*v
-    lies in it iff (g - I)*v does, which is zero outside g's block, where it
-    is the block times v's coordinates there, minus those coordinates."""
-    zero = rep.domain.zero
-    for offset, block, _ in rep.local_images():
-        for v in sub.basis:
-            segment = v[offset:offset + block.rows]
-            moved = [zero] * rep.dim
-            for i, row in enumerate(block.entries):
-                moved[offset + i] = sum((a * b for a, b in zip(row, segment)), zero) - segment[i]
-            if not sub.contains(moved):
-                return False
+def burnside_span(rep: Representation) -> int:
+    return matrix_algebra_span(rep.local_images(), rep.dim)
+
+
+# -- witness search ----------------------------------------------------------
+
+
+def all_ones_check(rep: Representation) -> bool:
+    """True iff every image maps (1, ..., 1)^T to a scalar multiple of it.
+
+    An image moves only its block's coordinates, to the block's row sums.
+    They must all be one scalar, and when the block is smaller than the
+    image the coordinates outside it stay 1, so the scalar must be 1.
+    """
+    dom = rep.domain
+    for _, block, _ in rep.local_images():
+        sums = [sum(row, dom.zero) for row in block.entries]
+        if any(s != sums[0] for s in sums) or (block.rows < rep.dim and sums[0] != dom.one):
+            return False
     return True
 
 
-def _minus_rows(offset: int, block: Matrix, lam, d: int) -> list[list]:
-    """Rows spanning the row space of g - lam*I, where g is ``block`` at
-    ``offset`` and the identity elsewhere: the block's rows of
-    block - lam*I, embedded at ``offset``, and when lam != 1 one unit row
-    per coordinate outside the block, where g - lam*I is (1 - lam)*I."""
-    dom = block.domain
-    k = block.rows
-    rows = [[dom.zero] * offset + [e - lam if i == j else e for j, e in enumerate(row)]
-            + [dom.zero] * (d - offset - k) for i, row in enumerate(block.entries)]
-    if lam != dom.one:
-        rows += [[dom.one if j == i else dom.zero for j in range(d)]
-                 for i in range(d) if not offset <= i < offset + k]
-    return rows
+def _maps_into(rep: Representation, sub: Subspace) -> bool:
+    """True iff every image maps the subspace into itself (``_invariant``)."""
+    blocks = [(offset, block._field_lift()) for offset, block, _ in rep.local_images()]
+    return _invariant(Echelon(sub.domain, sub.basis), blocks)
 
 
 def invariant_line_witness(rep: Representation) -> Subspace | None:
     """Best-effort explicit invariant subspace for a reducible specialization.
 
     Tries, in order: the all-ones line, the common fixed subspace (the
-    kernel of every g - I), and over Q a common eigenvector (in the kernel
-    of every g - lam*I, for one rational eigenvalue lam of each generator,
-    in sorted order; a block smaller than the image adds the eigenvalue 1).
-    Kernels are taken of stacked ``_minus_rows`` and their bases read off
-    the unique reduced echelon form.  Returns None when all three come up
-    empty; reducibility itself is already settled by the span criterion.
-    Witnesses are over the fraction field of the entries, and each is
-    checked exactly once: the all-ones line by ``all_ones_check``, any other
-    by ``_maps_into``.
+    kernel of the rows of every block minus I, read at its offset), and the
+    smaller of the certificate's proper S and L = R^perp, S on a tie (see
+    ``matrix_algebra_span``).  Each is given in the basis that
+    ``Matrix.nullspace`` reads off, so a line has 1 at its last nonzero
+    coordinate.  Returns None when all three come up empty; reducibility
+    itself is already settled by the span criterion.  Witnesses are over
+    the fraction field of the entries, and each is checked exactly once:
+    the all-ones line by ``all_ones_check``, any other by ``_maps_into``.
     """
     d = rep.dim
     blocks = [(offset, block._field_lift()) for offset, block, _ in rep.local_images()]
     dom = blocks[0][1].domain
+    zero, one = dom.zero, dom.one
     if all_ones_check(rep):
-        return Subspace(dom, d, (tuple([dom.one] * d),))
-    fixed = Matrix(dom, [row for offset, block in blocks
-                         for row in _minus_rows(offset, block, dom.one, d)]).nullspace()
+        return Subspace(dom, d, (tuple([one] * d),))
+    fixed = Matrix(dom, [[zero] * offset + [e - one if i == j else e for j, e in enumerate(row)]
+                         + [zero] * (d - offset - block.rows)
+                         for offset, block in blocks
+                         for i, row in enumerate(block.entries)]).nullspace()
     if fixed.dim and _maps_into(rep, fixed):
         return fixed
-    if dom is not QQ:
+    spins = _spins(blocks, d)
+    if spins is None:
         return None
-    # Each choice is its stacked rows and their kernel, nonzero.
-    choices = [([], None)]
-    for offset, block in blocks:
-        lams = set(_rational_roots(_char_poly(block)))
-        if block.rows < d:
-            lams.add(dom.one)
-        extended = (rows + _minus_rows(offset, block, lam, d)
-                    for rows, _ in choices for lam in sorted(lams))
-        choices = [(rows, space) for rows in extended
-                   if (space := Matrix(dom, rows).nullspace()).dim]
-        if not choices:
-            return None
-    for _, space in choices:
-        line = Subspace(dom, d, space.basis[:1])
-        if _maps_into(rep, line):
-            return line
-    return None
+    s, r = spins
+    proper = []
+    if len(s) < d:
+        proper.append(Matrix(dom, _kernel(s, d).basis).nullspace())
+    if len(r) < d:
+        proper.append(_kernel(r, d))
+    if not proper:
+        return None
+    witness = min(proper, key=lambda sub: sub.dim)
+    return witness if _maps_into(rep, witness) else None
 
 
 @dataclass(frozen=True)

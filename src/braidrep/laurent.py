@@ -488,10 +488,10 @@ class RationalFunction:
     # -- comparison / text ---------------------------------------------------
 
     def __eq__(self, other):
-        if isinstance(other, (int, LaurentPoly, Fraction)):
-            other = RationalFunction.coerce(other)
         if not isinstance(other, RationalFunction):
-            return NotImplemented
+            if not isinstance(other, (int, LaurentPoly, Fraction)):
+                return NotImplemented
+            other = RationalFunction.coerce(other)
         return self.num == other.num and self.den == other.den
 
     def __hash__(self):

@@ -5,11 +5,10 @@ supplies the zero/one elements, coercion, and the division notion used by the
 fraction-free elimination.  Determinants use the one-step fraction-free
 (Bareiss) scheme, which stays inside the entry domain.  Every elimination
 over a field runs on ``Echelon``, an incremental basis of sparse rows kept in
-reduced echelon form: rank, rref, nullspace and inverse (over the fraction
-field for Laurent entries), subspace membership, the span closure and the
-linear solver.  It sums entries with plain arithmetic and puts each sum into
-the domain with ``coerce`` at the end, so a residue field mod p is one more
-``EntryDomain``, on integers, whose ``coerce`` reduces mod p.
+reduced echelon form: nullspace and inverse (over the fraction field for
+Laurent entries), subspace membership, the span certificate's spins and its
+exact closure, and the linear solver.  It sums entries with plain arithmetic
+and puts each sum into the domain with ``coerce`` at the end.
 
 Generator images are the identity outside one small diagonal block, so word
 products apply each letter as a block-local update: ``block_columns`` lays
@@ -112,7 +111,7 @@ class Echelon:
     other entries, in insertion order; each row is 1 at its pivot and 0 at
     every other, so a vector's entry at a pivot is its coefficient on that
     row.  Entries are summed with plain ``+ - *`` and put into the domain
-    with ``coerce`` when done: integers whose ``coerce`` is mod p are F_p.
+    with ``coerce`` when done.
     """
 
     __slots__ = ("domain", "rows")
@@ -334,18 +333,6 @@ class Matrix:
         if self.domain is LAURENT:
             return self.map_entries(RationalFunction, RATFUNC)
         raise TypeError(f"no fraction field registered for {self.domain.name}")
-
-    def rank(self) -> int:
-        lifted = self._field_lift()
-        return len(Echelon(lifted.domain, lifted.entries))
-
-    def rref(self) -> tuple[Matrix, tuple[int, ...]]:
-        """Reduced row echelon form over a field; returns (matrix, pivot columns)."""
-        dom = self.domain
-        rows = Echelon(dom, self.entries).reduced()
-        dense = [[row.get(c, dom.zero) for c in range(self.cols)] for _, row in rows]
-        dense += [[dom.zero] * self.cols for _ in range(self.rows - len(rows))]
-        return Matrix(dom, dense), tuple(pivot for pivot, _ in rows)
 
     def nullspace(self) -> "Subspace":
         """Basis of the right kernel, over a field, read off the reduced rows."""

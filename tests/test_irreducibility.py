@@ -3,9 +3,10 @@
 from __future__ import annotations
 
 from fractions import Fraction
+from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from braidrep import (
@@ -36,13 +37,10 @@ from braidrep import irreducibility
 from braidrep.irreducibility import (
     GridCell,
     GridReport,
-    _char_poly,
     _exact_span,
     _maps_into,
-    _modular_span,
-    _rational,
+    _rank_one,
     _rational_roots,
-    _spans_algebra,
     grid_cell,
     invariant_line_witness,
 )
@@ -217,9 +215,9 @@ def two_block_rep():
                                           ("s", 2): (0, Matrix(QQ, [[2, 0], [0, -2]]))})
 
 
-# One witness per branch of the search: the common fixed space, eigenlines
-# of a single block, an eigenline through the eigenvalue 1 outside a block,
-# a fixed vector outside a lone block, and none over Q(t).
+# One witness per branch of the search: the common fixed space, the spin S
+# of a single block's eigenline, the line L of two blocks that share one
+# coordinate, a fixed vector outside a lone block, and none over Q(t).
 PINNED_WITNESSES = [
     (lambda: specialize(f_rep(3), 2), [[1, 0, 0, 0], [0, 0, 0, 1]]),
     (lambda: specialize(standard_rep(2), 4), [[-2, 1]]),
@@ -242,33 +240,25 @@ def test_pinned_witnesses(build, basis):
         assert [list(v) for v in witness.basis] == basis
 
 
+def dense_invariant(rep, sub):
+    """True iff every dense image maps the subspace into itself."""
+    return all(sub.contains([row[0] for row in (g * Matrix(sub.domain, [[e] for e in v])).entries])
+               for g in rep.assignment.values() for v in sub.basis)
+
+
 def dense_reference_witness(rep):
-    """The witness search on dense images: the kernel of the stacked g - I,
-    then one stack of g - lam*I per choice of a rational root lam of each
-    dense characteristic polynomial, checked by dense products."""
+    """The first two branches of the witness search on dense images: the
+    all-ones line, then the kernel of the stacked g - I, each checked by
+    dense products; None past them."""
     d = rep.dim
-    images = list(rep.assignment.values())
-    identity = Matrix.identity(QQ, d)
-
-    def invariant(sub):
-        return all(sub.contains([row[0] for row in (g * Matrix(QQ, [[e] for e in v])).entries])
-                   for g in images for v in sub.basis)
-
     ones = Subspace(QQ, d, ((Fraction(1),) * d,))
-    if invariant(ones):
+    if dense_invariant(rep, ones):
         return ones
-    fixed = Matrix(QQ, [row for g in images for row in (g - identity).entries]).nullspace()
-    if fixed.dim and invariant(fixed):
+    identity = Matrix.identity(QQ, d)
+    fixed = Matrix(QQ, [row for g in rep.assignment.values()
+                        for row in (g - identity).entries]).nullspace()
+    if fixed.dim and dense_invariant(rep, fixed):
         return fixed
-    choices = [[]]
-    for g in images:
-        minus = [(g - identity.scaled(lam)).entries for lam in _rational_roots(_char_poly(g))]
-        choices = [rows + list(m) for rows in choices for m in minus
-                   if Matrix(QQ, rows + list(m)).nullspace().dim]
-    for rows in choices:
-        line = Subspace(QQ, d, Matrix(QQ, rows).nullspace().basis[:1])
-        if invariant(line):
-            return line
     return None
 
 
@@ -294,7 +284,13 @@ def block_reps(draw):
 @given(block_reps())
 @settings(max_examples=150, deadline=None)
 def test_block_row_witness_equals_the_dense_reference(rep):
-    assert invariant_line_witness(rep) == dense_reference_witness(rep)
+    # Past the all-ones line and the fixed space, any witness must be a
+    # nonzero proper subspace that every dense image maps into itself.
+    witness, reference = invariant_line_witness(rep), dense_reference_witness(rep)
+    if reference is not None:
+        assert witness == reference
+    elif witness is not None:
+        assert 0 < witness.dim < rep.dim and dense_invariant(rep, witness)
 
 
 def test_predicted_irreducible_dichotomy():
@@ -354,16 +350,16 @@ def test_grid_report_includes_t_one_cells():
     assert by_params[(2, 1)].verdict == "irreducible"
 
 
-# -- the modular span and its certificate ---------------------------------------
+# -- the span certificate ----------------------------------------------------
 
 small_q = st.fractions(min_value=-4, max_value=4, max_denominator=3)
 
 
 @st.composite
-def extension_cells(draw):
+def extension_cells(draw, min_n=2):
     """n, t0, a, c, at t0 = 1 about half the time and with a + c = 1 about
     half the time, so that deficient spans are common."""
-    n = draw(st.integers(2, 6))
+    n = draw(st.integers(min_n, 6))
     t0 = draw(st.one_of(st.just(Fraction(1)), st.sampled_from(
         [Fraction(2), Fraction(-1), Fraction(1, 2), Fraction(-3, 2), Fraction(5, 3)])))
     a = draw(small_q)
@@ -371,11 +367,81 @@ def extension_cells(draw):
     return n, t0, a, c
 
 
-@given(extension_cells())
-@settings(max_examples=30, deadline=None)
-def test_modular_span_equals_the_exact_closure(cell):
-    rep = specialized_extension(*cell, group=False)
-    assert burnside_span(rep) == _exact_span(rep.local_images(), rep.dim)
+def extension_rep(cell, group):
+    n, t0, a, c = cell
+    assume(not group or a * a != t0 * c * c)
+    return specialized_extension(n, t0, a, c, group=group)
+
+
+def certified_span(rep):
+    """The span, and whether the certificate gave it without the exact
+    closure."""
+    fallbacks = []
+
+    def recording(images, d):
+        fallbacks.append(d)
+        return _exact_span(images, d)
+
+    with mock.patch.object(irreducibility, "_exact_span", recording):
+        span = burnside_span(rep)
+    return span, not fallbacks
+
+
+def _algebra_rows(images):
+    """The reduced echelon rows of the algebra, closed with dense products."""
+    dom = images[0].domain
+    basis = Echelon(dom)
+    frontier = [Matrix.identity(dom, images[0].rows)]
+    while frontier:
+        kept = [w for w in frontier if basis.insert([e for row in w.entries for e in row])]
+        frontier = [w * g for w in kept for g in images]
+    return basis.reduced()
+
+
+def check_certificate(rep):
+    """Whenever the certificate answers, its answer is the exact closure's,
+    and u*v^T lies in the algebra the dense images generate."""
+    d = rep.dim
+    span, certified = certified_span(rep)
+    if certified:
+        assert span == _exact_span(rep.local_images(), d)
+    found = _rank_one([(offset, block._field_lift()) for offset, block, _ in rep.local_images()], d)
+    if found is not None:
+        u, v = found
+        algebra = Echelon(rep.domain, [row for _, row in _algebra_rows(
+            list(rep.assignment.values()))])
+        x = {i * d + j: u[i] * v[j] for i in u for j in v}
+        assert x and not algebra.remainder(x)
+    return certified
+
+
+@given(block_reps())
+@example(Representation(2, "braid", 3, {("s", 1): (0, Matrix(QQ, [[2, 1], [0, 2]]))}))
+@settings(max_examples=150, deadline=None)
+def test_the_certificate_holds_on_block_representations(rep):
+    # The example's eigenvalue 2 is double, with one eigenvector e1 and the
+    # left one e2: x = e1*e2^T = (g - 2I)*(g - I).
+    check_certificate(rep)
+
+
+@given(extension_cells(), st.booleans())
+@settings(max_examples=40, deadline=None)
+def test_certified_span_equals_the_exact_closure(cell, group):
+    check_certificate(extension_rep(cell, group))
+
+
+@given(extension_cells(min_n=3), st.booleans())
+@settings(max_examples=40, deadline=None)
+def test_every_extension_cell_from_three_strands_is_certified(cell, group):
+    # Over Q at t0 = 1 and t0 != 1, in both modes.
+    assert certified_span(extension_rep(cell, group))[1]
+
+
+@given(st.sampled_from([3, 4]), small_q, small_q, st.booleans())
+@settings(max_examples=25, deadline=None)
+def test_symbolic_extensions_are_certified(n, a, c, group):
+    assume(a or c)
+    assert check_certificate(symbolic_extension(n, a, c, group=group))
 
 
 @given(extension_cells(), st.sampled_from(["random", "changed"]), st.data())
@@ -405,84 +471,56 @@ def test_block_local_witness_checks_agree_with_dense_products(cell, kind, data):
 
 def test_deficient_spans_are_certified_without_the_exact_closure():
     for n, dim in ((2, 2), (3, 5), (5, 17)):
-        blocks = specialized_extension(n, 1, 2, -1).local_images()
-        assert _modular_span(n, blocks) == dim
+        assert certified_span(specialized_extension(n, 1, 2, -1)) == (dim, True)
 
 
-def test_a_rank_lost_mod_p_is_refused_and_recomputed(monkeypatch):
-    # a + c = 4 is 1 mod 3, so mod 3 the cell spans only 5 of 9 dimensions.
-    monkeypatch.setattr(irreducibility, "_PRIME", 3)
-    rep = specialized_extension(3, 1, 5, -1)
-    assert _modular_span(3, rep.local_images()) is None
-    assert burnside_span(rep) == 9
-
-
-def test_a_prime_dividing_a_denominator_falls_back(monkeypatch):
-    rep = specialized_extension(3, Fraction(1, 3), 5, -1)
-    blocks = rep.local_images()
-    monkeypatch.setattr(irreducibility, "_PRIME", 3)
-    assert _modular_span(3, blocks) is None
-    assert burnside_span(rep) == 9
-    monkeypatch.setattr(irreducibility, "_PRIME", 5)
-    assert _modular_span(3, blocks) == 9
-
-
-def test_a_denominator_divisible_by_the_prime_falls_back():
-    p = irreducibility._PRIME
-    for t0, a, c, dim in ((Fraction(1, p), 2, 1, 9), (1, Fraction(1, p), 1 - Fraction(1, p), 5)):
+def test_cells_that_once_fell_back_are_certified():
+    # Cells that lost rank mod 3, had 3 in a denominator, or had 2^61 - 1
+    # in a denominator, when the span was decided mod a prime.
+    p = 2**61 - 1
+    for t0, a, c, dim in ((1, 5, -1, 9), (Fraction(1, 3), 5, -1, 9), (Fraction(1, p), 2, 1, 9),
+                          (1, Fraction(1, p), 1 - Fraction(1, p), 5)):
         rep = specialized_extension(3, t0, a, c)
-        assert _modular_span(3, rep.local_images()) is None
-        assert burnside_span(rep) == _exact_span(rep.local_images(), 3) == dim
+        assert certified_span(rep) == (dim, True)
+        assert _exact_span(rep.local_images(), 3) == dim
 
 
-@pytest.mark.parametrize("value", [Fraction(0), Fraction(1), Fraction(-3, 7),
-                                   Fraction(10**9 - 7, 10**9 + 9)])
-def test_rational_reconstruction(value):
-    p = irreducibility._PRIME
-    residue = value.numerator * pow(value.denominator, -1, p) % p
-    assert _rational(residue, p) == value
+TRIANGULAR = [Matrix(QQ, [[1, 0], [0, 2]]), Matrix(QQ, [[1, 1], [0, 1]])]
 
 
-def test_rational_reconstruction_finds_a_lift_iff_there_is_one():
-    p, bound = 101, 7
-    for residue in range(p):
-        lifts = {Fraction(r, s) for r in range(-bound, bound + 1) for s in range(1, bound + 1)
-                 if (r - s * residue) % p == 0}
-        lift = _rational(residue, p)
-        assert lift in lifts if lifts else lift is None
-
-
-def _algebra_rows(images):
-    """The reduced echelon rows of the algebra, closed with dense products."""
-    basis = Echelon(QQ)
-    frontier = [Matrix.identity(QQ, images[0].rows)]
-    while frontier:
-        kept = [w for w in frontier if basis.insert([e for row in w.entries for e in row])]
-        frontier = [w * g for w in kept for g in images]
-    return basis.reduced()
+def triangular_rep(transpose):
+    """diag(1, 2) and [[1, 1], [0, 1]], or their transposes: they generate
+    the upper (or lower) triangular matrices, of dimension 3, whose one
+    invariant line, e1 (or e2), has no invariant complement."""
+    return Representation(2, "braid", 2, {("s", i + 1): (0, g.transpose() if transpose else g)
+                                          for i, g in enumerate(TRIANGULAR)})
 
 
 def test_the_certificate_refuses_a_tampered_basis():
-    rep = specialized_extension(3, 1, 2, -1)
-    blocks = rep.local_images()
-    rows = _algebra_rows(list(rep.assignment.values()))
-    assert len(rows) == 5
-    assert _spans_algebra(rows, blocks, 3)
-    for i, (pivot, row) in enumerate(rows):
-        others = rows[:i] + rows[i + 1:]
-        assert not _spans_algebra(others, blocks, 3)
-        for cell in range(9):
-            tampered = dict(row)
-            tampered[cell] = row.get(cell, 0) + 1
-            assert not _spans_algebra(others[:i] + [(pivot, tampered)] + others[i:], blocks, 3)
+    # The eigenvalue 2 of diag(1, 2) gives x = e2*e2^T.  Upper triangular:
+    # S = V and R = span(e2); lower: S = span(e2) and R = V.  With e1
+    # dropped from the full spin, |S| = |R| = 1 and L = span(e1) is not
+    # inside S, but the upper S, or the lower L, is not invariant.
+    spins = irreducibility._spins
+    for transpose, full in ((False, 0), (True, 1)):
+        def dropped(blocks, d):
+            out = list(spins(blocks, d))
+            out[full] = Echelon(QQ, [row for _, row in out[full].reduced()[1:]])
+            return tuple(out)
+
+        with mock.patch.object(irreducibility, "_spins", dropped):
+            assert certified_span(triangular_rep(transpose)) == (3, False)
 
 
-def test_the_certificate_needs_the_identity():
-    # The matrices with rows 2 and 3 zero are closed under right
-    # multiplication by anything, but do not hold I.
-    blocks = specialized_extension(3, 2, 3, 1).local_images()
-    first_row = [(cell, {cell: Fraction(1)}) for cell in range(3)]
-    assert not _spans_algebra(first_row, blocks, 3)
+def test_the_certificate_needs_l_outside_s():
+    # The upper triangular matrices hold x = e1*e2^T = g2 - I, whose spins
+    # are S = span(e1) and R = span(e2): |S| = |R| = 1, both invariant, but
+    # L = R^perp = S, so V is not S + L.
+    rows = _algebra_rows(TRIANGULAR)
+    assert len(rows) == 3 and not Echelon(QQ, [row for _, row in rows]).remainder({1: 1})
+    x = ({0: Fraction(1)}, {1: Fraction(1)})
+    with mock.patch.object(irreducibility, "_rank_one", lambda blocks, d: x):
+        assert certified_span(triangular_rep(False)) == (3, False)
 
 
 # Roots and scales far beyond what trial division up to sqrt(|const|) could

@@ -1,8 +1,8 @@
 """Names that nothing imports must still resolve: the benchmark tracer's
 wrapped functions, and every module's ``__all__``.  And ``cli.main`` must be
 reentrant, since the benchmark calls it many times in one process.  The
-witness search must build no dense image, and the modular span must run on
-the one echelon engine."""
+witness search must build no dense image, and the span certificate's spins
+must run on the one echelon engine, without the exact closure."""
 
 from __future__ import annotations
 
@@ -20,6 +20,7 @@ from braidrep import (
     Matrix,
     Representation,
     f_rep,
+    irreducibility,
     is_irreducible,
     matrix,
     reps,
@@ -183,8 +184,10 @@ def test_the_witness_search_builds_no_dense_image():
     assert all(max(shape) <= largest for shape in shapes)
 
 
-def test_the_modular_span_inserts_into_echelon():
-    # A deficient cell, whose closure runs to the end, and a full one.
+def test_the_spins_insert_into_echelon(monkeypatch):
+    # A deficient cell and a full one, at t0 = 1 and t0 != 1, in both
+    # modes: each spin inserts its d or d - 1 vectors, and no cell reaches
+    # the exact closure.
     inserts = []
     insert = matrix.Echelon.insert
 
@@ -192,11 +195,15 @@ def test_the_modular_span_inserts_into_echelon():
         inserts.append(self.domain.name)
         return insert(self, vec)
 
-    matrix.Echelon.insert = counting
-    try:
-        for t0, a, c in ((1, 2, -1), (2, 3, 1)):
-            inserts.clear()
-            verdict = is_irreducible(specialized_extension(5, t0, a, c))
-            assert len(inserts) >= verdict.span_dim
-    finally:
-        matrix.Echelon.insert = insert
+    def refuse(images, d):
+        raise AssertionError("the exact closure ran")
+
+    monkeypatch.setattr(matrix.Echelon, "insert", counting)
+    monkeypatch.setattr(irreducibility, "_exact_span", refuse)
+    for n in (3, 5):
+        for t0, a, c in ((1, 2, -1), (2, 3, 1), (1, 3, 1)):
+            for group in (False, True):
+                inserts.clear()
+                verdict = is_irreducible(specialized_extension(n, t0, a, c, group=group))
+                assert len(inserts) >= 2 * (n - 1)
+                assert verdict.span_dim in (n * n, 1 + (n - 1) ** 2)
