@@ -53,7 +53,6 @@ from .reps import (
     burau_rep,
     evaluate_word,
     f_rep,
-    involution_matrix,
     singular_extension,
     standard_rep,
     verify_relations,

@@ -68,11 +68,18 @@ def _seed() -> int:
     return int(os.environ.get("BRAIDREP_SEED", "0"))
 
 
-def _laurent_arg(text: str):
-    try:
-        return parse_laurent(text)
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(str(exc)) from None
+def _arg(parse, keep_text: bool = False):
+    """An argparse type: what ``parse`` reads from the text, or with
+    ``keep_text`` the text itself once ``parse`` has read it, since reports
+    echo such arguments as given.  A ValueError from ``parse`` becomes a
+    usage error (exit 2) with its message."""
+    def convert(text: str):
+        try:
+            value = parse(text)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
+        return text if keep_text else value
+    return convert
 
 
 def _parse_fraction(text: str) -> Fraction:
@@ -82,34 +89,14 @@ def _parse_fraction(text: str) -> Fraction:
         raise ValueError(f"not a rational number: {text!r}") from None
 
 
-def _rational_arg(text: str) -> Fraction:
-    try:
-        return _parse_fraction(text)
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(str(exc)) from None
-
-
-def _count_arg(text: str) -> int:
+def _parse_count(text: str) -> int:
     try:
         value = int(text)
     except ValueError:
-        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
+        raise ValueError(f"not an integer: {text!r}") from None
     if value < 0:
-        raise argparse.ArgumentTypeError(f"must be a non-negative count, got {value}")
+        raise ValueError(f"must be a non-negative count, got {value}")
     return value
-
-
-def _checked(parse):
-    """An argparse type that rejects text ``parse`` cannot read (exit 2 with
-    a usage message) and otherwise keeps the text, since reports echo every
-    argument as given."""
-    def check(text: str) -> str:
-        try:
-            parse(text)
-        except ValueError as exc:
-            raise argparse.ArgumentTypeError(str(exc)) from None
-        return text
-    return check
 
 
 def _echo_inputs(args: argparse.Namespace) -> dict:
@@ -161,12 +148,12 @@ def _build_rep(args):
         return singular_extension(args.n, args.a, args.c, group=args.group)
     if kind == "vsb2":
         # Free entries default to 0, or to 1 where the family needs them nonzero.
-        params = {}
+        values = {}
         for name in family.free:
             value = getattr(args, name)
-            params[name] = value if value is not None else parse_laurent(
+            values[name] = value if value is not None else parse_laurent(
                 "1" if name in family.nonzero else "0")
-        return vsb2_extension(args.family, a=args.a, c=args.c, group=args.group, **params)
+        return vsb2_extension(family, values, a=args.a, c=args.c, group=args.group)
     raise BraidRepError(f"unknown representation kind {kind!r}")
 
 
@@ -427,14 +414,14 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("kind", choices=kinds)
         p.add_argument("n", type=int)
         # None marks an option not given; _build_rep fills in _REP_DEFAULTS.
-        p.add_argument("--a", type=_laurent_arg, default=None,
+        p.add_argument("--a", type=_arg(parse_laurent), default=None,
                        help="diagonal parameter of the t-image block (Laurent literal)")
-        p.add_argument("--c", type=_laurent_arg, default=None,
+        p.add_argument("--c", type=_arg(parse_laurent), default=None,
                        help="off-diagonal parameter of the t-image block")
         p.add_argument("--family", type=int, choices=[1, 2, 3, 4, 5], default=None)
-        p.add_argument("--p", type=_laurent_arg, default=None)
-        p.add_argument("--q", type=_laurent_arg, default=None)
-        p.add_argument("--r", type=_laurent_arg, default=None)
+        p.add_argument("--p", type=_arg(parse_laurent), default=None)
+        p.add_argument("--q", type=_arg(parse_laurent), default=None)
+        p.add_argument("--r", type=_arg(parse_laurent), default=None)
         p.add_argument("--group", action="store_true", default=None,
                        help="demand invertible t-images (unit block determinant)")
 
@@ -458,9 +445,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("irreducible",
                        help="span-criterion verdict for one specialization")
     p.add_argument("n", type=int)
-    p.add_argument("--t", type=_rational_arg, default=None)
-    p.add_argument("--a", type=_rational_arg, required=True)
-    p.add_argument("--c", type=_rational_arg, required=True)
+    p.add_argument("--t", type=_arg(_parse_fraction), default=None)
+    p.add_argument("--a", type=_arg(_parse_fraction), required=True)
+    p.add_argument("--c", type=_arg(_parse_fraction), required=True)
     p.add_argument("--symbolic", action="store_true",
                    help="keep t a variable and decide over the function field")
     p.add_argument("--json", action="store_true")
@@ -468,11 +455,11 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("grid", help="sweep specializations against the dichotomy")
     p.add_argument("n", type=int)
-    p.add_argument("--t", type=_checked(_parse_t_list), default="2,-1,3/2",
+    p.add_argument("--t", type=_arg(_parse_t_list, keep_text=True), default="2,-1,3/2",
                    help="comma-separated t values")
-    p.add_argument("--ac", type=_checked(_parse_pair_list), default="",
+    p.add_argument("--ac", type=_arg(_parse_pair_list, keep_text=True), default="",
                    help="semicolon-separated a,c pairs, like 2,-1;0,1")
-    p.add_argument("--random", type=_count_arg, default=0,
+    p.add_argument("--random", type=_arg(_parse_count), default=0,
                    help="additionally sample this many integer (a,c) pairs")
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_grid)
@@ -480,16 +467,16 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("kernel-probe",
                        help="emit identity-image certificates for pure-braid commutators")
     p.add_argument("n", type=int)
-    p.add_argument("--pairs", type=_checked(_parse_probe), action="append", default=None,
-                   help="two strand pairs like 1,2;1,3 (repeatable)")
-    p.add_argument("--a", type=_laurent_arg, default=parse_laurent("1"))
-    p.add_argument("--c", type=_laurent_arg, default=parse_laurent("1"))
+    p.add_argument("--pairs", type=_arg(_parse_probe, keep_text=True), action="append",
+                   default=None, help="two strand pairs like 1,2;1,3 (repeatable)")
+    p.add_argument("--a", type=_arg(parse_laurent), default=parse_laurent("1"))
+    p.add_argument("--c", type=_arg(parse_laurent), default=parse_laurent("1"))
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_kernel_probe)
 
     p = sub.add_parser("involutions",
                        help="the five 2x2 involution families and the classifier")
-    p.add_argument("--check", type=_count_arg, default=0,
+    p.add_argument("--check", type=_arg(_parse_count), default=0,
                    help="classify this many random rational involutions")
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_involutions)

@@ -43,7 +43,6 @@ from .matrix import (
     Echelon,
     Matrix,
     Subspace,
-    block_columns,
     mul_local,
 )
 from .reps import Representation, singular_extension
@@ -82,7 +81,7 @@ def specialize(rep: Representation, t0) -> Representation:
         def lift(block):
             return block.map_entries(lambda e: e.evaluate(t0), QQ)
     blocks = {key: (offset, lift(block))
-              for key, (offset, block, _) in zip(rep.generator_keys(), rep.local_images())}
+              for key, (offset, block) in zip(rep.generator_keys(), rep.local_images())}
     return Representation(rep.n, rep.mode, rep.dim, blocks, group=rep.group,
                           name=rep.name, params=params)
 
@@ -101,9 +100,9 @@ def symbolic_extension(n: int, a, c, group: bool = True) -> Representation:
 # -- algebra span ------------------------------------------------------------
 
 
-def matrix_algebra_span(images: list[tuple[int, Matrix, list]], dim: int) -> int:
+def matrix_algebra_span(images: list[tuple[int, Matrix]], dim: int) -> int:
     """Dimension of the unital algebra A generated by the given dim x dim
-    matrices, each given by its local image (offset, block, columns), as
+    matrices, each given by its local image (offset, block), as
     ``Representation.local_image`` returns it.
 
     First a certificate, exact over the images' field.  ``_rank_one`` reads
@@ -120,7 +119,7 @@ def matrix_algebra_span(images: list[tuple[int, Matrix, list]], dim: int) -> int
     if not images:
         raise ValueError("need at least one matrix")
     d = dim
-    blocks = [(offset, block._field_lift()) for offset, block, _ in images]
+    blocks = [(offset, block._field_lift()) for offset, block in images]
     spins = _spins(blocks, d)
     if spins is not None:
         s, r = spins
@@ -131,19 +130,17 @@ def matrix_algebra_span(images: list[tuple[int, Matrix, list]], dim: int) -> int
             if s.remainder(ell) and _invariant(s, blocks) \
                     and _invariant(Echelon(s.domain, [ell]), blocks):
                 return 1 + (d - 1) ** 2
-    return _exact_span(images, d)
+    return _exact_span(blocks, d)
 
 
-def _exact_span(images: list[tuple[int, Matrix, list]], d: int) -> int:
+def _exact_span(images: list[tuple[int, Matrix]], d: int) -> int:
     """Breadth-first closure: seed with the identity, then keep
     right-multiplying new basis elements by the images (as block-local
     updates, see ``mul_local``) until nothing new appears or the full d^2
     is reached.  Each product goes into an exact ``Echelon`` basis over the
     images' own field (Q, or Q(t) once Laurent blocks are lifted), on the
     cells in row-major order."""
-    if not images[0][1].domain.is_field:
-        lifted = [(offset, block._field_lift()) for offset, block, _ in images]
-        images = [(offset, block, block_columns(block)) for offset, block in lifted]
+    images = [(offset, block._field_lift()) for offset, block in images]
     dom = images[0][1].domain
     cap = d * d
     basis = Echelon(dom)
@@ -157,8 +154,8 @@ def _exact_span(images: list[tuple[int, Matrix, list]], d: int) -> int:
                 frontier.append(rows)
         if not frontier:
             return len(basis)
-        candidates = (mul_local(rows, offset, block, columns)
-                      for rows in frontier for offset, block, columns in images)
+        candidates = (mul_local(rows, offset, block)
+                      for rows in frontier for offset, block in images)
 
 
 def _rank_one(blocks: list[tuple[int, Matrix]], d: int) -> tuple[dict, dict] | None:
@@ -332,7 +329,7 @@ def all_ones_check(rep: Representation) -> bool:
     image the coordinates outside it stay 1, so the scalar must be 1.
     """
     dom = rep.domain
-    for _, block, _ in rep.local_images():
+    for _, block in rep.local_images():
         sums = [sum(row, dom.zero) for row in block.entries]
         if any(s != sums[0] for s in sums) or (block.rows < rep.dim and sums[0] != dom.one):
             return False
@@ -341,7 +338,7 @@ def all_ones_check(rep: Representation) -> bool:
 
 def _maps_into(rep: Representation, sub: Subspace) -> bool:
     """True iff every image maps the subspace into itself (``_invariant``)."""
-    blocks = [(offset, block._field_lift()) for offset, block, _ in rep.local_images()]
+    blocks = [(offset, block._field_lift()) for offset, block in rep.local_images()]
     return _invariant(Echelon(sub.domain, sub.basis), blocks)
 
 
@@ -359,7 +356,7 @@ def invariant_line_witness(rep: Representation) -> Subspace | None:
     the all-ones line by ``all_ones_check``, any other by ``_maps_into``.
     """
     d = rep.dim
-    blocks = [(offset, block._field_lift()) for offset, block, _ in rep.local_images()]
+    blocks = [(offset, block._field_lift()) for offset, block in rep.local_images()]
     dom = blocks[0][1].domain
     zero, one = dom.zero, dom.one
     if all_ones_check(rep):

@@ -7,15 +7,16 @@ fraction-free elimination.  Determinants use the one-step fraction-free
 over a field runs on ``Echelon``, an incremental basis of sparse rows kept in
 reduced echelon form: nullspace and inverse (over the fraction field for
 Laurent entries), subspace membership, the span certificate's spins and its
-exact closure, and the linear solver.  It sums entries with plain arithmetic
-and puts each sum into the domain with ``coerce`` at the end.
+exact closure, and the linear solver.  It sums entries with the field's own
+arithmetic, which keeps them in the field.
 
 Generator images are the identity outside one small diagonal block, so word
-products apply each letter as a block-local update: ``block_columns`` lays
-out the block's nonzero columns once, and ``mul_local`` right-multiplies by
-it in O(k^2 d) ring operations instead of the O(d^3) of the dense product.
-The dense ``Matrix.__mul__`` stays the general product and the reference the
-local one is tested against.
+products apply each letter as a block-local update: ``mul_local`` right-
+multiplies by the identity with a block at an offset in O(k^2 d) ring
+operations instead of the O(d^3) of the dense product.  It lays out the
+block's nonzero columns on its first use and keeps that layout in the
+immutable block, so no caller sees it.  The dense ``Matrix.__mul__`` stays
+the general product and the reference the local one is tested against.
 """
 
 from __future__ import annotations
@@ -41,7 +42,6 @@ __all__ = [
     "QQ",
     "Matrix",
     "Subspace",
-    "block_columns",
     "mul_local",
 ]
 
@@ -110,8 +110,7 @@ class Echelon:
     ``rows`` maps each pivot, its row's smallest coordinate, to the row's
     other entries, in insertion order; each row is 1 at its pivot and 0 at
     every other, so a vector's entry at a pivot is its coefficient on that
-    row.  Entries are summed with plain ``+ - *`` and put into the domain
-    with ``coerce`` when done.
+    row.
     """
 
     __slots__ = ("domain", "rows")
@@ -144,8 +143,7 @@ class Echelon:
                     for j, r in rest.items():
                         val = get(j)
                         acc[j] = e * r if val is None else val + e * r
-        coerce = self.domain.coerce
-        return {k: r for k, e in acc.items() if (r := coerce(e))}
+        return {k: e for k, e in acc.items() if e}
 
     def insert(self, vec) -> bool:
         """Keep the vector's remainder, scaled to 1 at its pivot, if it is
@@ -154,12 +152,11 @@ class Echelon:
         if not v:
             return False
         dom = self.domain
-        coerce = dom.coerce
         pivot = min(v)
         lead = v.pop(pivot)
         if lead != dom.one:
             inv = dom.exact_div(dom.one, lead)
-            v = {k: coerce(e * inv) for k, e in v.items()}
+            v = {k: e * inv for k, e in v.items()}
         for rest in self.rows.values():
             coeff = rest.pop(pivot, None)
             if coeff is not None:
@@ -167,8 +164,8 @@ class Echelon:
                 for k, e in v.items():
                     val = rest.get(k)
                     if val is None:
-                        rest[k] = coerce(coeff * e)
-                    elif r := coerce(val + coeff * e):
+                        rest[k] = coeff * e
+                    elif r := val + coeff * e:
                         rest[k] = r
                     else:
                         del rest[k]
@@ -184,9 +181,13 @@ class Echelon:
 
 
 class Matrix:
-    """Immutable dense matrix with exact entries."""
+    """Immutable dense matrix with exact entries.
 
-    __slots__ = ("domain", "rows", "cols", "entries")
+    ``_columns`` is ``mul_local``'s layout of the matrix as a block, set on
+    its first use and read by every later one.
+    """
+
+    __slots__ = ("domain", "rows", "cols", "entries", "_columns")
 
     def __init__(self, domain: EntryDomain, entries):
         rows = tuple(tuple(domain.coerce(e) for e in row) for row in entries)
@@ -430,28 +431,34 @@ class Subspace:
         }
 
 
-def block_columns(block: Matrix) -> list[list]:
-    """The block's columns in the form ``mul_local`` applies them: the
-    nonzero entries of each column as (row, entry) pairs, with None for an
-    entry equal to one."""
+def _lay_out(block: Matrix) -> tuple:
+    """The block's columns as ``mul_local`` applies them, kept in the block:
+    the nonzero entries of each column as (row, entry) pairs, with None for
+    an entry equal to one."""
     one = block.domain.one
-    return [[(j, None if b == one else b) for j, b in enumerate(col) if b]
-            for col in zip(*block.entries)]
+    columns = tuple(tuple((j, None if b == one else b) for j, b in enumerate(col) if b)
+                    for col in zip(*block.entries))
+    object.__setattr__(block, "_columns", columns)
+    return columns
 
 
-def mul_local(rows, offset: int, block: Matrix, columns: list) -> list[list]:
+def mul_local(rows, offset: int, block: Matrix) -> list[list]:
     """Rows of the product (rows) * E, where E is the identity with ``block``
-    on the diagonal at ``offset`` and ``columns`` is ``block_columns(block)``,
-    laid out once by the caller for all the products by that block.
+    on the diagonal at ``offset``.
 
     Only the block's columns change, each to the old row segment times a
-    block column, so this costs O(k^2 d) ring operations.  Zero terms (every
-    entry type is falsy exactly at zero) are skipped, and a unit factor, or
-    a left factor that is the domain's ``one`` object itself, is taken as
-    is, which keeps every entry equal to the dense product's.
+    block column, so this costs O(k^2 d) ring operations; the columns are
+    laid out (``_lay_out``) on the block's first product only.  Zero terms
+    (every entry type is falsy exactly at zero) are skipped, and a unit
+    factor, or a left factor that is the domain's ``one`` object itself, is
+    taken as is, which keeps every entry equal to the dense product's.
     """
     dom = block.domain
     zero, one = dom.zero, dom.one
+    try:
+        columns = block._columns
+    except AttributeError:
+        columns = _lay_out(block)
     end = offset + block.rows
     out = []
     for row in rows:
@@ -467,4 +474,3 @@ def mul_local(rows, offset: int, block: Matrix, columns: list) -> list[list]:
             new.append(zero if acc is None else acc)
         out.append([*row[:offset], *new, *row[end:]])
     return out
-

@@ -13,17 +13,18 @@ embedded block [[a, c*t], [c, a]] = a*I + c*(standard block).  One builder,
 given for t lives in: the Laurent ring (t the variable, a and c Laurent
 polynomials), Q (t a nonzero rational), Q(t), or the symbolic unknowns' ring
 of the solver.  On two strands the virtual extension additionally sends the
-virtual generator to one of five involution families.
+virtual generator to the involution of one of the five families that the
+solver derives, at given values of that family's free entries.
 
 Word evaluation relies on one invariant: every image equals the identity
 outside one diagonal block.  A ``Representation`` is built from those blocks
 and holds each generator as its block alone: the builders pass the block they
 write, and a caller with only a dense image passes it as the full block at
-offset 0.  ``local_image`` returns the block with its columns laid out for
-``mul_local``, inverting only the block for exponent -1, and
-``evaluate_word`` applies the letters as block-local updates; dense images
-are built on demand.  A word's image is the identity outside the union of its
-letters' blocks, its support, so words are multiplied on their support only
+offset 0.  ``local_image`` returns the pair (offset, block), inverting only
+the block for exponent -1, and ``evaluate_word`` applies the letters as
+block-local updates (``mul_local``); dense images are built on demand.  A
+word's image is the identity outside the union of its letters' blocks, its
+support, so words are multiplied on their support only
 (``_local_products``), and ``verify_relations`` compares the two sides of
 each relation there, building the full matrices only for a relation that
 fails.
@@ -37,13 +38,11 @@ from types import MappingProxyType
 
 from .errors import (
     BadStrandCount,
-    DivisibilityViolation,
     ModeMismatch,
     NonInvertibleLetter,
     NonInvertibleTau,
     NotUnitDeterminant,
     UnassignedGenerator,
-    ZeroQ,
     ZeroSpecialization,
 )
 from .laurent import ONE, T, LaurentPoly, RationalFunction
@@ -53,7 +52,6 @@ from .matrix import (
     RATFUNC,
     EntryDomain,
     Matrix,
-    block_columns,
     mul_local,
 )
 from .presentations import NU, SIGMA, TAU, Presentation, Relation, Word
@@ -67,7 +65,6 @@ __all__ = [
     "burau_rep",
     "f_rep",
     "singular_extension",
-    "involution_matrix",
     "vsb2_extension",
     "evaluate_word",
     "verify_relations",
@@ -105,8 +102,7 @@ class Representation:
         fields = {
             "n": n, "mode": mode, "dim": dim, "group": group, "name": name, "domain": domain,
             "params": MappingProxyType(dict(params or {})),
-            "_blocks": {key: (offset, block, block_columns(block))
-                        for key, (offset, block) in blocks.items()},
+            "_blocks": dict(blocks),
             "_inverses": {},
         }
         for attr, value in fields.items():
@@ -118,7 +114,7 @@ class Representation:
     def generator_keys(self):
         return sorted(self._blocks, key=lambda k: (k[0], k[1]))
 
-    def local_images(self) -> list[tuple[int, Matrix, list]]:
+    def local_images(self) -> list[tuple[int, Matrix]]:
         """The generators' local images in ``generator_keys`` order."""
         return [self._blocks[key] for key in self.generator_keys()]
 
@@ -127,12 +123,10 @@ class Representation:
         """The dense image of every generator, built on demand; read-only."""
         return MappingProxyType({key: self.image(*key) for key in self.generator_keys()})
 
-    def local_image(self, kind: str, index: int, exp: int = 1) -> tuple[int, Matrix, list]:
-        """The letter's image as (offset, block, columns): the image is the
-        identity outside the diagonal block at that offset, and columns is
-        ``block_columns(block)``, the form ``mul_local`` applies it in.  For
-        exponent -1 only the block is inverted; its determinant is the
-        image's."""
+    def local_image(self, kind: str, index: int, exp: int = 1) -> tuple[int, Matrix]:
+        """The letter's image as (offset, block): the image is the identity
+        outside the diagonal block at that offset.  For exponent -1 only the
+        block is inverted, once; its determinant is the image's."""
         key = (kind, index)
         if key not in self._blocks:
             raise UnassignedGenerator(f"no image assigned to {kind}{index}")
@@ -145,20 +139,20 @@ class Representation:
                 f"{kind}{index} has no inverse in monoid mode"
             )
         if key not in self._inverses:
-            offset, block, _ = self._blocks[key]
+            offset, block = self._blocks[key]
             try:
                 block = block.inverse()
             except NotUnitDeterminant as exc:
                 raise NonInvertibleLetter(
                     f"image of {kind}{index} is not invertible over {self.domain.name}: {exc}"
                 ) from exc
-            self._inverses[key] = (offset, block, block_columns(block))
+            self._inverses[key] = (offset, block)
         return self._inverses[key]
 
     def image(self, kind: str, index: int, exp: int = 1) -> Matrix:
         """The letter's dense image: its block (inverted for exponent -1),
         embedded in the identity."""
-        offset, block, _ = self.local_image(kind, index, exp)
+        offset, block = self.local_image(kind, index, exp)
         return _embed(self, range(offset, offset + block.rows), block.entries)
 
     def to_json_dict(self) -> dict:
@@ -245,57 +239,16 @@ def singular_extension(n: int, a, c, group: bool = False, t=T) -> Representation
                           name="singular-extension", params=params)
 
 
-def involution_matrix(family_id: int, *, p=None, q=None, r=None,
-                      domain: EntryDomain = LAURENT) -> Matrix:
-    """Construct the 2x2 involution of the given family.
-
-    Over the Laurent ring, family 1 requires q to divide 1 - p^2 exactly;
-    over a field only q != 0 is needed.
-    """
-    if family_id == 1:
-        p = domain.coerce(p)
-        q = domain.coerce(q)
-        if q == domain.zero:
-            raise ZeroQ("family 1 requires q != 0")
-        top = domain.one - p * p
-        if domain.is_field:
-            lower = domain.exact_div(top, q)
-        else:
-            try:
-                lower = top.exact_div(q)
-            except ValueError as exc:
-                raise DivisibilityViolation(
-                    f"q = {q} does not divide 1 - p^2 = {top} in the Laurent ring"
-                ) from exc
-        m = Matrix(domain, [[p, q], [lower, -p]])
-    elif family_id == 2:
-        r = domain.coerce(r)
-        m = Matrix(domain, [[-domain.one, domain.zero], [r, domain.one]])
-    elif family_id == 3:
-        r = domain.coerce(r)
-        m = Matrix(domain, [[domain.one, domain.zero], [r, -domain.one]])
-    elif family_id == 4:
-        m = Matrix.identity(domain, 2).scaled(-1)
-    elif family_id == 5:
-        m = Matrix.identity(domain, 2)
-    else:
-        raise ValueError(f"family_id must be 1..5, got {family_id}")
-    assert (m * m).is_identity(), "involution family produced a non-involution"
-    return m
-
-
-def vsb2_extension(family_id: int, *, a, c, p=None, q=None, r=None,
-                   group: bool = False) -> Representation:
+def vsb2_extension(family, values: dict, *, a, c, group: bool = False) -> Representation:
     """Two-strand virtual singular representation: standard s-image, the
-    (a, c) t-image, and a v-image from the chosen involution family."""
+    (a, c) t-image, and as v-image the involution of ``family``, one of the
+    solver's derived families, at the given values of its free entries."""
     base = singular_extension(2, a, c, group=group)
-    blocks = {key: base.local_image(*key)[:2] for key in base.generator_keys()}
-    blocks[(NU, 1)] = (0, involution_matrix(family_id, p=p, q=q, r=r, domain=LAURENT))
-    params = dict(base.params)
-    params.update({k: v for k, v in (("p", p), ("q", q), ("r", r)) if v is not None})
-    params["family"] = family_id
+    blocks = {key: base.local_image(*key) for key in base.generator_keys()}
+    blocks[(NU, 1)] = (0, family.image(values))
+    params = {**base.params, **values, "family": family.family_id}
     return Representation(2, "virtual_singular", 2, blocks, group=group,
-                          name=f"vsb2-extension-family-{family_id}", params=params)
+                          name=f"vsb2-extension-family-{family.family_id}", params=params)
 
 
 def evaluate_word(rep: Representation, w: Word) -> Matrix:
@@ -316,13 +269,13 @@ def _local_products(rep: Representation, words) -> tuple[list[int], list[list[li
     """
     letters = [[rep.local_image(g.kind, g.index, g.exp) for g in w] for w in words]
     support = sorted({o + k for word_letters in letters
-                      for o, block, _ in word_letters for k in range(block.rows)})
+                      for o, block in word_letters for k in range(block.rows)})
     position = {o: i for i, o in enumerate(support)}
     products = []
     for word_letters in letters:
         rows = _identity_rows(rep.domain, len(support))
-        for o, block, columns in word_letters:
-            rows = mul_local(rows, position[o], block, columns)
+        for o, block in word_letters:
+            rows = mul_local(rows, position[o], block)
         products.append(rows)
     return support, products
 

@@ -33,16 +33,18 @@ from math import prod
 
 from .errors import (
     BraidRepError,
+    DivisibilityViolation,
     Inconsistent,
     ModeMismatch,
     NonlinearSystem,
     NotInvolution,
     Unclassifiable,
     UnassignedGenerator,
+    ZeroQ,
 )
 from .irreducibility import _rational_roots
 from .laurent import T, RationalFunction
-from .matrix import RATFUNC, Echelon, Matrix, QQ
+from .matrix import LAURENT, RATFUNC, Echelon, Matrix, QQ
 from .presentations import NU, TAU, Presentation, build_presentation
 from .reps import Representation, _local_products, singular_extension, standard_rep
 from .symbolic import SYMBOLIC, SymPoly
@@ -142,7 +144,7 @@ def assemble(pres: Presentation, known: Representation, unknown_gens) -> Constra
                 f"generator {kind}{index} does not exist in mode {pres.mode} on n={pres.n}")
     dim = known.dim
     blocks = {key: (offset, block.map_entries(SymPoly.coerce, SYMBOLIC))
-              for key, (offset, block, _) in zip(known.generator_keys(), known.local_images())}
+              for key, (offset, block) in zip(known.generator_keys(), known.local_images())}
     unknowns: list[str] = []
     for key, names in _unknown_names(dim, unknown_gens).items():
         unknowns.extend(name for row in names for name in row)
@@ -368,6 +370,27 @@ class InvolutionSolution:
             f"{den} divides {num} in the Laurent ring"
             for num, den in self.bindings.values() if den != 1)
 
+    def image(self, values: dict) -> Matrix:
+        """The family's involution over the Laurent ring: each free entry
+        takes its value from ``values`` and each bound one its quotient
+        there.  Raises ZeroQ when a ``nonzero`` entry (a free one) is 0,
+        and DivisibilityViolation when a quotient leaves the Laurent ring."""
+        entries = {name: RationalFunction(LAURENT.coerce(values[name])) for name in self.free}
+        for name in self.nonzero:
+            if not entries[name]:
+                raise ZeroQ(f"family {self.family_id} requires {name} != 0")
+        point = {name: SymPoly.const(e) for name, e in entries.items()}
+        for name, (num, den) in self.bindings.items():
+            top, bottom = (part.substitute(point).terms.get((), _RF_ZERO) for part in (num, den))
+            entries[name] = top / bottom
+            if not entries[name].is_laurent():
+                raise DivisibilityViolation(f"{den} = {bottom} does not divide {num} = {top} "
+                                            "in the Laurent ring")
+        m = Matrix(LAURENT, [[entries[name].as_laurent() for name in row]
+                             for row in entry_names(2, NU, "")])
+        assert (m * m).is_identity(), "involution family produced a non-involution"
+        return m
+
     def solves(self, system: ConstraintSystem) -> bool:
         """Whether every quadratic of ``system`` vanishes on the family, each
         quotient binding multiplied through by its denominator."""
@@ -384,6 +407,7 @@ class InvolutionSolution:
 
 
 _ONE = SymPoly.const(1)
+_RF_ZERO = RationalFunction(0)
 
 
 def _put(poly: SymPoly, name: str, num: SymPoly, den: SymPoly) -> tuple[SymPoly, SymPoly]:

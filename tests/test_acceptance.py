@@ -204,7 +204,7 @@ def test_criterion_09_involution_families_and_classifier():
     pres = build_presentation(2, "virtual_singular")
     cases = [(1, {"p": 2, "q": 3}), (2, {"r": 4}), (3, {"r": -1}), (4, {}), (5, {})]
     for family_id, params in cases:
-        rep = vsb2_extension(family_id, a=T, c=2, **params)
+        rep = vsb2_extension(families[family_id - 1], params, a=T, c=2)
         assert verify_relations(rep, pres) == []
     print("criterion 9: PASS")
 

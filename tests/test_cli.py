@@ -129,6 +129,30 @@ def test_solve_extension_json_report_is_pinned(capsys, n, digest):
     ("show-rep f 3", 0, "3816ae7754d3bb4e06dda59eec9801384a52d6a383ed6d0be79c91498c707856"),
     ("show-rep vsb2 2 --family 1 --p 2 --q 3", 0,
      "c40091f8714d06465a386aeb02d93b20e9bc1609b2d2b6e18f5e61122858487c"),
+    # Every involution family's v-image and relation check: Laurent and
+    # integer free entries, a quotient that divides exactly, the defaults
+    # (0, or 1 where the family needs it nonzero), and group mode.
+    ("show-rep vsb2 2 --family 1 --p t --q 1-t", 0,
+     "98eed7d3b4f19f3fdb4edf8cd99d0a565ac701089de334773296d81af6bd6500"),
+    ("verify vsb2 2 --family 1 --p 3 --q 2", 0,
+     "1e5c50cfe844950cc7b1ff07e438d0b635ffcdd85a406ad0a8fa48b0146a0b6b"),
+    ("show-rep vsb2 2", 0, "f1d095ff5f59d33229f51a6f936bfb2b0255651225150890ddf8213331737801"),
+    ("verify vsb2 2 --family 2 --r t^-1", 0,
+     "47d1fb43ab772d9e36b2a2336a073ee34c8d7ee08931bdb37767e87fbae0f1c9"),
+    ("show-rep vsb2 2 --family 2 --r 5", 0,
+     "233e14fae8a5f8efa5a5106d3700399f7b9344c053d61b33edf86ad043dca946"),
+    ("verify vsb2 2 --family 3 --r -7 --a 0 --c 1 --group", 0,
+     "0ee02d383fdc1a41a09a123a74749da214c231f95b77fa472274471788395783"),
+    ("show-rep vsb2 2 --family 3", 0,
+     "abe73b68a7fd5fc51c5e19cacafe7df7ab153a48ad8eb50c0cec1d6facd1383c"),
+    ("verify vsb2 2 --family 4", 0,
+     "ec5551e9e10eae6d15bb480b80794c390cace38a456611f336672880b0006163"),
+    ("show-rep vsb2 2 --family 4 --a t --c 2", 0,
+     "8cfd5beb651d303fcf6252df87df67d7ec2342cf4844a385df29d6aea3f48a21"),
+    ("verify vsb2 2 --family 5 --group --a 0 --c 1", 0,
+     "0ccf3f3a6e59e8f400fd20ebd23441977edc96bdfecbc28812a91b18bcb15864"),
+    ("show-rep vsb2 2 --family 5", 0,
+     "3115e1102d27135be250b93c8da6f7931054cf5a473a321251a1fcc669d522a0"),
     ("verify singular-ext 4 --a 0 --c 1 --group", 0,
      "1785c4c1a7032f0d6c43f1540c2b195bbfa17e35417b4f5a36a935f226296427"),
     # 1 - t is not a unit: a usage error with nothing on stdout.
@@ -143,6 +167,20 @@ def test_json_reports_are_pinned(capsys, argv, code, digest):
     out = capsys.readouterr().out
     assert got == code
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("options,message", [
+    # The dividend is printed as the family's binding prints it.
+    (["--p", "0", "--q", "t+1"],
+     "error: q = t + 1 does not divide -p^2 + 1 = 1 in the Laurent ring\n"),
+    (["--q", "0"], "error: family 1 requires q != 0\n"),
+])
+@pytest.mark.parametrize("command", ["show-rep", "verify"])
+def test_vsb2_family_one_refuses_a_quotient_outside_the_ring(capsys, command, options, message):
+    for json_flag in ([], ["--json"]):
+        code, out, err = run_cli(capsys, command, "vsb2", "2", "--family", "1", *options,
+                                 *json_flag)
+        assert (code, out, err) == (2, "", message)
 
 
 @pytest.mark.parametrize("n,residual", [

@@ -44,7 +44,6 @@ from braidrep.irreducibility import (
     grid_cell,
     invariant_line_witness,
 )
-from braidrep.matrix import block_columns
 
 ONE_RF = RationalFunction(1)
 
@@ -52,8 +51,7 @@ ONE_RF = RationalFunction(1)
 def span(images):
     """The algebra span of dense images, each given to the span as its full
     block at offset 0."""
-    local = [(0, image, block_columns(image)) for image in images]
-    return matrix_algebra_span(local, images[0].rows)
+    return matrix_algebra_span([(0, image) for image in images], images[0].rows)
 
 
 def test_specialize_to_rational_point():
@@ -405,7 +403,7 @@ def check_certificate(rep):
     span, certified = certified_span(rep)
     if certified:
         assert span == _exact_span(rep.local_images(), d)
-    found = _rank_one([(offset, block._field_lift()) for offset, block, _ in rep.local_images()], d)
+    found = _rank_one([(offset, block._field_lift()) for offset, block in rep.local_images()], d)
     if found is not None:
         u, v = found
         algebra = Echelon(rep.domain, [row for _, row in _algebra_rows(

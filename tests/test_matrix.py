@@ -21,7 +21,7 @@ from braidrep import (
     mul_local,
 )
 from braidrep.errors import NotInvertible, NotSquare, NotUnitDeterminant, ShapeMismatch
-from braidrep.matrix import EntryDomain
+from braidrep import matrix
 from braidrep.reps import _block_rep
 
 
@@ -205,8 +205,8 @@ def test_local_product_matches_dense_product(n, k, data):
     rep, i = _block_rep(n, block, ""), data.draw(st.integers(1, n - 1))
     image = rep.image("s", i)
     left = data.draw(qq_matrices(3, image.rows))
-    offset, local, columns = rep.local_image("s", i)
-    assert Matrix(QQ, mul_local(left.entries, offset, local, columns)) == left * image
+    offset, local = rep.local_image("s", i)
+    assert Matrix(QQ, mul_local(left.entries, offset, local)) == left * image
 
 
 @pytest.mark.parametrize("domain", [QQ, LAURENT, RATFUNC])
@@ -224,9 +224,30 @@ def test_local_product_of_rows_holding_other_ones(domain):
     block = Matrix(domain, entries)
     rep = _block_rep(4, block, "")
     for i in (1, 2, 3):
-        offset, local, columns = rep.local_image("s", i)
+        offset, local = rep.local_image("s", i)
         expected = Matrix(domain, rows) * rep.image("s", i)
-        assert Matrix(domain, mul_local(rows, offset, local, columns)) == expected
+        assert Matrix(domain, mul_local(rows, offset, local)) == expected
+
+
+def test_local_product_lays_out_each_block_once(monkeypatch):
+    # Two products by one block object read the layout built on the first;
+    # both equal the dense products by the embedded image.
+    block = Matrix(LAURENT, [[T, 1], [1, 1 - T]])
+    image = embed(block, 2, 4)
+    left = Matrix(LAURENT, [[1, T, 2, 0], [0, 3, T ** -1, 1], [T, 0, 1, 1 - T]])
+    layouts = []
+
+    def recording(b):
+        layouts.append(b)
+        return lay_out(b)
+
+    lay_out = matrix._lay_out
+    monkeypatch.setattr(matrix, "_lay_out", recording)
+    first = mul_local(left.entries, 1, block)
+    second = mul_local(first, 1, block)
+    assert layouts == [block]
+    assert Matrix(LAURENT, first) == left * image
+    assert Matrix(LAURENT, second) == left * image * image
 
 
 # -- the echelon engine --------------------------------------------------------
@@ -269,39 +290,6 @@ def test_echelon_remainder_is_empty_exactly_on_the_span(keys, data):
     grown = Echelon(QQ, [*vectors, probe])
     assert len(grown) == len(basis) + (1 if rest else 0)
     assert Echelon(QQ, [*vectors, rest]).reduced() == grown.reduced()
-
-
-def residue_field(p):
-    """F_p as an entry domain: integer entries, reduced by ``coerce``."""
-    return EntryDomain(f"F_{p}", 0, 1, True, p.__rmod__, bool,
-                       lambda a, b: a * pow(b, -1, p) % p)
-
-
-@given(st.sampled_from([5, 7, 2**61 - 1]), st.integers(1, 5), st.data())
-@settings(max_examples=100, deadline=None)
-def test_echelon_over_a_residue_field_is_the_rational_form_mod_p(p, cols, data):
-    vectors = data.draw(st.lists(
-        st.lists(st.integers(-4, 4), min_size=cols, max_size=cols), min_size=1, max_size=5))
-    basis = Echelon(residue_field(p))
-    for vec in vectors:
-        basis.insert(vec)
-        for rest in basis.rows.values():
-            assert not rest.keys() & basis.rows.keys()
-            assert all(0 < e < p for e in rest.values())
-    rational = Echelon(QQ, vectors).reduced()
-    assert len(basis) <= len(rational)
-    if len(basis) == len(rational) and all(
-            e.denominator % p for _, row in rational for e in row.values()):
-        assert basis.reduced() == [
-            (pivot, {k: r for k, e in row.items()
-                     if (r := e.numerator * pow(e.denominator, -1, p) % p)})
-            for pivot, row in rational]
-
-
-def test_echelon_over_f5_drops_a_multiple_of_5():
-    basis = Echelon(residue_field(5), [[1, 2], [3, 1]])
-    assert basis.reduced() == [(0, {0: 1, 1: 2})]
-    assert len(Echelon(QQ, [[1, 2], [3, 1]])) == 2
 
 
 def test_echelon_reads_sequences_as_indexed_vectors():

@@ -18,11 +18,11 @@ from braidrep import (
     burau_rep,
     evaluate_word,
     f_rep,
-    involution_matrix,
     parse_word,
     pure_braid_generator,
     sigma,
     singular_extension,
+    solve_involution_2x2,
     standard_rep,
     tau,
     verify_relations,
@@ -40,6 +40,9 @@ from braidrep.presentations import GeneratorSymbol
 from braidrep.laurent import RationalFunction
 from braidrep.reps import Representation, standard_block
 from braidrep.symbolic import SymPoly
+from paper_involutions import involution_matrix
+
+FAMILIES = {family.family_id: family for family in solve_involution_2x2()}
 
 
 def full_blocks(assignment: dict) -> dict:
@@ -205,16 +208,20 @@ def test_sigma_and_tau_images_commute_blockwise():
     (5, {}),
 ])
 def test_involution_families_square_to_identity(family_id, kwargs):
-    m = involution_matrix(family_id, **kwargs)
+    # The derived family's image against the paper's table.
+    m = FAMILIES[family_id].image(kwargs)
+    assert m == involution_matrix(family_id, **kwargs)
     assert (m * m).is_identity()
 
 
 def test_involution_family_one_divisibility():
-    with pytest.raises(ZeroQ):
-        involution_matrix(1, p=1, q=0)
-    with pytest.raises(DivisibilityViolation):
-        involution_matrix(1, p=0, q=T + 1)
-    m = involution_matrix(1, p=T, q=T + 1)
+    family = FAMILIES[1]
+    with pytest.raises(ZeroQ, match=r"^family 1 requires q != 0$"):
+        family.image({"p": 1, "q": 0})
+    with pytest.raises(DivisibilityViolation, match=r"^q = t \+ 1 does not divide "
+                       r"-p\^2 \+ 1 = 1 in the Laurent ring$"):
+        family.image({"p": 0, "q": T + 1})
+    m = family.image({"p": T, "q": T + 1})
     assert m.entries[1][0] == 1 - T
 
 
@@ -228,12 +235,12 @@ def test_involution_family_one_divisibility():
 def test_vsb2_extension_satisfies_all_relations(family_id, kwargs):
     pres = build_presentation(2, "virtual_singular")
     for a, c in [(1, 1), (0, 1), (2, -3)]:
-        rep = vsb2_extension(family_id, a=a, c=c, **kwargs)
+        rep = vsb2_extension(FAMILIES[family_id], kwargs, a=a, c=c)
         assert verify_relations(rep, pres) == []
 
 
 def test_vsb2_family_one_nu_slide_needs_no_indices_beyond_two_strands():
-    rep = vsb2_extension(1, a=1, c=1, p=2, q=3)
+    rep = vsb2_extension(FAMILIES[1], {"p": 2, "q": 3}, a=1, c=1)
     assert rep.image("v", 1) == Matrix(LAURENT, [[2, 3], [-1, -2]])
     pres = build_presentation(2, "virtual_singular")
     assert verify_relations(rep, pres) == []
@@ -255,8 +262,8 @@ LOCAL_CASES = [
     singular_extension(5, 1 + T, T ** -1),
     singular_extension(4, 2, -1, group=True, t=Fraction(3, 2)),
     singular_extension(3, Fraction(1, 2), 3, t=Fraction(-2)),
-    vsb2_extension(1, a=0, c=1, p=T, q=1 - T, group=True),
-    vsb2_extension(2, a=T, c=2, r=1 + T),
+    vsb2_extension(FAMILIES[1], {"p": T, "q": 1 - T}, a=0, c=1, group=True),
+    vsb2_extension(FAMILIES[2], {"r": 1 + T}, a=T, c=2),
     # Seven strands: words whose letters' blocks leave gaps between them.
     standard_rep(7),
     singular_extension(7, 1 + T, T ** -1),
@@ -298,7 +305,7 @@ def test_verify_relations_matches_dense_fold_on_tampered_images(data):
     rep = data.draw(st.sampled_from(LOCAL_CASES))
     key = data.draw(st.sampled_from(rep.generator_keys()))
     change = rep.domain.coerce(data.draw(st.sampled_from([-1, 2, 3])))
-    blocks = {k: rep.local_image(*k)[:2] for k in rep.generator_keys()}
+    blocks = {k: rep.local_image(*k) for k in rep.generator_keys()}
     if data.draw(st.booleans()):
         offset, block = blocks[key]
         r, c = (data.draw(st.integers(0, block.rows - 1)) for _ in range(2))

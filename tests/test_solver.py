@@ -25,7 +25,6 @@ from braidrep import (
     block_form_match,
     build_presentation,
     involution_classify,
-    involution_matrix,
     laurent_representability,
     solve_involution_2x2,
     solve_linear,
@@ -42,11 +41,13 @@ from braidrep.errors import (
     NotInvolution,
     UnassignedGenerator,
     Unclassifiable,
+    ZeroQ,
 )
 from braidrep.reps import Representation, singular_extension, standard_block
 from braidrep.symbolic import SYMBOLIC
 from braidrep import solver
 from braidrep.solver import entry_names
+from paper_involutions import involution_matrix
 
 a, b, c, d, x, y, z = (SymPoly.symbol(name) for name in "abcdxyz")
 
@@ -447,6 +448,24 @@ def test_derived_families_are_the_involution_matrix_families(p, q, r):
                         for row in entry_names(2, "v", ""))
         assert derived == built.entries
         assert involution_classify(built) == (family.family_id, params)
+
+
+laurents = st.dictionaries(st.integers(-2, 2), st.integers(-3, 3)).map(LaurentPoly)
+
+
+@given(laurents, laurents, st.integers(-2, 2), st.sampled_from([1, -1]), st.booleans())
+@settings(max_examples=25, deadline=None)
+def test_derived_family_images_are_the_table_over_the_laurent_ring(p, r, k, sign, plus):
+    # q = +-t^k (1 -+ p) divides 1 - p^2, so family 1 stays in the ring.
+    q = LaurentPoly({k: sign}) * (1 + p if plus else 1 - p)
+    samples = {1: {"p": p, "q": q}, 2: {"r": r}, 3: {"r": r}, 4: {}, 5: {}}
+    for family in solve_involution_2x2():
+        params = samples[family.family_id]
+        if family.family_id == 1 and not q:
+            with pytest.raises(ZeroQ):
+                family.image(params)
+            continue
+        assert family.image(params) == involution_matrix(family.family_id, **params)
 
 
 @pytest.mark.parametrize("family_id", [1, 2, 3, 4, 5])

@@ -180,7 +180,7 @@ def test_the_witness_search_builds_no_dense_image():
         reps._embed = saved
         Matrix.__mul__ = dense_mul
     assert embedded == []
-    largest = max(block.rows for rep in cases for _, block, _ in rep.local_images())
+    largest = max(block.rows for rep in cases for _, block in rep.local_images())
     assert all(max(shape) <= largest for shape in shapes)
 
 
