@@ -10,7 +10,6 @@ from .errors import BraidRepError
 from .irreducibility import (
     GridReport,
     IrreducibilityVerdict,
-    all_ones_check,
     burnside_span,
     grid_report,
     is_irreducible,

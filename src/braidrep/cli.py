@@ -24,6 +24,7 @@ from fractions import Fraction
 
 from .errors import BraidRepError, NotInKernel, TrivialWord, Unclassifiable
 from .irreducibility import (
+    agreement_status,
     grid_report,
     is_irreducible,
     predicted_irreducible,
@@ -104,13 +105,24 @@ def _echo_inputs(args: argparse.Namespace) -> dict:
     return {k: str(v) for k, v in sorted(vars(args).items()) if k not in skip and v is not None}
 
 
-def _emit(args, result: dict, status: str, lines: list[str]) -> None:
+def _emit(args, result: dict, status: str, lines: list[str]) -> int:
+    """Print the report, and return its exit code: 1 when the status is
+    "fail", 0 otherwise."""
     if args.json:
         report = {"command": args.command, "inputs": _echo_inputs(args),
                   "result": result, "status": status}
         print(json.dumps(report, sort_keys=True, indent=2))
     else:
         print("\n".join(lines))
+    return EXIT_MISMATCH if status == "fail" else EXIT_OK
+
+
+@functools.cache
+def _involution_families():
+    """The vsb2 constraint system and the involution families derived from
+    it, once per process: neither depends on any argument."""
+    system = assemble_vsb2()
+    return system, tuple(solve_involution_2x2(system))
 
 
 def _build_rep(args):
@@ -129,7 +141,7 @@ def _build_rep(args):
     if kind == "vsb2":
         if args.n != 2:
             raise BraidRepError("the vsb2 representation is two-strand only")
-        family = {f.family_id: f for f in solve_involution_2x2()}[args.family]
+        family = {f.family_id: f for f in _involution_families()[1]}[args.family]
     # --p, --q and --r set free entries of a vsb2 family and nothing else.
     free = family.free if family else ()
     unused = [f"--{name}" for name in ("p", "q", "r")
@@ -138,12 +150,6 @@ def _build_rep(args):
         owner = (f"vsb2 family {args.family}, whose free entries are {', '.join(free) or 'none'}"
                  if family else f"the {kind} representation, which has no free entries")
         raise BraidRepError(f"{', '.join(unused)} does not apply to {owner}")
-    if kind == "standard":
-        return standard_rep(args.n)
-    if kind == "burau":
-        return burau_rep(args.n)
-    if kind == "f":
-        return f_rep(args.n)
     if kind == "singular-ext":
         return singular_extension(args.n, args.a, args.c, group=args.group)
     if kind == "vsb2":
@@ -154,7 +160,7 @@ def _build_rep(args):
             values[name] = value if value is not None else parse_laurent(
                 "1" if name in family.nonzero else "0")
         return vsb2_extension(family, values, a=args.a, c=args.c, group=args.group)
-    raise BraidRepError(f"unknown representation kind {kind!r}")
+    return {"standard": standard_rep, "burau": burau_rep, "f": f_rep}[kind](args.n)
 
 
 def cmd_show_rep(args) -> int:
@@ -163,8 +169,7 @@ def cmd_show_rep(args) -> int:
     for kind, index in rep.generator_keys():
         lines.append(f"{kind}{index} ->")
         lines.append(str(rep.image(kind, index)))
-    _emit(args, rep.to_json_dict(), "pass", lines)
-    return EXIT_OK
+    return _emit(args, rep.to_json_dict(), "pass", lines)
 
 
 def cmd_verify(args) -> int:
@@ -180,16 +185,14 @@ def cmd_verify(args) -> int:
     lines.append(f"status: {status}")
     result = {"relations": len(pres.relations),
               "violations": [v.to_json_dict() for v in violations]}
-    _emit(args, result, status, lines)
-    return EXIT_OK if not violations else EXIT_MISMATCH
+    return _emit(args, result, status, lines)
 
 
 def cmd_solve_extension(args) -> int:
     if args.target == "vsb2":
         if args.n != 2:
             raise BraidRepError("the virtual target is two-strand only")
-        system = assemble_vsb2()
-        families = solve_involution_2x2(system)
+        system, families = _involution_families()
         result, ok, family_lines = _family_report(
             families, system,
             lambda f, matrix, cond:
@@ -199,8 +202,7 @@ def cmd_solve_extension(args) -> int:
                  f"{len(system.equations)} linear"]
         lines += [f"  {p} = 0" for p in system.nonlinear]
         lines += [f"solution families: {len(families)}", *family_lines, f"status: {status}"]
-        _emit(args, {"system": system.to_json_dict(), **result}, status, lines)
-        return EXIT_OK if ok else EXIT_MISMATCH
+        return _emit(args, {"system": system.to_json_dict(), **result}, status, lines)
 
     system = assemble_singular(args.n)
     family, residue = solve_with_residue(system)
@@ -233,8 +235,7 @@ def cmd_solve_extension(args) -> int:
                  + (", ".join(residual_free) or "none"))
     lines.append(f"matches the embedded-block form after setting them to 1: {form_ok}")
     lines.append(f"status: {status}")
-    _emit(args, result, status, lines)
-    return EXIT_OK if status != "fail" else EXIT_MISMATCH
+    return _emit(args, result, status, lines)
 
 
 def cmd_irreducible(args) -> int:
@@ -252,7 +253,7 @@ def cmd_irreducible(args) -> int:
         where = f"t={args.t}"
     verdict = is_irreducible(rep)
     agree = verdict.irreducible == predicted
-    status = "pass" if agree else ("divergence" if args.n == 2 else "fail")
+    status = agreement_status(args.n, agree)
     result = verdict.to_json_dict()
     result["predicted"] = "irreducible" if predicted else "reducible"
     result["agree"] = agree
@@ -266,8 +267,7 @@ def cmd_irreducible(args) -> int:
                  for v in verdict.witness.basis]
         lines.append(f"invariant subspace witness: {'; '.join(basis)}")
     lines.append(f"status: {status}")
-    _emit(args, result, status, lines)
-    return EXIT_OK if status != "fail" else EXIT_MISMATCH
+    return _emit(args, result, status, lines)
 
 
 def _parse_t_list(text: str) -> list[Fraction]:
@@ -305,8 +305,7 @@ def cmd_grid(args) -> int:
     lines = [report_obj.csv(),
              f"agreements: {report_obj.agreements}/{len(report_obj.cells)}",
              f"status: {status}"]
-    _emit(args, report_obj.to_json_dict(), status, lines)
-    return EXIT_OK if status != "fail" else EXIT_MISMATCH
+    return _emit(args, report_obj.to_json_dict(), status, lines)
 
 
 def _parse_probe(text: str) -> tuple[tuple[int, int], tuple[int, int]]:
@@ -345,8 +344,7 @@ def cmd_kernel_probe(args) -> int:
         lines.append(f"  nontriviality: {cert.nontriviality}")
     status = "pass" if not rejected else "fail"
     lines.append(f"status: {status}")
-    _emit(args, {"certificates": certificates, "rejected": rejected}, status, lines)
-    return EXIT_OK if not rejected else EXIT_MISMATCH
+    return _emit(args, {"certificates": certificates, "rejected": rejected}, status, lines)
 
 
 def _family_report(families, system, line) -> tuple[dict, bool, list[str]]:
@@ -372,8 +370,7 @@ def _random_involution(rng: random.Random) -> Matrix:
 
 
 def cmd_involutions(args) -> int:
-    system = assemble_vsb2()
-    families = solve_involution_2x2(system)
+    system, families = _involution_families()
     result, ok, lines = _family_report(
         families, system, lambda f, matrix, cond: f"family {f.family_id}: free "
         f"{', '.join(f.free) or '(none)'}; {matrix}" + (f"  ({cond})" if cond else ""))
@@ -396,8 +393,7 @@ def cmd_involutions(args) -> int:
         tally_text = ", ".join(f"family {k}: {v}" for k, v in sorted(tallies.items()))
         lines.append(f"classified {classified}/{args.check} random involutions ({tally_text})")
     lines.append(f"status: {status}")
-    _emit(args, result, status, lines)
-    return EXIT_OK if ok else EXIT_MISMATCH
+    return _emit(args, result, status, lines)
 
 
 @functools.cache

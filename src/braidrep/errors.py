@@ -53,10 +53,6 @@ class BadIndices(BraidRepError):
     """Generator or strand-pair indices out of range."""
 
 
-class InverseUnavailable(BraidRepError):
-    """Inversion of a letter that is not invertible in monoid mode."""
-
-
 # -- representations --------------------------------------------------------
 
 class ModeMismatch(BraidRepError):

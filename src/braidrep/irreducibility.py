@@ -23,9 +23,11 @@ image, its block, and build no dense image.
 Witness extraction (an explicit invariant subspace) is best effort: the
 all-ones direction, common fixed vectors (a nullspace of rows read off the
 blocks), and the smaller invariant subspace of the certificate's spins, in
-that order.  A verdict never depends on finding a witness, since an
-invariant subspace may need irrational coordinates that the span criterion
-happily avoids.
+that order.  Each candidate is built only when the one before it is
+refused, and each passes the block-local test that the certificate's S and
+L pass (``_invariant``).  A verdict never depends on finding a witness,
+since an invariant subspace may need irrational coordinates that the span
+criterion happily avoids.
 """
 
 from __future__ import annotations
@@ -57,9 +59,9 @@ __all__ = [
     "matrix_algebra_span",
     "burnside_span",
     "is_irreducible",
-    "all_ones_check",
     "invariant_line_witness",
     "predicted_irreducible",
+    "agreement_status",
     "grid_report",
 ]
 
@@ -321,65 +323,41 @@ def burnside_span(rep: Representation) -> int:
 # -- witness search ----------------------------------------------------------
 
 
-def all_ones_check(rep: Representation) -> bool:
-    """True iff every image maps (1, ..., 1)^T to a scalar multiple of it.
-
-    An image moves only its block's coordinates, to the block's row sums.
-    They must all be one scalar, and when the block is smaller than the
-    image the coordinates outside it stay 1, so the scalar must be 1.
-    """
-    dom = rep.domain
-    for _, block in rep.local_images():
-        sums = [sum(row, dom.zero) for row in block.entries]
-        if any(s != sums[0] for s in sums) or (block.rows < rep.dim and sums[0] != dom.one):
-            return False
-    return True
-
-
-def _maps_into(rep: Representation, sub: Subspace) -> bool:
-    """True iff every image maps the subspace into itself (``_invariant``)."""
-    blocks = [(offset, block._field_lift()) for offset, block in rep.local_images()]
-    return _invariant(Echelon(sub.domain, sub.basis), blocks)
-
-
 def invariant_line_witness(rep: Representation) -> Subspace | None:
     """Best-effort explicit invariant subspace for a reducible specialization.
 
     Tries, in order: the all-ones line, the common fixed subspace (the
     kernel of the rows of every block minus I, read at its offset), and the
     smaller of the certificate's proper S and L = R^perp, S on a tie (see
-    ``matrix_algebra_span``).  Each is given in the basis that
-    ``Matrix.nullspace`` reads off, so a line has 1 at its last nonzero
-    coordinate.  Returns None when all three come up empty; reducibility
+    ``matrix_algebra_span``).  Each is built only once the one before it
+    is refused, and given in the basis that ``Matrix.nullspace`` reads off,
+    so a line has 1 at its last nonzero coordinate.  Returns the first
+    nonzero candidate that ``_invariant`` accepts, or None; reducibility
     itself is already settled by the span criterion.  Witnesses are over
-    the fraction field of the entries, and each is checked exactly once:
-    the all-ones line by ``all_ones_check``, any other by ``_maps_into``.
+    the fraction field of the entries.
     """
     d = rep.dim
     blocks = [(offset, block._field_lift()) for offset, block in rep.local_images()]
     dom = blocks[0][1].domain
     zero, one = dom.zero, dom.one
-    if all_ones_check(rep):
-        return Subspace(dom, d, (tuple([one] * d),))
-    fixed = Matrix(dom, [[zero] * offset + [e - one if i == j else e for j, e in enumerate(row)]
-                         + [zero] * (d - offset - block.rows)
-                         for offset, block in blocks
-                         for i, row in enumerate(block.entries)]).nullspace()
-    if fixed.dim and _maps_into(rep, fixed):
-        return fixed
-    spins = _spins(blocks, d)
-    if spins is None:
-        return None
-    s, r = spins
-    proper = []
-    if len(s) < d:
-        proper.append(Matrix(dom, _kernel(s, d).basis).nullspace())
-    if len(r) < d:
-        proper.append(_kernel(r, d))
-    if not proper:
-        return None
-    witness = min(proper, key=lambda sub: sub.dim)
-    return witness if _maps_into(rep, witness) else None
+
+    def candidates():
+        yield Subspace(dom, d, (tuple([one] * d),))
+        yield Matrix(dom, [[zero] * offset + [e - one if i == j else e for j, e in enumerate(row)]
+                           + [zero] * (d - offset - block.rows)
+                           for offset, block in blocks
+                           for i, row in enumerate(block.entries)]).nullspace()
+        spins = _spins(blocks, d)
+        if spins is None:
+            return
+        s, r = spins  # dim S = len(s) and dim L = d - len(r)
+        if len(s) < d and (len(r) == d or len(s) <= d - len(r)):
+            yield Matrix(dom, _kernel(s, d).basis).nullspace()
+        elif len(r) < d:
+            yield _kernel(r, d)
+
+    return next((sub for sub in candidates()
+                 if sub.dim and _invariant(Echelon(dom, sub.basis), blocks)), None)
 
 
 @dataclass(frozen=True)
@@ -418,6 +396,14 @@ def predicted_irreducible(t0, a, c) -> bool:
     return Fraction(t0) != 1 or Fraction(a) + Fraction(c) != 1
 
 
+def agreement_status(n: int, agree: bool) -> str:
+    """A verdict's status against the prediction: "pass" when they agree;
+    otherwise "divergence" on two strands, the recorded watch cases (there
+    tau = a*I + c*sigma commutes with sigma, so the algebra has dimension
+    at most 2), and "fail" from three strands on."""
+    return "pass" if agree else ("divergence" if n == 2 else "fail")
+
+
 @dataclass(frozen=True)
 class GridCell:
     n: int
@@ -428,7 +414,11 @@ class GridCell:
     verdict: str
     predicted: str
     agree: bool
-    watch: bool  # n = 2 cells are expected to diverge from the prediction
+
+    @property
+    def watch(self) -> bool:
+        """True on the cells where a disagreement is a recorded divergence."""
+        return agreement_status(self.n, False) == "divergence"
 
     def csv_row(self) -> str:
         return ",".join([
@@ -459,12 +449,9 @@ class GridReport:
 
     @property
     def status(self) -> str:
-        bad = self.divergences
-        if not bad:
-            return "pass"
-        if all(cell.watch for cell in bad):
-            return "divergence"
-        return "fail"
+        """The worst status among the cells."""
+        return max((agreement_status(cell.n, cell.agree) for cell in self.cells),
+                   key=("pass", "divergence", "fail").index, default="pass")
 
     def csv(self) -> str:
         lines = ["n,t0,a,c,span_dim,verdict,predicted,agree"]
@@ -494,7 +481,6 @@ def grid_cell(n: int, t0, a, c) -> GridCell:
         verdict=verdict.status,
         predicted="irreducible" if predicted else "reducible",
         agree=verdict.irreducible == predicted,
-        watch=(n == 2),
     )
 
 

@@ -65,14 +65,6 @@ class LaurentPoly:
 
     # -- constructors --------------------------------------------------
 
-    @classmethod
-    def constant(cls, c: int) -> LaurentPoly:
-        return cls({0: int(c)})
-
-    @classmethod
-    def monomial(cls, exp: int, coeff: int = 1) -> LaurentPoly:
-        return cls({exp: coeff})
-
     @staticmethod
     def coerce(value) -> LaurentPoly:
         if isinstance(value, LaurentPoly):
@@ -391,8 +383,8 @@ class RationalFunction:
             return RationalFunction(value)
         if isinstance(value, Fraction):
             return RationalFunction(
-                LaurentPoly.constant(value.numerator),
-                LaurentPoly.constant(value.denominator),
+                LaurentPoly.coerce(value.numerator),
+                LaurentPoly.coerce(value.denominator),
             )
         raise TypeError(f"cannot coerce {value!r} into Q(t)")
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, NamedTuple
 
-from .errors import BadIndices, BadStrandCount, InverseUnavailable
+from .errors import BadIndices, BadStrandCount
 
 __all__ = [
     "SIGMA",
@@ -101,13 +101,9 @@ def parse_word(text: str) -> Word:
     return tuple(letters)
 
 
-def word_inverse(w: Word, group: bool = True) -> Word:
-    if not group:
-        for g in w:
-            if g.kind == TAU:
-                raise InverseUnavailable(
-                    f"cannot invert {g} in monoid mode: tau letters have no inverses"
-                )
+def word_inverse(w: Word) -> Word:
+    """The formal inverse; whether a t^-1 letter has an image is up to the
+    representation (``Representation.group``), as for the relations."""
     return tuple(g.inverse() for g in reversed(w))
 
 
@@ -122,9 +118,9 @@ def free_reduce(w: Word) -> Word:
     return tuple(out)
 
 
-def commutator(u: Word, v: Word, group: bool = True) -> Word:
+def commutator(u: Word, v: Word) -> Word:
     """u v u^-1 v^-1, not freely reduced."""
-    return tuple(u) + tuple(v) + word_inverse(u, group) + word_inverse(v, group)
+    return tuple(u) + tuple(v) + word_inverse(u) + word_inverse(v)
 
 
 def pure_braid_generator(i: int, j: int, n: int) -> Word:

@@ -37,7 +37,6 @@ from braidrep import (
     verify_relations,
     vsb2_extension,
 )
-from braidrep.irreducibility import all_ones_check
 from braidrep.presentations import TAU
 from braidrep.reps import _block_rep
 from braidrep.symbolic import SYMBOLIC
@@ -120,7 +119,6 @@ def test_criterion_05_t_one_dichotomy_in_a_plus_c():
             spec = specialized_extension(n, 1, a, c)
             verdict = is_irreducible(spec)
             assert not verdict.irreducible
-            assert all_ones_check(spec)
             assert verdict.witness is not None
             assert verdict.witness.dim == 1
             assert verdict.witness.contains(ones)

@@ -419,14 +419,20 @@ def test_a_tampered_involution_family_fails(capsys, monkeypatch, argv):
         return [replace(families[0], bindings=bindings)] + families[1:]
 
     monkeypatch.setattr(cli, "solve_involution_2x2", tampered)
-    code, report, _ = run_json(capsys, *argv)
-    assert code == 1
-    assert report["status"] == "fail"
-    assert report["result"]["squares_to_identity"]["1"] is False
-    code, out, _ = run_cli(capsys, *argv)
-    assert code == 1
-    assert "every family squares to the identity: False" in out
-    assert "status: fail" in out
+    # The families are derived once per process: clear the cache so that
+    # the tampered ones reach the report, and again so that none stay.
+    cli._involution_families.cache_clear()
+    try:
+        code, report, _ = run_json(capsys, *argv)
+        assert code == 1
+        assert report["status"] == "fail"
+        assert report["result"]["squares_to_identity"]["1"] is False
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 1
+        assert "every family squares to the identity: False" in out
+        assert "status: fail" in out
+    finally:
+        cli._involution_families.cache_clear()
 
 
 def test_json_reports_carry_the_run_shape(capsys):

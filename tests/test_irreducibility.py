@@ -19,7 +19,6 @@ from braidrep import (
     Representation,
     Subspace,
     T,
-    all_ones_check,
     burau_rep,
     burnside_span,
     f_rep,
@@ -38,7 +37,6 @@ from braidrep.irreducibility import (
     GridCell,
     GridReport,
     _exact_span,
-    _maps_into,
     _rank_one,
     _rational_roots,
     grid_cell,
@@ -182,10 +180,21 @@ def test_symbolic_three_strand_span():
     assert burnside_span(symbolic_extension(3, 2, -1)) == 9
 
 
+def maps_into(rep, sub):
+    """Whether ``_invariant`` accepts the subspace under the lifted blocks,
+    as the witness search checks its candidates."""
+    blocks = [(offset, block._field_lift()) for offset, block in rep.local_images()]
+    return irreducibility._invariant(Echelon(sub.domain, sub.basis), blocks)
+
+
+def ones_line(d):
+    return Subspace(QQ, d, ((Fraction(1),) * d,))
+
+
 def test_all_ones_check():
-    assert all_ones_check(specialized_extension(3, 1, 2, -1))
-    assert not all_ones_check(specialized_extension(3, 2, 2, -1))
-    assert not all_ones_check(specialized_extension(3, 1, 2, 1))
+    assert maps_into(specialized_extension(3, 1, 2, -1), ones_line(3))
+    assert not maps_into(specialized_extension(3, 2, 2, -1), ones_line(3))
+    assert not maps_into(specialized_extension(3, 1, 2, 1), ones_line(3))
 
 
 def test_invariant_line_witness_maps_into_itself():
@@ -236,6 +245,46 @@ def test_pinned_witnesses(build, basis):
         assert witness is None
     else:
         assert [list(v) for v in witness.basis] == basis
+
+
+# Two representations that fix the all-ones direction: a swap of the first
+# two coordinates of three, whose common fixed space is a plane, and one
+# block [[0, 2], [2, 0]], which fixes nothing and whose eigenline for -2 is
+# the certificate's S.
+ONES_THEN = [
+    (Representation(2, "braid", 3, {("s", 1): (0, Matrix(QQ, [[0, 1], [1, 0]]))}),
+     [[1, 1, 0], [0, 0, 1]]),
+    (Representation(2, "braid", 2, {("s", 1): (0, Matrix(QQ, [[0, 2], [2, 0]]))}), [[-1, 1]]),
+]
+
+
+@pytest.mark.parametrize("rep,basis", ONES_THEN)
+def test_a_refused_candidate_falls_through_to_the_next(rep, basis):
+    ones = ones_line(rep.dim)
+    invariant = irreducibility._invariant
+
+    def refuse_ones(echelon, blocks):
+        is_ones = len(echelon) == 1 and not echelon.remainder(ones.basis[0])
+        return not is_ones and invariant(echelon, blocks)
+
+    def refuse(*args):
+        raise AssertionError("a later candidate was built")
+
+    # Accepted first, the all-ones line leaves the later candidates unbuilt.
+    with mock.patch.object(irreducibility, "_spins", refuse), \
+            mock.patch.object(Matrix, "nullspace", refuse):
+        assert invariant_line_witness(rep) == ones
+    with mock.patch.object(irreducibility, "_invariant", refuse_ones):
+        witness = invariant_line_witness(rep)
+    assert [list(v) for v in witness.basis] == basis
+    with mock.patch.object(irreducibility, "_invariant", lambda echelon, blocks: False):
+        assert invariant_line_witness(rep) is None
+
+
+@pytest.mark.parametrize("build,basis", PINNED_WITNESSES)
+def test_a_witness_needs_the_invariance_test(build, basis):
+    with mock.patch.object(irreducibility, "_invariant", lambda echelon, blocks: False):
+        assert invariant_line_witness(build()) is None
 
 
 def dense_invariant(rep, sub):
@@ -336,7 +385,8 @@ def test_grid_report_two_strands_diverges():
 def test_grid_report_status_fail_on_unwatched_divergence():
     cell = GridCell(n=3, t0=Fraction(2), a=Fraction(0), c=Fraction(1),
                     span_dim=5, verdict="reducible", predicted="irreducible",
-                    agree=False, watch=False)
+                    agree=False)
+    assert not cell.watch
     assert GridReport((cell,)).status == "fail"
 
 
@@ -456,7 +506,7 @@ def test_block_local_witness_checks_agree_with_dense_products(cell, kind, data):
         return [tuple(row[0] for row in (g * column).entries) for g in rep.assignment.values()]
 
     ones = [Fraction(1)] * d
-    assert all_ones_check(rep) == all(len(set(w)) == 1 for w in dense_products(ones))
+    assert maps_into(rep, ones_line(d)) == all(len(set(w)) == 1 for w in dense_products(ones))
     if kind == "random":
         other = data.draw(st.lists(small_q, min_size=d, max_size=d).filter(any))
     else:
@@ -464,7 +514,7 @@ def test_block_local_witness_checks_agree_with_dense_products(cell, kind, data):
         other[data.draw(st.integers(0, d - 1))] = data.draw(small_q.filter(lambda x: x != 1))
     for v in (ones, other):
         line = Subspace(QQ, d, (tuple(v),))
-        assert _maps_into(rep, line) == all(line.contains(w) for w in dense_products(v))
+        assert maps_into(rep, line) == all(line.contains(w) for w in dense_products(v))
 
 
 def test_deficient_spans_are_certified_without_the_exact_closure():

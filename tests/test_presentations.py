@@ -12,16 +12,18 @@ from hypothesis import strategies as st
 from braidrep import (
     build_presentation,
     commutator,
+    evaluate_word,
     format_word,
     free_reduce,
     nu,
     parse_word,
     pure_braid_generator,
     sigma,
+    singular_extension,
     tau,
     word,
 )
-from braidrep.errors import BadIndices, BadStrandCount, InverseUnavailable
+from braidrep.errors import BadIndices, BadStrandCount, NonInvertibleLetter
 from braidrep.presentations import word_inverse
 
 letters = st.builds(
@@ -127,11 +129,10 @@ def test_word_times_inverse_reduces_to_nothing(w):
 
 
 def test_monoid_mode_blocks_tau_inverses():
-    with pytest.raises(InverseUnavailable):
-        word_inverse(word(tau(1)), group=False)
-    assert word_inverse(word(sigma(1), sigma(2)), group=False) == (
-        sigma(2, -1), sigma(1, -1),
-    )
+    # The inverse is formal; a monoid-mode representation refuses t^-1.
+    assert word_inverse(word(sigma(1), tau(2))) == (tau(2, -1), sigma(1, -1))
+    with pytest.raises(NonInvertibleLetter):
+        evaluate_word(singular_extension(3, 1, 1, group=False), word_inverse(word(tau(1))))
 
 
 def test_commutator_shape():

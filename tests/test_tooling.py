@@ -1,8 +1,9 @@
 """Names that nothing imports must still resolve: the benchmark tracer's
 wrapped functions, and every module's ``__all__``.  And ``cli.main`` must be
-reentrant, since the benchmark calls it many times in one process.  The
-witness search must build no dense image, and the span certificate's spins
-must run on the one echelon engine, without the exact closure."""
+reentrant, since the benchmark calls it many times in one process, and
+derive the involution families once per process.  The witness search must
+build no dense image, and the span certificate's spins must run on the one
+echelon engine, without the exact closure."""
 
 from __future__ import annotations
 
@@ -27,6 +28,7 @@ from braidrep import (
     specialize,
     specialized_extension,
 )
+from braidrep import cli
 from braidrep.cli import main
 
 TRACER = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
@@ -70,8 +72,9 @@ def test_every_exported_name_resolves(module, name):
     assert hasattr(importlib.import_module(module), name)
 
 
-# Appends, a seeded sample, a usage error that exits 2, and reports with and
-# without --json.
+# Appends, a seeded sample, a usage error that exits 2, reports with and
+# without --json, and the involution families that each process derives
+# once.
 REENTRANT_ARGVS = [
     ["kernel-probe", "4", "--pairs", "1,2;1,3", "--pairs", "2,3;3,4", "--json"],
     ["kernel-probe", "4", "--pairs", "1,2;3,4"],
@@ -81,6 +84,9 @@ REENTRANT_ARGVS = [
     ["verify", "vsb2", "2", "--family", "2", "--r", "3", "--json"],
     ["show-rep", "burau", "3"],
     ["show-rep", "singular-ext", "3", "--group", "--a", "0", "--json"],
+    ["show-rep", "vsb2", "2", "--family", "3", "--json"],
+    ["solve-extension", "vsb2", "2"],
+    ["involutions", "--check", "5"],
 ]
 
 
@@ -104,6 +110,28 @@ def test_main_is_reentrant(capsys, monkeypatch):
     for _ in range(2):
         for argv, expected in zip(REENTRANT_ARGVS, fresh):
             assert run_in_process(capsys, argv) == expected, argv
+
+
+def test_the_involution_families_are_derived_once(capsys, monkeypatch):
+    calls = []
+    derive = cli.solve_involution_2x2
+
+    def counting(system=None):
+        calls.append(system)
+        return derive(system)
+
+    monkeypatch.setattr(cli, "solve_involution_2x2", counting)
+    cli._involution_families.cache_clear()
+    try:
+        for argv in (["show-rep", "vsb2", "2", "--family", "3"],
+                     ["verify", "vsb2", "2", "--family", "1", "--json"],
+                     ["verify", "vsb2", "2", "--family", "5"],
+                     ["involutions", "--check", "3"]):
+            assert main(argv) == 0, argv
+    finally:
+        cli._involution_families.cache_clear()
+    capsys.readouterr()
+    assert len(calls) == 1
 
 
 def test_traced_spans_stay_on_the_irreducibility_path(capsys):
