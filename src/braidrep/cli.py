@@ -23,14 +23,7 @@ import sys
 from fractions import Fraction
 
 from .errors import BraidRepError, NotInKernel, TrivialWord, Unclassifiable
-from .irreducibility import (
-    agreement_status,
-    grid_report,
-    is_irreducible,
-    predicted_irreducible,
-    specialized_extension,
-    symbolic_extension,
-)
+from .irreducibility import grid_cell, grid_report
 from .kernel import pure_commutator_certificate
 from .laurent import parse_laurent
 from .matrix import QQ, Matrix
@@ -239,35 +232,25 @@ def cmd_solve_extension(args) -> int:
 
 
 def cmd_irreducible(args) -> int:
-    if args.symbolic:
-        if args.t is not None:
-            raise BraidRepError("--t and --symbolic exclude each other")
-        rep = symbolic_extension(args.n, args.a, args.c)
-        predicted = True
-        where = "t symbolic"
-    else:
-        if args.t is None:
-            raise BraidRepError("either --t or --symbolic is required")
-        rep = specialized_extension(args.n, args.t, args.a, args.c)
-        predicted = predicted_irreducible(args.t, args.a, args.c)
-        where = f"t={args.t}"
-    verdict = is_irreducible(rep)
-    agree = verdict.irreducible == predicted
-    status = agreement_status(args.n, agree)
-    result = verdict.to_json_dict()
-    result["predicted"] = "irreducible" if predicted else "reducible"
-    result["agree"] = agree
+    if args.symbolic and args.t is not None:
+        raise BraidRepError("--t and --symbolic exclude each other")
+    if not args.symbolic and args.t is None:
+        raise BraidRepError("either --t or --symbolic is required")
+    cell = grid_cell(args.n, args.t, args.a, args.c)
+    verdict = cell.verdict
+    where = "t symbolic" if cell.t0 is None else f"t={cell.t0}"
     lines = [
-        f"n={args.n}, {where}, a={args.a}, c={args.c}: span {verdict.span_dim} of "
+        f"n={cell.n}, {where}, a={cell.a}, c={cell.c}: span {verdict.span_dim} of "
         f"{verdict.dim * verdict.dim} -> {verdict.status}",
-        f"predicted: {result['predicted']}",
+        f"predicted: {cell.predicted}",
     ]
     if verdict.witness is not None:
         basis = ["(" + ", ".join(str(e) for e in v) + ")"
                  for v in verdict.witness.basis]
         lines.append(f"invariant subspace witness: {'; '.join(basis)}")
-    lines.append(f"status: {status}")
-    return _emit(args, result, status, lines)
+    lines.append(f"status: {cell.status}")
+    result = {**verdict.to_json_dict(), "predicted": cell.predicted, "agree": cell.agree}
+    return _emit(args, result, cell.status, lines)
 
 
 def _parse_t_list(text: str) -> list[Fraction]:

@@ -106,12 +106,6 @@ class Unclassifiable(BraidRepError):
     classified against."""
 
 
-# -- irreducibility ---------------------------------------------------------
-
-class SingularTau(BraidRepError):
-    """Excluded parameter locus: the tau image is singular at this point."""
-
-
 # -- kernel certificates ----------------------------------------------------
 
 class NotInKernel(BraidRepError):

@@ -21,13 +21,16 @@ paths are exact over the images' field and read each generator's local
 image, its block, and build no dense image.
 
 Witness extraction (an explicit invariant subspace) is best effort: the
-all-ones direction, common fixed vectors (a nullspace of rows read off the
+all-ones direction, common fixed vectors (the kernel of rows read off the
 blocks), and the smaller invariant subspace of the certificate's spins, in
 that order.  Each candidate is built only when the one before it is
 refused, and each passes the block-local test that the certificate's S and
 L pass (``_invariant``).  A verdict never depends on finding a witness,
 since an invariant subspace may need irrational coordinates that the span
 criterion happily avoids.
+
+The paper's dichotomy is checked one ``grid_cell`` at a time, t0 None
+keeping t symbolic: a grid reports many cells, ``irreducible`` one.
 """
 
 from __future__ import annotations
@@ -37,7 +40,7 @@ from fractions import Fraction
 from itertools import combinations
 from math import isqrt, lcm
 
-from .errors import SingularTau, ZeroSpecialization
+from .errors import ZeroSpecialization
 from .laurent import T, RationalFunction
 from .matrix import (
     LAURENT,
@@ -128,7 +131,7 @@ def matrix_algebra_span(images: list[tuple[int, Matrix]], dim: int) -> int:
         if len(s) == len(r) == d:
             return d * d
         if len(s) == len(r) == d - 1:
-            ell = _kernel(r, d).basis[0]
+            ell = r.kernel(d).basis[0]
             if s.remainder(ell) and _invariant(s, blocks) \
                     and _invariant(Echelon(s.domain, [ell]), blocks):
                 return 1 + (d - 1) ** 2
@@ -244,14 +247,6 @@ def _invariant(basis: Echelon, blocks: list[tuple[int, Matrix]]) -> bool:
                    for _, row in basis.reduced() for offset, block in blocks)
 
 
-def _kernel(basis: Echelon, d: int) -> Subspace:
-    """The vectors that every vector of the span kills, in the basis that
-    ``Matrix.nullspace`` reads off: each 1 at its last nonzero coordinate."""
-    zero = basis.domain.zero
-    return Matrix(basis.domain, [[row.get(j, zero) for j in range(d)]
-                                 for _, row in basis.reduced()]).nullspace()
-
-
 def _char_poly(m: Matrix) -> list[Fraction]:
     """Monic characteristic polynomial coefficients, highest power first.
 
@@ -330,7 +325,7 @@ def invariant_line_witness(rep: Representation) -> Subspace | None:
     kernel of the rows of every block minus I, read at its offset), and the
     smaller of the certificate's proper S and L = R^perp, S on a tie (see
     ``matrix_algebra_span``).  Each is built only once the one before it
-    is refused, and given in the basis that ``Matrix.nullspace`` reads off,
+    is refused, and given in the basis that ``Echelon.kernel`` reads off,
     so a line has 1 at its last nonzero coordinate.  Returns the first
     nonzero candidate that ``_invariant`` accepts, or None; reducibility
     itself is already settled by the span criterion.  Witnesses are over
@@ -339,22 +334,21 @@ def invariant_line_witness(rep: Representation) -> Subspace | None:
     d = rep.dim
     blocks = [(offset, block._field_lift()) for offset, block in rep.local_images()]
     dom = blocks[0][1].domain
-    zero, one = dom.zero, dom.one
+    one = dom.one
 
     def candidates():
         yield Subspace(dom, d, (tuple([one] * d),))
-        yield Matrix(dom, [[zero] * offset + [e - one if i == j else e for j, e in enumerate(row)]
-                           + [zero] * (d - offset - block.rows)
-                           for offset, block in blocks
-                           for i, row in enumerate(block.entries)]).nullspace()
+        yield Echelon(dom, ({offset + j: e - one if i == j else e for j, e in enumerate(row)}
+                            for offset, block in blocks
+                            for i, row in enumerate(block.entries))).kernel(d)
         spins = _spins(blocks, d)
         if spins is None:
             return
         s, r = spins  # dim S = len(s) and dim L = d - len(r)
         if len(s) < d and (len(r) == d or len(s) <= d - len(r)):
-            yield Matrix(dom, _kernel(s, d).basis).nullspace()
+            yield Echelon(dom, s.kernel(d).basis).kernel(d)
         elif len(r) < d:
-            yield _kernel(r, d)
+            yield r.kernel(d)
 
     return next((sub for sub in candidates()
                  if sub.dim and _invariant(Echelon(dom, sub.basis), blocks)), None)
@@ -392,8 +386,9 @@ def is_irreducible(rep: Representation) -> IrreducibilityVerdict:
 
 def predicted_irreducible(t0, a, c) -> bool:
     """The dichotomy the grid is compared against: irreducible away from
-    t = 1, and at t = 1 exactly when a + c != 1."""
-    return Fraction(t0) != 1 or Fraction(a) + Fraction(c) != 1
+    t = 1, and at t = 1 exactly when a + c != 1.  A t0 of None keeps t
+    symbolic, which is away from 1."""
+    return t0 is None or Fraction(t0) != 1 or Fraction(a) + Fraction(c) != 1
 
 
 def agreement_status(n: int, agree: bool) -> str:
@@ -406,14 +401,27 @@ def agreement_status(n: int, agree: bool) -> str:
 
 @dataclass(frozen=True)
 class GridCell:
+    """The verdict, with its witness, on the group-mode singular extension
+    at (n, t0, a, c), t0 None when t stays symbolic.  The prediction, the
+    agreement and the status follow from it (``agreement_status``)."""
+
     n: int
-    t0: Fraction
+    t0: Fraction | None
     a: Fraction
     c: Fraction
-    span_dim: int
-    verdict: str
-    predicted: str
-    agree: bool
+    verdict: IrreducibilityVerdict
+
+    @property
+    def predicted(self) -> str:
+        return "irreducible" if predicted_irreducible(self.t0, self.a, self.c) else "reducible"
+
+    @property
+    def agree(self) -> bool:
+        return self.verdict.status == self.predicted
+
+    @property
+    def status(self) -> str:
+        return agreement_status(self.n, self.agree)
 
     @property
     def watch(self) -> bool:
@@ -423,14 +431,14 @@ class GridCell:
     def csv_row(self) -> str:
         return ",".join([
             str(self.n), str(self.t0), str(self.a), str(self.c),
-            str(self.span_dim), self.verdict, self.predicted,
+            str(self.verdict.span_dim), self.verdict.status, self.predicted,
             "yes" if self.agree else "no",
         ])
 
     def to_json_dict(self) -> dict:
         return {
             "n": self.n, "t0": str(self.t0), "a": str(self.a), "c": str(self.c),
-            "span_dim": self.span_dim, "verdict": self.verdict,
+            "span_dim": self.verdict.span_dim, "verdict": self.verdict.status,
             "predicted": self.predicted, "agree": self.agree, "watch": self.watch,
         }
 
@@ -445,12 +453,13 @@ class GridReport:
 
     @property
     def divergences(self) -> tuple[GridCell, ...]:
-        return tuple(cell for cell in self.cells if not cell.agree)
+        """The cells whose status is "divergence"; failures are not among them."""
+        return tuple(cell for cell in self.cells if cell.status == "divergence")
 
     @property
     def status(self) -> str:
         """The worst status among the cells."""
-        return max((agreement_status(cell.n, cell.agree) for cell in self.cells),
+        return max((cell.status for cell in self.cells),
                    key=("pass", "divergence", "fail").index, default="pass")
 
     def csv(self) -> str:
@@ -468,20 +477,15 @@ class GridReport:
 
 
 def grid_cell(n: int, t0, a, c) -> GridCell:
-    t0, a, c = Fraction(t0), Fraction(a), Fraction(c)
-    if a * a - t0 * c * c == 0:
-        raise SingularTau(
-            f"(a, c) = ({a}, {c}) makes the block determinant vanish at t = {t0}")
-    rep = specialized_extension(n, t0, a, c, group=True)
-    verdict = is_irreducible(rep)
-    predicted = predicted_irreducible(t0, a, c)
-    return GridCell(
-        n=n, t0=t0, a=a, c=c,
-        span_dim=verdict.span_dim,
-        verdict=verdict.status,
-        predicted="irreducible" if predicted else "reducible",
-        agree=verdict.irreducible == predicted,
-    )
+    """The cell at (n, t0, a, c), over Q(t) when t0 is None.  A singular
+    tau block raises ``NonInvertibleTau`` from ``singular_extension``."""
+    a, c = Fraction(a), Fraction(c)
+    if t0 is None:
+        rep = symbolic_extension(n, a, c)
+    else:
+        t0 = Fraction(t0)
+        rep = specialized_extension(n, t0, a, c)
+    return GridCell(n, t0, a, c, is_irreducible(rep))
 
 
 def grid_report(n: int, t_samples, ac_samples) -> GridReport:

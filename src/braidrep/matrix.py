@@ -179,6 +179,21 @@ class Echelon:
         one = self.domain.one
         return [(pivot, {pivot: one, **rest}) for pivot, rest in sorted(self.rows.items())]
 
+    def kernel(self, width: int) -> "Subspace":
+        """Basis of the vectors of length ``width`` that every row kills,
+        one per coordinate f that is not a pivot, in increasing f: 1 at f,
+        minus each row's entry at f at that row's pivot, 0 elsewhere."""
+        dom = self.domain
+        basis = []
+        for f in range(width):
+            if f not in self.rows:
+                vec = [dom.zero] * width
+                vec[f] = dom.one
+                for pivot, rest in self.rows.items():
+                    vec[pivot] = -rest.get(f, dom.zero)
+                basis.append(tuple(vec))
+        return Subspace(dom, width, tuple(basis))
+
 
 class Matrix:
     """Immutable dense matrix with exact entries.
@@ -338,17 +353,7 @@ class Matrix:
     def nullspace(self) -> "Subspace":
         """Basis of the right kernel, over a field, read off the reduced rows."""
         lifted = self._field_lift()
-        dom = lifted.domain
-        rows = Echelon(dom, lifted.entries).rows
-        basis = []
-        for f in range(self.cols):
-            if f not in rows:
-                vec = [dom.zero] * self.cols
-                vec[f] = dom.one
-                for pivot, rest in rows.items():
-                    vec[pivot] = -rest.get(f, dom.zero)
-                basis.append(tuple(vec))
-        return Subspace(dom, self.cols, tuple(basis))
+        return Echelon(lifted.domain, lifted.entries).kernel(self.cols)
 
     def inverse(self) -> Matrix:
         if not self.is_square():

@@ -228,9 +228,10 @@ def singular_extension(n: int, a, c, group: bool = False, t=T) -> Representation
     a, c = dom.coerce(a), dom.coerce(c)
     block = Matrix(dom, [[a, c * t], [c, a]])
     if group and not dom.is_unit(d := block.det()):
+        at = "" if t == T else f" at t = {t}"
         raise NonInvertibleTau(
-            f"tau block determinant {d} is not a unit, so the images "
-            "do not land in the general linear group", det=d)
+            f"tau block determinant {d} is not a unit for (a, c) = ({a}, {c}){at}, "
+            "so the images do not land in the general linear group", det=d)
     sigma = standard_block(t)
     blocks = {(kind, i): (i - 1, image)
               for kind, image in ((SIGMA, sigma), (TAU, block)) for i in range(1, n)}

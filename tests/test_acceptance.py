@@ -145,8 +145,8 @@ def test_criterion_06_two_strand_divergence_and_symbolic_span():
 
     report = grid_report(2, t_values, pairs)
     assert len(report.cells) == 18
-    assert all(cell.span_dim == 2 for cell in report.cells)
-    assert all(cell.span_dim < 4 for cell in report.cells)
+    assert all(cell.verdict.span_dim == 2 for cell in report.cells)
+    assert all(cell.verdict.span_dim < 4 for cell in report.cells)
     assert report.status == "divergence"
 
     # Over Q(t) the algebra is Q(t)[sigma] (sigma^2 = t*I, tau = a*I + c*sigma),

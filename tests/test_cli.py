@@ -12,6 +12,7 @@ import pytest
 
 from braidrep import SymPoly, cli
 from braidrep.cli import main
+from braidrep.irreducibility import grid_cell
 
 
 def run_cli(capsys, *argv):
@@ -277,6 +278,36 @@ def test_irreducible_takes_t_or_symbolic_not_both(capsys):
         code, out, err = run_cli(capsys, "irreducible", "3", "--t", "4", "--a", "2", "--c", "1",
                                  "--symbolic", *json_flag)
         assert code == 2 and out == "" and "--t and --symbolic" in err
+
+
+def test_singular_tau_is_one_usage_error_in_both_commands(capsys):
+    # (a, c) = (1, 1) makes the tau block singular at t = 1.
+    code, out, err = run_cli(capsys, "irreducible", "3", "--t", "1", "--a", "1", "--c", "1")
+    assert code == 2 and out == ""
+    assert "(a, c) = (1, 1) at t = 1" in err and "is not a unit" in err
+    assert run_cli(capsys, "grid", "3", "--t", "1", "--ac", "1,1") == (2, "", err)
+
+
+PARITY_CELLS = [(n, t0, a, c) for n in (2, 3, 4, 5)
+                for t0, a, c in (("1", "3", "-2"), ("1", "2", "1"), ("2", "0", "1"),
+                                 ("-1/2", "3", "1"), (None, "2", "1"), (None, "0", "1"))]
+
+
+@pytest.mark.parametrize("n,t0,a,c", PARITY_CELLS)
+def test_irreducible_reports_the_grid_cell(capsys, n, t0, a, c):
+    where = ["--symbolic"] if t0 is None else [f"--t={t0}"]
+    code, report, _ = run_json(capsys, "irreducible", str(n), *where, "--a", a, "--c", c)
+    result = report["result"]
+    if t0 is None:
+        cell = grid_cell(n, None, a, c)
+        expected, status = cell.to_json_dict(), cell.status
+    else:
+        _, grid, _ = run_json(capsys, "grid", str(n), f"--t={t0}", "--ac", f"{a},{c}")
+        (expected,), status = grid["result"]["cells"], grid["status"]
+    assert (result["span_dim"], result["status"], result["predicted"], result["agree"]) \
+        == (expected["span_dim"], expected["verdict"], expected["predicted"], expected["agree"])
+    assert report["status"] == status
+    assert code == (1 if status == "fail" else 0)
 
 
 def test_grid_three_strands(capsys):

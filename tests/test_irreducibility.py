@@ -31,11 +31,12 @@ from braidrep import (
     standard_rep,
     symbolic_extension,
 )
-from braidrep.errors import NonInvertibleTau, SingularTau, ZeroSpecialization
+from braidrep.errors import NonInvertibleTau, ZeroSpecialization
 from braidrep import irreducibility
 from braidrep.irreducibility import (
     GridCell,
     GridReport,
+    IrreducibilityVerdict,
     _exact_span,
     _rank_one,
     _rational_roots,
@@ -272,7 +273,7 @@ def test_a_refused_candidate_falls_through_to_the_next(rep, basis):
 
     # Accepted first, the all-ones line leaves the later candidates unbuilt.
     with mock.patch.object(irreducibility, "_spins", refuse), \
-            mock.patch.object(Matrix, "nullspace", refuse):
+            mock.patch.object(Echelon, "kernel", refuse):
         assert invariant_line_witness(rep) == ones
     with mock.patch.object(irreducibility, "_invariant", refuse_ones):
         witness = invariant_line_witness(rep)
@@ -350,15 +351,15 @@ def test_predicted_irreducible_dichotomy():
 
 def test_grid_cell_fields():
     cell = grid_cell(3, 2, 0, 1)
-    assert cell.span_dim == 9
-    assert cell.verdict == "irreducible"
+    assert cell.verdict.span_dim == 9
+    assert cell.verdict.status == "irreducible"
     assert cell.predicted == "irreducible"
     assert cell.agree and not cell.watch
     assert cell.csv_row() == "3,2,0,1,9,irreducible,irreducible,yes"
 
 
 def test_grid_cell_rejects_singular_tau():
-    with pytest.raises(SingularTau):
+    with pytest.raises(NonInvertibleTau, match=r"\(a, c\) = \(1, 1\) at t = 1"):
         grid_cell(3, 1, 1, 1)
     with pytest.raises(NonInvertibleTau):
         specialized_extension(3, 4, 2, 1, group=True)
@@ -384,18 +385,36 @@ def test_grid_report_two_strands_diverges():
 
 def test_grid_report_status_fail_on_unwatched_divergence():
     cell = GridCell(n=3, t0=Fraction(2), a=Fraction(0), c=Fraction(1),
-                    span_dim=5, verdict="reducible", predicted="irreducible",
-                    agree=False)
+                    verdict=IrreducibilityVerdict("reducible", 5, 3, None))
     assert not cell.watch
     assert GridReport((cell,)).status == "fail"
+
+
+def test_a_failing_cell_is_not_a_divergence():
+    failing = GridCell(n=3, t0=Fraction(2), a=Fraction(0), c=Fraction(1),
+                       verdict=IrreducibilityVerdict("reducible", 5, 3, None))
+    watched = grid_cell(2, 2, 0, 1)
+    assert (failing.status, watched.status) == ("fail", "divergence")
+    report = GridReport((failing, watched))
+    assert report.divergences == (watched,)
+    assert report.to_json_dict()["divergences"] == [watched.to_json_dict()]
+    assert report.status == "fail"
+
+
+def test_symbolic_cell_is_predicted_irreducible():
+    cell = grid_cell(3, None, 2, 1)
+    assert cell.t0 is None
+    assert cell.verdict.span_dim == 9 and cell.predicted == "irreducible"
+    assert cell.status == "pass"
+    assert grid_cell(2, None, 0, 1).status == "divergence"
 
 
 def test_grid_report_includes_t_one_cells():
     report = grid_report(3, [1], [(2, -1), (2, 1)])
     assert report.status == "pass"
     by_params = {(cell.a, cell.c): cell for cell in report.cells}
-    assert by_params[(2, -1)].verdict == "reducible"
-    assert by_params[(2, 1)].verdict == "irreducible"
+    assert by_params[(2, -1)].verdict.status == "reducible"
+    assert by_params[(2, 1)].verdict.status == "irreducible"
 
 
 # -- the span certificate ----------------------------------------------------

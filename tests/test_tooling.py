@@ -136,26 +136,29 @@ def test_the_involution_families_are_derived_once(capsys, monkeypatch):
 
 def test_traced_spans_stay_on_the_irreducibility_path(capsys):
     # A span that leaves the call path it names reads a silent zero, so
-    # trace one reducible and one irreducible op through the CLI.
+    # trace one reducible and one irreducible op through the CLI, and one
+    # grid of a reducible and an irreducible cell; each op lists its cells
+    # as (n, reducible).
     tracer = load_tracer().Tracer()
-    ops = [(5, ["irreducible", "5", "--t", "1", "--a", "3", "--c", "-2", "--json"], True),
-           (4, ["irreducible", "4", "--t", "2", "--a", "3", "--c", "1", "--json"], False)]
+    ops = [(["irreducible", "5", "--t", "1", "--a", "3", "--c", "-2", "--json"], [(5, True)]),
+           (["irreducible", "4", "--t", "2", "--a", "3", "--c", "1", "--json"], [(4, False)]),
+           (["grid", "3", "--t", "1", "--ac", "3,-2;2,1", "--json"], [(3, True), (3, False)])]
     tracer.install()
     try:
-        for op, (_, argv, _) in enumerate(ops):
+        for op, (argv, _) in enumerate(ops):
             tracer.op = op
             assert main(argv) == 0
     finally:
         tracer.uninstall()
     capsys.readouterr()
-    for op, (n, _, reducible) in enumerate(ops):
+    for op, (_, cells) in enumerate(ops):
         spans = [(name, notes) for name, _, _, _, at, notes in tracer.spans if at == op]
         names = [name for name, _ in spans]
-        assert names.count("irreducibility.span") == 1
-        assert names.count("irreducibility.verdict") == 1
-        assert names.count("irreducibility.witness") == int(reducible)
-        assert dict(spans)["irreducibility.span"]["images"] == 2 * (n - 1)
-        assert dict(spans)["irreducibility.verdict"]["reducible"] == int(reducible)
+        assert names.count("irreducibility.witness") == sum(r for _, r in cells)
+        assert [notes["images"] for name, notes in spans if name == "irreducibility.span"] \
+            == [2 * (n - 1) for n, _ in cells]
+        assert [notes["reducible"] for name, notes in spans
+                if name == "irreducibility.verdict"] == [int(r) for _, r in cells]
 
 
 def test_traced_solver_spans_stay_on_the_solve_path(capsys):
