@@ -20,7 +20,7 @@ from .irreducibility import (
     symbolic_extension,
 )
 from .kernel import KernelCertificate, certify, pure_commutator_certificate
-from .laurent import LaurentPoly, RationalFunction, T, laurent_gcd, parse_laurent, parse_rational
+from .laurent import LaurentPoly, RationalFunction, T, laurent_gcd, parse_laurent
 from .matrix import (
     LAURENT,
     QQ,

@@ -25,7 +25,7 @@ from fractions import Fraction
 from .errors import BraidRepError, NotInKernel, TrivialWord, Unclassifiable
 from .irreducibility import grid_cell, grid_report
 from .kernel import pure_commutator_certificate
-from .laurent import parse_laurent
+from .laurent import ONE, ZERO, parse_laurent
 from .matrix import QQ, Matrix
 from .presentations import build_presentation
 from .reps import (
@@ -51,11 +51,13 @@ EXIT_MISMATCH = 1
 EXIT_USAGE = 2
 EXIT_BROKEN_PIPE = 141
 
-_REP_KINDS = ("standard", "burau", "f", "singular-ext", "vsb2")
-# The representation options besides --p/--q/--r, with their defaults, and
-# the kinds that read them.
-_REP_DEFAULTS = {"a": parse_laurent("1"), "c": parse_laurent("1"), "family": 1, "group": False}
-_REP_READS = {"singular-ext": ("a", "c", "group"), "vsb2": ("a", "c", "family", "group")}
+# Each representation kind with the options it reads besides --p/--q/--r,
+# and their defaults.
+_REP_READS = {
+    "standard": {}, "burau": {}, "f": {},
+    "singular-ext": {"a": ONE, "c": ONE, "group": False},
+    "vsb2": {"a": ONE, "c": ONE, "family": 1, "group": False},
+}
 
 
 def _seed() -> int:
@@ -120,14 +122,16 @@ def _involution_families():
 
 def _build_rep(args):
     """The representation the arguments name.  An option its kind does not
-    read is refused; an absent one takes its default, so that the report
-    echoes every value as used."""
+    read is refused; an absent one it reads takes its default, and so does
+    each free entry of a vsb2 family, so that the report echoes exactly the
+    values used."""
     kind = args.kind
-    unread = [f"--{name}" for name in _REP_DEFAULTS
-              if getattr(args, name) is not None and name not in _REP_READS.get(kind, ())]
+    reads = _REP_READS[kind]
+    unread = [f"--{name}" for name in ("a", "c", "family", "group")
+              if getattr(args, name) is not None and name not in reads]
     if unread:
         raise BraidRepError(f"{', '.join(unread)} does not apply to the {kind} representation")
-    for name, default in _REP_DEFAULTS.items():
+    for name, default in reads.items():
         if getattr(args, name) is None:
             setattr(args, name, default)
     family = None
@@ -147,11 +151,10 @@ def _build_rep(args):
         return singular_extension(args.n, args.a, args.c, group=args.group)
     if kind == "vsb2":
         # Free entries default to 0, or to 1 where the family needs them nonzero.
-        values = {}
-        for name in family.free:
-            value = getattr(args, name)
-            values[name] = value if value is not None else parse_laurent(
-                "1" if name in family.nonzero else "0")
+        for name in free:
+            if getattr(args, name) is None:
+                setattr(args, name, ONE if name in family.nonzero else ZERO)
+        values = {name: getattr(args, name) for name in free}
         return vsb2_extension(family, values, a=args.a, c=args.c, group=args.group)
     return {"standard": standard_rep, "burau": burau_rep, "f": f_rep}[kind](args.n)
 
@@ -308,11 +311,12 @@ def _parse_probe(text: str) -> tuple[tuple[int, int], tuple[int, int]]:
 
 def cmd_kernel_probe(args) -> int:
     rep = singular_extension(args.n, args.a, args.c, group=False)
-    probes = args.pairs or ["1,2;1,3"]
+    if args.pairs is None:  # written back, so that the report echoes the pair probed
+        args.pairs = ["1,2;1,3"]
     certificates = []
     rejected = []
     lines = []
-    for text in probes:
+    for text in args.pairs:
         pair1, pair2 = _parse_probe(text)
         try:
             cert = pure_commutator_certificate(rep, pair1, pair2)
@@ -392,7 +396,7 @@ def _build_parser() -> argparse.ArgumentParser:
     def add_rep_args(p, kinds):
         p.add_argument("kind", choices=kinds)
         p.add_argument("n", type=int)
-        # None marks an option not given; _build_rep fills in _REP_DEFAULTS.
+        # None marks an option not given; _build_rep fills in the defaults.
         p.add_argument("--a", type=_arg(parse_laurent), default=None,
                        help="diagonal parameter of the t-image block (Laurent literal)")
         p.add_argument("--c", type=_arg(parse_laurent), default=None,
@@ -405,12 +409,12 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="demand invertible t-images (unit block determinant)")
 
     p = sub.add_parser("show-rep", help="print the generator matrices")
-    add_rep_args(p, _REP_KINDS)
+    add_rep_args(p, _REP_READS)
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_show_rep)
 
     p = sub.add_parser("verify", help="check a representation against its relations")
-    add_rep_args(p, _REP_KINDS)
+    add_rep_args(p, _REP_READS)
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_verify)
 

@@ -28,15 +28,8 @@ class NotSquare(BraidRepError):
 
 
 class NotInvertible(BraidRepError):
-    """Matrix over a field with zero determinant."""
-
-    def __init__(self, message: str, det=None):
-        super().__init__(message)
-        self.det = det
-
-
-class NotUnitDeterminant(BraidRepError):
-    """Matrix over the Laurent ring whose determinant is not a unit."""
+    """A square matrix with no inverse in its entry domain: its determinant
+    ``det`` is not a unit there (zero over a field)."""
 
     def __init__(self, message: str, det=None):
         super().__init__(message)
@@ -69,10 +62,6 @@ class NonInvertibleLetter(BraidRepError):
 
 class NonInvertibleTau(BraidRepError):
     """Group mode demands a unit (or nonzero) determinant for tau images."""
-
-    def __init__(self, message: str, det=None):
-        super().__init__(message)
-        self.det = det
 
 
 class DivisibilityViolation(BraidRepError):

@@ -346,12 +346,12 @@ def invariant_line_witness(rep: Representation) -> Subspace | None:
             return
         s, r = spins  # dim S = len(s) and dim L = d - len(r)
         if len(s) < d and (len(r) == d or len(s) <= d - len(r)):
-            yield Echelon(dom, s.kernel(d).basis).kernel(d)
+            yield s.kernel(d).echelon.kernel(d)
         elif len(r) < d:
             yield r.kernel(d)
 
     return next((sub for sub in candidates()
-                 if sub.dim and _invariant(Echelon(dom, sub.basis), blocks)), None)
+                 if sub.dim and _invariant(sub.echelon, blocks)), None)
 
 
 @dataclass(frozen=True)

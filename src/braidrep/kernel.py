@@ -38,7 +38,6 @@ class KernelCertificate:
     word: Word
     n: int
     params: dict
-    domain: str
     nontriviality: str
 
     def to_json_dict(self) -> dict:
@@ -77,7 +76,6 @@ def certify(rep: Representation, w: Word,
         word=reduced,
         n=rep.n,
         params=dict(rep.params),
-        domain=rep.domain.name,
         nontriviality=nontriviality,
     )
 

@@ -32,7 +32,6 @@ __all__ = [
     "ONE",
     "laurent_gcd",
     "parse_laurent",
-    "parse_rational",
 ]
 
 
@@ -544,15 +543,3 @@ def parse_laurent(text: str) -> LaurentPoly:
         pos = m.end()
         first = False
     return LaurentPoly(terms)
-
-
-_RATFUNC_RE = re.compile(r"^\((?P<num>[^()]*)\)/\((?P<den>[^()]*)\)$")
-
-
-def parse_rational(text: str) -> RationalFunction:
-    """Parse the rendering produced by ``str(RationalFunction)``."""
-    s = text.strip()
-    m = _RATFUNC_RE.match(s)
-    if m:
-        return RationalFunction(parse_laurent(m.group("num")), parse_laurent(m.group("den")))
-    return RationalFunction(parse_laurent(s))

@@ -26,12 +26,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Any, Callable
 
-from .errors import (
-    NotInvertible,
-    NotSquare,
-    NotUnitDeterminant,
-    ShapeMismatch,
-)
+from .errors import NotInvertible, NotSquare, ShapeMismatch
 from .laurent import ONE, ZERO, LaurentPoly, RationalFunction
 
 __all__ = [
@@ -243,10 +238,6 @@ class Matrix:
             for j, e in enumerate(row)
         )
 
-    def is_zero(self) -> bool:
-        z = self.domain.zero
-        return all(e == z for row in self.entries for e in row)
-
     def map_entries(self, fn: Callable, domain: EntryDomain | None = None) -> Matrix:
         return Matrix(domain or self.domain, [[fn(e) for e in row] for row in self.entries])
 
@@ -295,9 +286,6 @@ class Matrix:
 
     def __sub__(self, other):
         return self._entrywise(other, operator.sub)
-
-    def __neg__(self):
-        return self.scaled(-1)
 
     def scaled(self, scalar) -> Matrix:
         s = self.domain.coerce(scalar) if not isinstance(scalar, int) else scalar
@@ -365,15 +353,13 @@ class Matrix:
             rows = Echelon(dom, ({**dict(enumerate(row)), n + i: dom.one}
                                  for i, row in enumerate(self.entries))).rows
             if any(i not in rows for i in range(n)):
-                raise NotInvertible("matrix is singular", det=self.det())
+                raise NotInvertible("matrix is singular", det=dom.zero)
             return Matrix(dom, [[rows[i].get(n + j, dom.zero) for j in range(n)]
                                 for i in range(n)])
         if dom is LAURENT:
             d = self.det()
             if not d.is_unit():
-                raise NotUnitDeterminant(
-                    f"determinant {d} is not a unit of the Laurent ring", det=d
-                )
+                raise NotInvertible(f"determinant {d} is not a unit of the Laurent ring", det=d)
             inv = self._field_lift().inverse()
             return inv.map_entries(lambda e: e.as_laurent(), LAURENT)
         raise TypeError(f"no inverse available over {dom.name}")
@@ -403,12 +389,13 @@ class Matrix:
 
 @dataclass(frozen=True)
 class Subspace:
-    """A subspace given by an explicit basis, verified independent."""
+    """A subspace given by an explicit basis, verified independent;
+    ``echelon`` holds the basis in reduced echelon form."""
 
     domain: EntryDomain
     ambient: int
     basis: tuple[tuple, ...]
-    _echelon: Echelon = field(init=False, repr=False, compare=False)
+    echelon: Echelon = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         for vec in self.basis:
@@ -417,7 +404,7 @@ class Subspace:
         echelon = Echelon(self.domain, self.basis)
         if len(echelon) != len(self.basis):
             raise ValueError("claimed basis is linearly dependent")
-        object.__setattr__(self, "_echelon", echelon)
+        object.__setattr__(self, "echelon", echelon)
 
     @property
     def dim(self) -> int:
@@ -426,7 +413,7 @@ class Subspace:
     def contains(self, vector) -> bool:
         if len(vector) != self.ambient:
             raise ShapeMismatch("vector length does not match the ambient dimension")
-        return not self._echelon.remainder(vector)
+        return not self.echelon.remainder(vector)
 
     def to_json_dict(self) -> dict:
         return {

@@ -41,7 +41,7 @@ from .errors import (
     ModeMismatch,
     NonInvertibleLetter,
     NonInvertibleTau,
-    NotUnitDeterminant,
+    NotInvertible,
     UnassignedGenerator,
     ZeroSpecialization,
 )
@@ -126,7 +126,8 @@ class Representation:
     def local_image(self, kind: str, index: int, exp: int = 1) -> tuple[int, Matrix]:
         """The letter's image as (offset, block): the image is the identity
         outside the diagonal block at that offset.  For exponent -1 only the
-        block is inverted, once; its determinant is the image's."""
+        block is inverted, once; its determinant is the image's, and a block
+        with no inverse in the domain raises ``NonInvertibleLetter``."""
         key = (kind, index)
         if key not in self._blocks:
             raise UnassignedGenerator(f"no image assigned to {kind}{index}")
@@ -142,7 +143,7 @@ class Representation:
             offset, block = self._blocks[key]
             try:
                 block = block.inverse()
-            except NotUnitDeterminant as exc:
+            except NotInvertible as exc:
                 raise NonInvertibleLetter(
                     f"image of {kind}{index} is not invertible over {self.domain.name}: {exc}"
                 ) from exc
@@ -231,7 +232,7 @@ def singular_extension(n: int, a, c, group: bool = False, t=T) -> Representation
         at = "" if t == T else f" at t = {t}"
         raise NonInvertibleTau(
             f"tau block determinant {d} is not a unit for (a, c) = ({a}, {c}){at}, "
-            "so the images do not land in the general linear group", det=d)
+            "so the images do not land in the general linear group")
     sigma = standard_block(t)
     blocks = {(kind, i): (i - 1, image)
               for kind, image in ((SIGMA, sigma), (TAU, block)) for i in range(1, n)}

@@ -196,16 +196,12 @@ def assemble_singular(n: int) -> ConstraintSystem:
     return assemble(pres, standard_rep(n), [(TAU, i) for i in range(1, n)])
 
 
-def assemble_vsb2(a=None, c=None) -> ConstraintSystem:
+def assemble_vsb2() -> ConstraintSystem:
     """The two-strand virtual extension problem: s- and t-images known, the
-    v-image unknown.  With no arguments the t-image keeps symbolic entries
-    a and c, matching the general extension it restricts to."""
+    v-image unknown.  The t-image keeps symbolic entries a and c, matching
+    the general extension it restricts to."""
     pres = build_presentation(2, "virtual_singular")
-    if a is None and c is None:
-        known = singular_extension(2, SymPoly.symbol("a"), SymPoly.symbol("c"),
-                                   t=SymPoly.const(T))
-    else:
-        known = singular_extension(2, a, c)
+    known = singular_extension(2, SymPoly.symbol("a"), SymPoly.symbol("c"), t=SymPoly.const(T))
     return assemble(pres, known, [(NU, 1)])
 
 
@@ -258,7 +254,6 @@ class SolutionFamily:
     polynomial in the free parameters.
     """
 
-    unknowns: tuple[str, ...]
     free: tuple[str, ...]
     bindings: dict[str, SymPoly] = field(compare=False)
 
@@ -315,7 +310,7 @@ def solve_linear(system: ConstraintSystem) -> SolutionFamily:
     bindings = {name: e.substitute(renaming) for name, e in bindings.items()}
 
     free.sort(key=order.get)
-    return SolutionFamily(unknowns=tuple(unknowns), free=tuple(free), bindings=bindings)
+    return SolutionFamily(free=tuple(free), bindings=bindings)
 
 
 def solve_with_residue(system: ConstraintSystem) -> tuple[SolutionFamily, tuple[SymPoly, ...]]:

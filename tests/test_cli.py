@@ -126,8 +126,8 @@ def test_solve_extension_json_report_is_pinned(capsys, n, digest):
     ("irreducible 3 --symbolic --a 2 --c 1", 0,
      "1daf4c411b7bac48b3cb96ac62198eeef708c2c42a1bb61fc7aedb68affe10eb"),
     ("show-rep singular-ext 3 --a 1+t --c t^-1", 0,
-     "ba916fe661068fc7e9e12ce28f8e015d73dfb3060181a3cab23ae22823d77998"),
-    ("show-rep f 3", 0, "3816ae7754d3bb4e06dda59eec9801384a52d6a383ed6d0be79c91498c707856"),
+     "97203049c612355a55a20599b17eeb080a5bcfe68f662b70c981bcdd5b3a6f44"),
+    ("show-rep f 3", 0, "019686cb9361835116bff443511becf8b09d2411ef355ce1bf740242b88844a0"),
     ("show-rep vsb2 2 --family 1 --p 2 --q 3", 0,
      "c40091f8714d06465a386aeb02d93b20e9bc1609b2d2b6e18f5e61122858487c"),
     # Every involution family's v-image and relation check: Laurent and
@@ -137,7 +137,7 @@ def test_solve_extension_json_report_is_pinned(capsys, n, digest):
      "98eed7d3b4f19f3fdb4edf8cd99d0a565ac701089de334773296d81af6bd6500"),
     ("verify vsb2 2 --family 1 --p 3 --q 2", 0,
      "1e5c50cfe844950cc7b1ff07e438d0b635ffcdd85a406ad0a8fa48b0146a0b6b"),
-    ("show-rep vsb2 2", 0, "f1d095ff5f59d33229f51a6f936bfb2b0255651225150890ddf8213331737801"),
+    ("show-rep vsb2 2", 0, "632a21095943f8299ce3e6296c1e9195632c2a2250de98d5064f781fbe899f8b"),
     ("verify vsb2 2 --family 2 --r t^-1", 0,
      "47d1fb43ab772d9e36b2a2336a073ee34c8d7ee08931bdb37767e87fbae0f1c9"),
     ("show-rep vsb2 2 --family 2 --r 5", 0,
@@ -145,7 +145,7 @@ def test_solve_extension_json_report_is_pinned(capsys, n, digest):
     ("verify vsb2 2 --family 3 --r -7 --a 0 --c 1 --group", 0,
      "0ee02d383fdc1a41a09a123a74749da214c231f95b77fa472274471788395783"),
     ("show-rep vsb2 2 --family 3", 0,
-     "abe73b68a7fd5fc51c5e19cacafe7df7ab153a48ad8eb50c0cec1d6facd1383c"),
+     "b3032d972fc3993bae13c5c1aa2f884bc7fd3a2c4a21ee978274544fa3aa6fbb"),
     ("verify vsb2 2 --family 4", 0,
      "ec5551e9e10eae6d15bb480b80794c390cace38a456611f336672880b0006163"),
     ("show-rep vsb2 2 --family 4 --a t --c 2", 0,
@@ -155,7 +155,7 @@ def test_solve_extension_json_report_is_pinned(capsys, n, digest):
     ("show-rep vsb2 2 --family 5", 0,
      "3115e1102d27135be250b93c8da6f7931054cf5a473a321251a1fcc669d522a0"),
     ("verify singular-ext 4 --a 0 --c 1 --group", 0,
-     "1785c4c1a7032f0d6c43f1540c2b195bbfa17e35417b4f5a36a935f226296427"),
+     "97ec8cc822544b83aee9bcfa68d13aa3c35e7c5079da5d529cfd9ec68120e0e4"),
     # 1 - t is not a unit: a usage error with nothing on stdout.
     ("verify singular-ext 4 --a 1 --c 1 --group", 2,
      "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
@@ -370,6 +370,44 @@ def test_kernel_probe_multiple_pairs(capsys):
     assert code == 0
     assert len(report["result"]["certificates"]) == 2
     assert report["result"]["rejected"] == []
+    assert report["inputs"]["pairs"] == "['1,2;1,3', '2,3;3,4']"
+
+
+def test_kernel_probe_echoes_the_default_pair(capsys):
+    code, report, _ = run_json(capsys, "kernel-probe", "4")
+    assert code == 0
+    assert report["inputs"]["pairs"] == "['1,2;1,3']"
+    assert len(report["result"]["certificates"]) == 1
+
+
+# What each representation kind reads besides --p/--q/--r, at the values
+# used when an option is not given, and each vsb2 family's free entries at
+# theirs: 0, or 1 where the family needs the entry nonzero.
+KIND_DEFAULTS = {
+    "standard": {}, "burau": {}, "f": {},
+    "singular-ext": {"a": "1", "c": "1", "group": "False"},
+    "vsb2": {"a": "1", "c": "1", "family": "1", "group": "False"},
+}
+FAMILY_FREE = {1: {"p": "0", "q": "1"}, 2: {"r": "0"}, 3: {"r": "0"}, 4: {}, 5: {}}
+
+
+@pytest.mark.parametrize("command", ["show-rep", "verify"])
+@pytest.mark.parametrize("argv,expected", [
+    *[([kind, "3"], defaults) for kind, defaults in KIND_DEFAULTS.items() if kind != "vsb2"],
+    (["singular-ext", "3", "--a", "0", "--c", "1", "--group"],
+     {"a": "0", "c": "1", "group": "True"}),
+    (["vsb2", "2"], {**KIND_DEFAULTS["vsb2"], **FAMILY_FREE[1]}),
+    *[(["vsb2", "2", "--family", str(k)], {**KIND_DEFAULTS["vsb2"], "family": str(k), **free})
+      for k, free in FAMILY_FREE.items()],
+    (["vsb2", "2", "--family", "1", "--p", "2", "--a", "t"],
+     {**KIND_DEFAULTS["vsb2"], "a": "t", "p": "2", "q": "1"}),
+    (["vsb2", "2", "--family", "2", "--r", "t^-1", "--group", "--a", "0", "--c", "1"],
+     {"a": "0", "c": "1", "family": "2", "group": "True", "r": "t^-1"}),
+], ids=lambda v: " ".join(v) if isinstance(v, list) else None)
+def test_inputs_echo_exactly_what_the_kind_read(capsys, command, argv, expected):
+    code, report, _ = run_json(capsys, command, *argv)
+    assert code == 0
+    assert report["inputs"] == {"command": command, "kind": argv[0], "n": argv[1], **expected}
 
 
 # Options that parse but cannot apply: refused once the representation is

@@ -15,7 +15,6 @@ from braidrep import (
     SymPoly,
     laurent_gcd,
     parse_laurent,
-    parse_rational,
 )
 from braidrep import laurent
 from braidrep.errors import ZeroSpecialization
@@ -181,7 +180,6 @@ def test_rational_division_and_powers():
 def test_rational_coerce_accepts_fractions():
     half = RationalFunction.coerce(Fraction(1, 2))
     assert half + half == RationalFunction.coerce(1)
-    assert parse_rational("(t - 1)/(t + 1)") == RationalFunction(T - 1, T + 1)
 
 
 def test_constants_hash_like_the_numbers_they_equal():

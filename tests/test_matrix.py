@@ -20,7 +20,7 @@ from braidrep import (
     T,
     mul_local,
 )
-from braidrep.errors import NotInvertible, NotSquare, NotUnitDeterminant, ShapeMismatch
+from braidrep.errors import NotInvertible, NotSquare, ShapeMismatch
 from braidrep import matrix
 from braidrep.reps import _block_rep
 
@@ -115,9 +115,21 @@ def test_inverse_over_laurent_requires_unit_determinant():
     assert s * inv == Matrix.identity(LAURENT, 2)
     assert inv.domain is LAURENT
     bad = Matrix(LAURENT, [[1, T], [1, 1]])
-    with pytest.raises(NotUnitDeterminant) as info:
+    with pytest.raises(NotInvertible) as info:
         bad.inverse()
     assert info.value.det == LaurentPoly({0: 1, 1: -1})
+
+
+def test_a_singular_field_matrix_reports_det_zero_without_a_determinant(monkeypatch):
+    # The elimination already shows the matrix singular, so no Bareiss
+    # determinant is run just to attach its 0.
+    def no_det(self):
+        raise AssertionError("det called")
+
+    monkeypatch.setattr(Matrix, "det", no_det)
+    with pytest.raises(NotInvertible) as info:
+        Matrix(QQ, [[1, 1], [1, 1]]).inverse()
+    assert info.value.det == 0
 
 
 @given(qq_matrices(3, 4))

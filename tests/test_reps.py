@@ -13,6 +13,8 @@ from braidrep import (
     LAURENT,
     LaurentPoly,
     Matrix,
+    QQ,
+    RATFUNC,
     T,
     build_presentation,
     burau_rep,
@@ -106,7 +108,7 @@ def test_broken_assignment_is_caught():
     kinds = {v.relation.kind for v in violations}
     assert "tau_slide_up" in kinds or "tau_slide_down" in kinds
     v = violations[0]
-    assert v.diff == v.lhs - v.rhs and not v.diff.is_zero()
+    assert v.diff == v.lhs - v.rhs and v.lhs != v.rhs
 
 
 def test_a_representation_needs_a_generator():
@@ -340,3 +342,13 @@ def test_group_mode_non_unit_tau_block_is_not_invertible(a, c):
         rep.image("t", 2, -1)
     with pytest.raises(NonInvertibleLetter):
         evaluate_word(rep, word(sigma(1), tau(2, -1)))
+
+
+@pytest.mark.parametrize("domain", [QQ, RATFUNC], ids=lambda d: d.name)
+def test_a_singular_block_over_a_field_is_a_non_invertible_letter(domain):
+    # Over a field a singular block has no inverse either, and the error
+    # names the letter as it does over the Laurent ring.
+    singular = Matrix(domain, [[1, 1], [1, 1]])
+    rep = Representation(2, "braid", 2, {("s", 1): (0, singular)})
+    with pytest.raises(NonInvertibleLetter, match=r"image of s1 is not invertible"):
+        evaluate_word(rep, (sigma(1, -1),))

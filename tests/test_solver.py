@@ -259,7 +259,8 @@ SUPPORT_CASES = [
      assemble_vsb2),
     (8, lambda: (build_presentation(2, "virtual_singular"),
                  singular_extension(2, 1 + T, T ** -1), [("v", 1)]),
-     lambda: assemble_vsb2(1 + T, T ** -1)),
+     lambda: assemble(build_presentation(2, "virtual_singular"),
+                      singular_extension(2, 1 + T, T ** -1), [("v", 1)])),
 ]
 
 
@@ -352,7 +353,8 @@ def test_vsb2_assembly_is_the_involution_problem():
 
 def test_vsb2_assembly_with_numeric_parameters_matches():
     generic = assemble_vsb2()
-    concrete = assemble_vsb2(a=2, c=3)
+    concrete = assemble(build_presentation(2, "virtual_singular"), singular_extension(2, 2, 3),
+                        [("v", 1)])
     assert set(concrete.nonlinear) == set(generic.nonlinear)
 
 

@@ -73,11 +73,12 @@ def test_every_exported_name_resolves(module, name):
 
 
 # Appends, a seeded sample, a usage error that exits 2, reports with and
-# without --json, and the involution families that each process derives
-# once.
+# without --json, the involution families that each process derives once,
+# and the defaults and vsb2 free entries written back into the arguments.
 REENTRANT_ARGVS = [
     ["kernel-probe", "4", "--pairs", "1,2;1,3", "--pairs", "2,3;3,4", "--json"],
     ["kernel-probe", "4", "--pairs", "1,2;3,4"],
+    ["kernel-probe", "4", "--json"],
     ["grid", "3", "--ac", "2,1", "--random", "2", "--json"],
     ["grid", "3", "--t", "abc"],
     ["verify", "singular-ext", "4", "--a", "1+t", "--c", "t^-1"],
@@ -85,6 +86,8 @@ REENTRANT_ARGVS = [
     ["show-rep", "burau", "3"],
     ["show-rep", "singular-ext", "3", "--group", "--a", "0", "--json"],
     ["show-rep", "vsb2", "2", "--family", "3", "--json"],
+    ["show-rep", "vsb2", "2", "--family", "1", "--json"],
+    ["show-rep", "standard", "3", "--json"],
     ["solve-extension", "vsb2", "2"],
     ["involutions", "--check", "5"],
 ]
