@@ -64,17 +64,14 @@ def _seed() -> int:
     return int(os.environ.get("BRAIDREP_SEED", "0"))
 
 
-def _arg(parse, keep_text: bool = False):
-    """An argparse type: what ``parse`` reads from the text, or with
-    ``keep_text`` the text itself once ``parse`` has read it, since reports
-    echo such arguments as given.  A ValueError from ``parse`` becomes a
-    usage error (exit 2) with its message."""
+def _arg(parse):
+    """An argparse type: what ``parse`` reads from the text.  A ValueError
+    from ``parse`` becomes a usage error (exit 2) with its message."""
     def convert(text: str):
         try:
-            value = parse(text)
+            return parse(text)
         except ValueError as exc:
             raise argparse.ArgumentTypeError(str(exc)) from None
-        return text if keep_text else value
     return convert
 
 
@@ -97,16 +94,17 @@ def _parse_count(text: str) -> int:
 
 def _echo_inputs(args: argparse.Namespace) -> dict:
     skip = {"func", "json"}
-    return {k: str(v) for k, v in sorted(vars(args).items()) if k not in skip and v is not None}
+    return {k: v for k, v in sorted(vars(args).items()) if k not in skip and v is not None}
 
 
 def _emit(args, result: dict, status: str, lines: list[str]) -> int:
     """Print the report, and return its exit code: 1 when the status is
-    "fail", 0 otherwise."""
+    "fail", 0 otherwise.  The JSON ``inputs`` are the parsed values; exact
+    numbers and Laurent literals among them print as their text."""
     if args.json:
         report = {"command": args.command, "inputs": _echo_inputs(args),
                   "result": result, "status": status}
-        print(json.dumps(report, sort_keys=True, indent=2))
+        print(json.dumps(report, sort_keys=True, indent=2, default=str))
     else:
         print("\n".join(lines))
     return EXIT_MISMATCH if status == "fail" else EXIT_OK
@@ -274,19 +272,18 @@ def _parse_pair_list(text: str) -> list[tuple[Fraction, Fraction]]:
 
 
 def cmd_grid(args) -> int:
-    t_values = _parse_t_list(args.t)
-    pairs = _parse_pair_list(args.ac)
+    pairs = list(args.ac)  # a copy, so that the report echoes only the pairs given
     if args.random:
         rng = random.Random(_seed())
         wanted = len(pairs) + args.random
         while len(pairs) < wanted:
             a = Fraction(rng.randint(-4, 4))
             c = Fraction(rng.randint(-4, 4))
-            if all(a * a - t0 * c * c != 0 for t0 in t_values):
+            if all(a * a - t0 * c * c != 0 for t0 in args.t):
                 pairs.append((a, c))
-    if not t_values or not pairs:
+    if not args.t or not pairs:
         raise BraidRepError("grid needs at least one t value and one (a,c) sample")
-    report_obj = grid_report(args.n, t_values, pairs)
+    report_obj = grid_report(args.n, args.t, pairs)
     status = report_obj.status
     lines = [report_obj.csv(),
              f"agreements: {report_obj.agreements}/{len(report_obj.cells)}",
@@ -312,16 +309,15 @@ def _parse_probe(text: str) -> tuple[tuple[int, int], tuple[int, int]]:
 def cmd_kernel_probe(args) -> int:
     rep = singular_extension(args.n, args.a, args.c, group=False)
     if args.pairs is None:  # written back, so that the report echoes the pair probed
-        args.pairs = ["1,2;1,3"]
+        args.pairs = [((1, 2), (1, 3))]
     certificates = []
     rejected = []
     lines = []
-    for text in args.pairs:
-        pair1, pair2 = _parse_probe(text)
+    for pair1, pair2 in args.pairs:
         try:
             cert = pure_commutator_certificate(rep, pair1, pair2)
         except (TrivialWord, NotInKernel) as exc:
-            rejected.append({"pairs": text, "error": type(exc).__name__,
+            rejected.append({"pairs": (pair1, pair2), "error": type(exc).__name__,
                              "message": str(exc)})
             lines.append(f"[{pair1} , {pair2}]: rejected ({exc})")
             continue
@@ -438,9 +434,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("grid", help="sweep specializations against the dichotomy")
     p.add_argument("n", type=int)
-    p.add_argument("--t", type=_arg(_parse_t_list, keep_text=True), default="2,-1,3/2",
+    p.add_argument("--t", type=_arg(_parse_t_list), default="2,-1,3/2",
                    help="comma-separated t values")
-    p.add_argument("--ac", type=_arg(_parse_pair_list, keep_text=True), default="",
+    p.add_argument("--ac", type=_arg(_parse_pair_list), default="",
                    help="semicolon-separated a,c pairs, like 2,-1;0,1")
     p.add_argument("--random", type=_arg(_parse_count), default=0,
                    help="additionally sample this many integer (a,c) pairs")
@@ -450,7 +446,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("kernel-probe",
                        help="emit identity-image certificates for pure-braid commutators")
     p.add_argument("n", type=int)
-    p.add_argument("--pairs", type=_arg(_parse_probe, keep_text=True), action="append",
+    p.add_argument("--pairs", type=_arg(_parse_probe), action="append",
                    default=None, help="two strand pairs like 1,2;1,3 (repeatable)")
     p.add_argument("--a", type=_arg(parse_laurent), default=parse_laurent("1"))
     p.add_argument("--c", type=_arg(parse_laurent), default=parse_laurent("1"))

@@ -38,10 +38,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from math import isqrt, lcm
 
 from .errors import ZeroSpecialization
-from .laurent import T, RationalFunction
+from .laurent import T, RationalFunction, rational_roots
 from .matrix import (
     LAURENT,
     QQ,
@@ -190,7 +189,7 @@ def _rank_one(blocks: list[tuple[int, Matrix]], d: int) -> tuple[dict, dict] | N
     if dom is not QQ:
         return None
     for offset, block in blocks:
-        for lam in _rational_roots(_char_poly(block)):
+        for lam in rational_roots(_char_poly(block)):
             if lam != 1:
                 shift = block - Matrix.identity(QQ, block.rows).scaled(lam)
                 right = shift.nullspace().basis
@@ -265,52 +264,6 @@ def _char_poly(m: Matrix) -> list[Fraction]:
     return coeffs
 
 
-def _divisors(n: int) -> list[int]:
-    n = abs(n)
-    out = []
-    for k in range(1, isqrt(n) + 1):
-        if n % k == 0:
-            out.append(k)
-            if k * k != n:
-                out.append(n // k)
-    return sorted(out)
-
-
-def _rational_roots(coeffs: list[Fraction]) -> list[Fraction]:
-    """All rational roots of the polynomial with the given coefficients
-    (highest power first), sorted and without repeats.
-
-    After clearing denominators and splitting off the root 0, a linear
-    factor gives its root directly and a quadratic has rational roots iff
-    its discriminant is a perfect square.  Higher degrees try every p/q with
-    p dividing the constant and q the leading coefficient, which costs
-    O(sqrt(const) + sqrt(lead)) trial divisions.
-    """
-    scale = lcm(*(c.denominator for c in coeffs)) if len(coeffs) > 1 else 1
-    ints = [int(c * scale) for c in coeffs]
-    roots = set()
-    while ints and ints[-1] == 0:
-        ints.pop()
-        roots.add(Fraction(0))
-    if len(ints) == 2:
-        roots.add(Fraction(-ints[1], ints[0]))
-    elif len(ints) == 3:
-        a, b, c = ints
-        disc = b * b - 4 * a * c
-        if disc >= 0 and (root := isqrt(disc)) ** 2 == disc:
-            roots.update(Fraction(-b + s, 2 * a) for s in (root, -root))
-    elif len(ints) > 3:
-        for p in _divisors(ints[-1]):
-            for q in _divisors(ints[0]):
-                for candidate in (Fraction(p, q), Fraction(-p, q)):
-                    value = Fraction(0)
-                    for c in ints:
-                        value = value * candidate + c
-                    if value == 0:
-                        roots.add(candidate)
-    return sorted(roots)
-
-
 def burnside_span(rep: Representation) -> int:
     return matrix_algebra_span(rep.local_images(), rep.dim)
 
@@ -356,14 +309,17 @@ def invariant_line_witness(rep: Representation) -> Subspace | None:
 
 @dataclass(frozen=True)
 class IrreducibilityVerdict:
-    status: str  # "irreducible" | "reducible"
     span_dim: int
     dim: int
     witness: Subspace | None
 
     @property
     def irreducible(self) -> bool:
-        return self.status == "irreducible"
+        return self.span_dim == self.dim * self.dim
+
+    @property
+    def status(self) -> str:
+        return "irreducible" if self.irreducible else "reducible"
 
     def to_json_dict(self) -> dict:
         out = {"status": self.status, "span_dim": self.span_dim,
@@ -377,8 +333,8 @@ def is_irreducible(rep: Representation) -> IrreducibilityVerdict:
     span = burnside_span(rep)
     d = rep.dim
     if span == d * d:
-        return IrreducibilityVerdict("irreducible", span, d, None)
-    return IrreducibilityVerdict("reducible", span, d, invariant_line_witness(rep))
+        return IrreducibilityVerdict(span, d, None)
+    return IrreducibilityVerdict(span, d, invariant_line_witness(rep))
 
 
 # -- parameter grid ----------------------------------------------------------

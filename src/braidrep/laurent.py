@@ -14,6 +14,8 @@ numerator, leaving denominator 1.  Sums and products of two values with
 denominator 1 are Laurent sums and products, which need no reduction either.
 Every other pair is reduced by ``laurent_gcd``; each path gives the one
 canonical form, so equality and hashing do not depend on the path taken.
+
+``rational_roots`` finds the rational roots of a polynomial over Q.
 """
 
 from __future__ import annotations
@@ -32,6 +34,7 @@ __all__ = [
     "ONE",
     "laurent_gcd",
     "parse_laurent",
+    "rational_roots",
 ]
 
 
@@ -300,6 +303,51 @@ def _primitive(coeffs: list[Fraction]) -> list[int]:
     if ints[-1] < 0:
         ints = [-c for c in ints]
     return ints
+
+
+def _divisors(n: int) -> list[int]:
+    n = abs(n)
+    out = []
+    for k in range(1, math.isqrt(n) + 1):
+        if n % k == 0:
+            out.append(k)
+            if k * k != n:
+                out.append(n // k)
+    return sorted(out)
+
+
+def rational_roots(coeffs: list[Fraction]) -> list[Fraction]:
+    """All rational roots of the nonzero polynomial with the given
+    coefficients (highest power first), sorted and without repeats.
+
+    Once the polynomial is primitive over Z and the root 0 is split off, a
+    linear factor gives its root directly and a quadratic has rational roots
+    iff its discriminant is a perfect square.  Higher degrees try every p/q
+    with p dividing the constant and q the leading coefficient, which costs
+    O(sqrt(const) + sqrt(lead)) trial divisions.
+    """
+    ints = _primitive(coeffs[::-1])[::-1]
+    roots = set()
+    while ints and ints[-1] == 0:
+        ints.pop()
+        roots.add(Fraction(0))
+    if len(ints) == 2:
+        roots.add(Fraction(-ints[1], ints[0]))
+    elif len(ints) == 3:
+        a, b, c = ints
+        disc = b * b - 4 * a * c
+        if disc >= 0 and (root := math.isqrt(disc)) ** 2 == disc:
+            roots.update(Fraction(-b + s, 2 * a) for s in (root, -root))
+    elif len(ints) > 3:
+        for p in _divisors(ints[-1]):
+            for q in _divisors(ints[0]):
+                for candidate in (Fraction(p, q), Fraction(-p, q)):
+                    value = Fraction(0)
+                    for c in ints:
+                        value = value * candidate + c
+                    if value == 0:
+                        roots.add(candidate)
+    return sorted(roots)
 
 
 def laurent_gcd(f: LaurentPoly, g: LaurentPoly) -> LaurentPoly:

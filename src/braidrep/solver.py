@@ -42,8 +42,7 @@ from .errors import (
     UnassignedGenerator,
     ZeroQ,
 )
-from .irreducibility import _rational_roots
-from .laurent import T, RationalFunction
+from .laurent import T, RationalFunction, rational_roots
 from .matrix import LAURENT, RATFUNC, Echelon, Matrix, QQ
 from .presentations import NU, TAU, Presentation, build_presentation
 from .reps import Representation, _local_products, singular_extension, standard_rep
@@ -255,7 +254,7 @@ class SolutionFamily:
     """
 
     free: tuple[str, ...]
-    bindings: dict[str, SymPoly] = field(compare=False)
+    bindings: dict[str, SymPoly] = field(hash=False)
 
     def to_json_dict(self) -> dict:
         return {"free": list(self.free),
@@ -347,7 +346,7 @@ class InvolutionSolution:
 
     family_id: int
     free: tuple[str, ...]
-    bindings: dict[str, tuple[SymPoly, SymPoly]] = field(compare=False)
+    bindings: dict[str, tuple[SymPoly, SymPoly]] = field(hash=False)
     nonzero: tuple[str, ...]
 
     @property
@@ -459,7 +458,7 @@ def _case_split(eqs, bindings, nonzero) -> list[tuple[dict, tuple]]:
             dense = [Fraction(0)] * (e.degree() + 1)
             for mono, c in zip(e.terms, coeffs):
                 dense[-1 - dict(mono).get(x, 0)] = c
-            return [branch for root in _rational_roots(dense)
+            return [branch for root in rational_roots(dense)
                     for branch in _branch(eqs, bindings, nonzero, x, SymPoly.const(root))]
     for e in eqs:  # 2. constant coefficient: eliminate the latest-named variable
         lone = [(x, cr) for x in sorted(e.variables())

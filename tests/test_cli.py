@@ -10,9 +10,10 @@ from dataclasses import replace
 
 import pytest
 
-from braidrep import SymPoly, cli
+from braidrep import Matrix, SymPoly, cli
 from braidrep.cli import main
 from braidrep.irreducibility import grid_cell
+from braidrep.reps import Representation
 
 
 def run_cli(capsys, *argv):
@@ -96,10 +97,10 @@ def test_solve_extension_four_strands(capsys):
 
 
 @pytest.mark.parametrize("n,digest", [
-    ("4", "b2c9b0c51f8daf287f2d16459dc16557e49af9b5708660a4441abe13d5425082"),
-    ("5", "9bf154523c7e33ac2a1a67536eea32420a32d1cf5905160e7017974e1a0f8376"),
-    ("6", "10595f98a1e2b4bac847c86b25cd2a043c80beac8e3b03eaa14d93952c253548"),
-])
+    ("4", "74a91c401b707155069e642379945c66f0b8d5982e81c1a2d89a7a3ee0ee4d3d"),
+    ("5", "e0025e4f5cf7cfefa615fa97376a7d67788ceaf092ecfa12b81cd1b9708f2646"),
+    ("6", "f4c4d3942a6a711ff771d6fc046e10405eb33a25ce57815dbb9e4161273af8b5"),
+], ids=["4", "5", "6"])
 def test_solve_extension_json_report_is_pinned(capsys, n, digest):
     # SHA-256 of the whole report without the two block-form keys, so the
     # free set, every binding string and the residue for n >= 4 are held
@@ -112,54 +113,59 @@ def test_solve_extension_json_report_is_pinned(capsys, n, digest):
     assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
-@pytest.mark.parametrize("argv,code,digest", [
+# Each case's id is its argv alone, so that a moved digest renames no test.
+PINNED_REPORTS = [
     # Deficient span with the all-ones witness, a full span, an eigenline
     # witness, a denominator in t, and a span over Q(t).
     ("irreducible 6 --t 1 --a 3 --c -2", 0,
-     "bd3c8a525229b208c0e77d0eeb09a50bf369eb2a5f557688c88cb2f86699fc37"),
+     "73fd6f26d770c1d5fb0ee63456ec2f038b0c6a2e55187c1be4636550b4cb23a4"),
     ("irreducible 5 --t 2 --a 3 --c 1", 0,
-     "68977e7d94db40ee3b622c182aa00bfe2d69e0d27c439e4120aa96f1398aa9a5"),
+     "6ef5852dd4241b92e4d72b540e5908903f11bfcb3970c9d8d500f77e676bfc58"),
     ("irreducible 2 --t 4 --a 1 --c 1", 0,
-     "c2b30d4ee54608a71caf458eb312257bbc9eec3de7d12482a2291e9332154df3"),
+     "816523000fdc191d62e51f27d29fef153923bffa966c4b3e4f561072c09f2c36"),
     ("irreducible 3 --t 1/3 --a 2 --c 1", 0,
-     "6ce65526b32ec9fbb999d3337ee0b666c9081c1ba524e4a21ef3eec37e1fbf29"),
+     "db2485e85650ac3e3de539fed17b4bdce3382808ecd3c54681c1c4281120868c"),
     ("irreducible 3 --symbolic --a 2 --c 1", 0,
-     "1daf4c411b7bac48b3cb96ac62198eeef708c2c42a1bb61fc7aedb68affe10eb"),
+     "451b755b7683c1d567a9672af1abe4ded4214ce742d6e0f45bbf0a06618d360f"),
     ("show-rep singular-ext 3 --a 1+t --c t^-1", 0,
-     "97203049c612355a55a20599b17eeb080a5bcfe68f662b70c981bcdd5b3a6f44"),
-    ("show-rep f 3", 0, "019686cb9361835116bff443511becf8b09d2411ef355ce1bf740242b88844a0"),
+     "fbb4a4338527795f09be496e22d1efc242ba51f806dc2f0c5fe84b503d6105f1"),
+    ("show-rep f 3", 0, "d0cda6bbf4d40309b29809d9fe41a190ceaeafd3776ad6f5a096b9aa69767235"),
     ("show-rep vsb2 2 --family 1 --p 2 --q 3", 0,
-     "c40091f8714d06465a386aeb02d93b20e9bc1609b2d2b6e18f5e61122858487c"),
+     "59eef9ef28b318182f4e5f0fd33086859e914dab6bea4840f6683ad6a29b03e3"),
     # Every involution family's v-image and relation check: Laurent and
     # integer free entries, a quotient that divides exactly, the defaults
     # (0, or 1 where the family needs it nonzero), and group mode.
     ("show-rep vsb2 2 --family 1 --p t --q 1-t", 0,
-     "98eed7d3b4f19f3fdb4edf8cd99d0a565ac701089de334773296d81af6bd6500"),
+     "102b409d157209676e2127b67a41879af5f8096b29d11596c28ce5135f68efa3"),
     ("verify vsb2 2 --family 1 --p 3 --q 2", 0,
-     "1e5c50cfe844950cc7b1ff07e438d0b635ffcdd85a406ad0a8fa48b0146a0b6b"),
-    ("show-rep vsb2 2", 0, "632a21095943f8299ce3e6296c1e9195632c2a2250de98d5064f781fbe899f8b"),
+     "12800ed75b866b4403a860d18f23aa8d24f27a9ed64f4dfe291351c3269b29bd"),
+    ("show-rep vsb2 2", 0, "36d87726929f3ee30840b018cf3a3638cdacb746df3da5cd6cbc9163c4be6393"),
     ("verify vsb2 2 --family 2 --r t^-1", 0,
-     "47d1fb43ab772d9e36b2a2336a073ee34c8d7ee08931bdb37767e87fbae0f1c9"),
+     "f5b66a70e39c398433d1ba0f00662ad59b2972fa6adf2f4f944f12343bbc0dcc"),
     ("show-rep vsb2 2 --family 2 --r 5", 0,
-     "233e14fae8a5f8efa5a5106d3700399f7b9344c053d61b33edf86ad043dca946"),
+     "ef54d2a294cf480a911bba5ce70136cc22c70cffa461f006e338f80f70679ffb"),
     ("verify vsb2 2 --family 3 --r -7 --a 0 --c 1 --group", 0,
-     "0ee02d383fdc1a41a09a123a74749da214c231f95b77fa472274471788395783"),
+     "3b8b4dc99f3e5c56260c12d2094aadf28e75d2f08212d73136e102632e2072c2"),
     ("show-rep vsb2 2 --family 3", 0,
-     "b3032d972fc3993bae13c5c1aa2f884bc7fd3a2c4a21ee978274544fa3aa6fbb"),
+     "202c09ae747e39d2ae7ec0b622a552bf12ea7b59ca5ce23bf53d3e4d14df9549"),
     ("verify vsb2 2 --family 4", 0,
-     "ec5551e9e10eae6d15bb480b80794c390cace38a456611f336672880b0006163"),
+     "947bed5f930d80b50b69ba283860389ad7a506512dab8ccd0d04f8cf6220fcf5"),
     ("show-rep vsb2 2 --family 4 --a t --c 2", 0,
-     "8cfd5beb651d303fcf6252df87df67d7ec2342cf4844a385df29d6aea3f48a21"),
+     "02b6c823c1a5b4067da148de3d0073cbb06374c1bd1fb56c51288fbb5c6150f2"),
     ("verify vsb2 2 --family 5 --group --a 0 --c 1", 0,
-     "0ccf3f3a6e59e8f400fd20ebd23441977edc96bdfecbc28812a91b18bcb15864"),
+     "e08775d4ece7df7a46c61f02fe649e4bc102ca89c64e9b432e32b3cbc48ea1fa"),
     ("show-rep vsb2 2 --family 5", 0,
-     "3115e1102d27135be250b93c8da6f7931054cf5a473a321251a1fcc669d522a0"),
+     "76682db9e534c1dc056c0a253d47e7d5b845c4e0dfdedfd68df41bbe95baae1a"),
     ("verify singular-ext 4 --a 0 --c 1 --group", 0,
-     "97ec8cc822544b83aee9bcfa68d13aa3c35e7c5079da5d529cfd9ec68120e0e4"),
+     "393ed32ddc1e8474b1eff1ff6f6cfc39837f61c83ea9b52129cc10bc016ee463"),
     # 1 - t is not a unit: a usage error with nothing on stdout.
     ("verify singular-ext 4 --a 1 --c 1 --group", 2,
      "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
-])
+]
+
+
+@pytest.mark.parametrize("argv,code,digest", PINNED_REPORTS,
+                         ids=[argv for argv, _, _ in PINNED_REPORTS])
 def test_json_reports_are_pinned(capsys, argv, code, digest):
     try:
         got = main([*argv.split(), "--json"])
@@ -370,13 +376,14 @@ def test_kernel_probe_multiple_pairs(capsys):
     assert code == 0
     assert len(report["result"]["certificates"]) == 2
     assert report["result"]["rejected"] == []
-    assert report["inputs"]["pairs"] == "['1,2;1,3', '2,3;3,4']"
+    assert report["inputs"]["pairs"] == [[[1, 2], [1, 3]], [[2, 3], [3, 4]]]
+    assert report["inputs"]["n"] == 4
 
 
 def test_kernel_probe_echoes_the_default_pair(capsys):
     code, report, _ = run_json(capsys, "kernel-probe", "4")
     assert code == 0
-    assert report["inputs"]["pairs"] == "['1,2;1,3']"
+    assert report["inputs"]["pairs"] == [[[1, 2], [1, 3]]]
     assert len(report["result"]["certificates"]) == 1
 
 
@@ -385,8 +392,8 @@ def test_kernel_probe_echoes_the_default_pair(capsys):
 # theirs: 0, or 1 where the family needs the entry nonzero.
 KIND_DEFAULTS = {
     "standard": {}, "burau": {}, "f": {},
-    "singular-ext": {"a": "1", "c": "1", "group": "False"},
-    "vsb2": {"a": "1", "c": "1", "family": "1", "group": "False"},
+    "singular-ext": {"a": "1", "c": "1", "group": False},
+    "vsb2": {"a": "1", "c": "1", "family": 1, "group": False},
 }
 FAMILY_FREE = {1: {"p": "0", "q": "1"}, 2: {"r": "0"}, 3: {"r": "0"}, 4: {}, 5: {}}
 
@@ -395,23 +402,24 @@ FAMILY_FREE = {1: {"p": "0", "q": "1"}, 2: {"r": "0"}, 3: {"r": "0"}, 4: {}, 5: 
 @pytest.mark.parametrize("argv,expected", [
     *[([kind, "3"], defaults) for kind, defaults in KIND_DEFAULTS.items() if kind != "vsb2"],
     (["singular-ext", "3", "--a", "0", "--c", "1", "--group"],
-     {"a": "0", "c": "1", "group": "True"}),
+     {"a": "0", "c": "1", "group": True}),
     (["vsb2", "2"], {**KIND_DEFAULTS["vsb2"], **FAMILY_FREE[1]}),
-    *[(["vsb2", "2", "--family", str(k)], {**KIND_DEFAULTS["vsb2"], "family": str(k), **free})
+    *[(["vsb2", "2", "--family", str(k)], {**KIND_DEFAULTS["vsb2"], "family": k, **free})
       for k, free in FAMILY_FREE.items()],
     (["vsb2", "2", "--family", "1", "--p", "2", "--a", "t"],
      {**KIND_DEFAULTS["vsb2"], "a": "t", "p": "2", "q": "1"}),
     (["vsb2", "2", "--family", "2", "--r", "t^-1", "--group", "--a", "0", "--c", "1"],
-     {"a": "0", "c": "1", "family": "2", "group": "True", "r": "t^-1"}),
+     {"a": "0", "c": "1", "family": 2, "group": True, "r": "t^-1"}),
 ], ids=lambda v: " ".join(v) if isinstance(v, list) else None)
 def test_inputs_echo_exactly_what_the_kind_read(capsys, command, argv, expected):
     code, report, _ = run_json(capsys, command, *argv)
     assert code == 0
-    assert report["inputs"] == {"command": command, "kind": argv[0], "n": argv[1], **expected}
+    assert report["inputs"] == {"command": command, "kind": argv[0], "n": int(argv[1]), **expected}
 
 
 # Options that parse but cannot apply: refused once the representation is
-# chosen, naming its kind or the chosen family's free entries.
+# chosen, naming its kind, its strand count or the chosen family's free
+# entries.
 INAPPLICABLE_OPTIONS = {
     ("show-rep", "vsb2", "2", "--family", "4", "--r", "5", "--json"):
         "error: --r does not apply to vsb2 family 4, whose free entries are none",
@@ -425,6 +433,7 @@ INAPPLICABLE_OPTIONS = {
         "error: --group does not apply to the f representation",
     ("verify", "singular-ext", "3", "--family", "2"):
         "error: --family does not apply to the singular-ext representation",
+    ("show-rep", "vsb2", "3"): "error: the vsb2 representation is two-strand only",
 }
 
 
@@ -436,6 +445,9 @@ INAPPLICABLE_OPTIONS = {
     ["involutions", "--check", "-5"],
     ["grid", "3", "--ac", "2,1", "--random", "-2"],
     *map(list, INAPPLICABLE_OPTIONS),
+    ["grid", "3", "--random", "x"],
+    ["grid", "3", "--ac", "1,2,3"],
+    ["kernel-probe", "4", "--pairs", "1,2"],
 ])
 def test_malformed_arguments_are_usage_errors(capsys, argv):
     message = INAPPLICABLE_OPTIONS.get(tuple(argv))
@@ -447,9 +459,35 @@ def test_malformed_arguments_are_usage_errors(capsys, argv):
         with pytest.raises(SystemExit) as info:
             main(argv)
         assert info.value.code == 2
-        err = capsys.readouterr().err
-        assert err.startswith("usage: braidrep")
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("usage: braidrep")
     assert "Traceback" not in err
+
+
+def test_verify_reports_a_violated_relation(capsys, monkeypatch):
+    build = cli.singular_extension
+
+    def one_wrong_tau(n, a, c, group=False):
+        # tau_1's block with its (1, 1) entry raised by one.
+        rep = build(n, a, c, group=group)
+        blocks = {key: rep.local_image(*key) for key in rep.generator_keys()}
+        offset, block = blocks[("t", 1)]
+        entries = [list(row) for row in block.entries]
+        entries[0][0] += 1
+        blocks[("t", 1)] = (offset, Matrix(rep.domain, entries))
+        return Representation(rep.n, rep.mode, rep.dim, blocks, group=rep.group)
+
+    monkeypatch.setattr(cli, "singular_extension", one_wrong_tau)
+    code, out, _ = run_cli(capsys, "verify", "singular-ext", "3")
+    assert code == 1
+    assert "\nviolated: " in out and out.endswith("status: fail\n")
+    code, report, _ = run_json(capsys, "verify", "singular-ext", "3")
+    assert code == 1 and report["status"] == "fail"
+    violations = report["result"]["violations"]
+    assert violations and out.count("violated: ") == len(violations)
+    for v in violations:
+        assert set(v) == {"relation", "kind", "indices", "lhs", "rhs", "diff"}
+        assert v["lhs"] != v["rhs"]
 
 
 def test_kernel_probe_two_strands_is_usage_error(capsys):

@@ -39,10 +39,10 @@ from braidrep.irreducibility import (
     IrreducibilityVerdict,
     _exact_span,
     _rank_one,
-    _rational_roots,
     grid_cell,
     invariant_line_witness,
 )
+from braidrep.laurent import rational_roots
 
 ONE_RF = RationalFunction(1)
 
@@ -385,14 +385,14 @@ def test_grid_report_two_strands_diverges():
 
 def test_grid_report_status_fail_on_unwatched_divergence():
     cell = GridCell(n=3, t0=Fraction(2), a=Fraction(0), c=Fraction(1),
-                    verdict=IrreducibilityVerdict("reducible", 5, 3, None))
+                    verdict=IrreducibilityVerdict(5, 3, None))
     assert not cell.watch
     assert GridReport((cell,)).status == "fail"
 
 
 def test_a_failing_cell_is_not_a_divergence():
     failing = GridCell(n=3, t0=Fraction(2), a=Fraction(0), c=Fraction(1),
-                       verdict=IrreducibilityVerdict("reducible", 5, 3, None))
+                       verdict=IrreducibilityVerdict(5, 3, None))
     watched = grid_cell(2, 2, 0, 1)
     assert (failing.status, watched.status) == ("fail", "divergence")
     report = GridReport((failing, watched))
@@ -600,15 +600,15 @@ nonzero_scales = st.fractions(max_denominator=10**6).filter(lambda q: q != 0)
 @settings(max_examples=200)
 def test_quadratic_roots_are_recovered(r1, r2, k):
     coeffs = [k, -k * (r1 + r2), k * r1 * r2]
-    assert _rational_roots(coeffs) == sorted({r1, r2})
-    assert _rational_roots([k, -k * r1]) == [r1]
+    assert rational_roots(coeffs) == sorted({r1, r2})
+    assert rational_roots([k, -k * r1]) == [r1]
 
 
 def test_rational_roots_of_other_degrees():
-    assert _rational_roots([Fraction(1), Fraction(0), Fraction(-10**21)]) == []
-    assert _rational_roots([Fraction(1), Fraction(0), Fraction(1)]) == []
-    assert _rational_roots([Fraction(3), Fraction(0), Fraction(0)]) == [0]
-    assert _rational_roots([Fraction(5)]) == []
+    assert rational_roots([Fraction(1), Fraction(0), Fraction(-10**21)]) == []
+    assert rational_roots([Fraction(1), Fraction(0), Fraction(1)]) == []
+    assert rational_roots([Fraction(3), Fraction(0), Fraction(0)]) == [0]
+    assert rational_roots([Fraction(5)]) == []
     # (x - 1/2)(x + 3)(x - 2) x: the cubic factor goes through the divisor search.
     quartic = [Fraction(c) for c in (1, Fraction(1, 2), Fraction(-13, 2), 3, 0)]
-    assert _rational_roots(quartic) == [-3, 0, Fraction(1, 2), 2]
+    assert rational_roots(quartic) == [-3, 0, Fraction(1, 2), 2]

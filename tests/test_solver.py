@@ -17,6 +17,7 @@ from braidrep import (
     Matrix,
     QQ,
     RationalFunction,
+    SolutionFamily,
     SymPoly,
     T,
     assemble,
@@ -396,6 +397,16 @@ def test_a_tampered_family_fails_the_substitution_check():
     bindings = dict(one.bindings, r=(num + 1, den))
     assert not replace(one, bindings=bindings).solves(system)
     assert not tampered(two, "p", SymPoly.const(1)).solves(system)
+
+
+def test_families_that_differ_in_a_binding_are_unequal():
+    family = SolutionFamily(("a",), {"b": a})
+    assert family != SolutionFamily(("a",), {"b": SymPoly.const(7)})
+    assert family == SolutionFamily(("a",), {"b": a})
+    assert hash(family) == hash(SolutionFamily(("a",), {"b": SymPoly.const(7)}))
+    one = solve_involution_2x2(assemble_vsb2())[0]
+    assert tampered(one, "s", SymPoly.symbol("p")) != one
+    assert replace(one, bindings=dict(one.bindings)) == one
 
 
 def quadratics(unknowns, *polys):

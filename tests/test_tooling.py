@@ -1,14 +1,17 @@
 """Names that nothing imports must still resolve: the benchmark tracer's
 wrapped functions, and every module's ``__all__``.  And ``cli.main`` must be
 reentrant, since the benchmark calls it many times in one process, and
-derive the involution families once per process.  The witness search must
+derive the involution families once per process.  Every report echoes its
+parsed options as JSON values, not as their Python text.  The witness search must
 build no dense image, and the span certificate's spins must run on the one
 echelon engine, without the exact closure."""
 
 from __future__ import annotations
 
+import argparse
 import importlib
 import importlib.util
+import json
 import pkgutil
 import subprocess
 import sys
@@ -113,6 +116,34 @@ def test_main_is_reentrant(capsys, monkeypatch):
     for _ in range(2):
         for argv, expected in zip(REENTRANT_ARGVS, fresh):
             assert run_in_process(capsys, argv) == expected, argv
+
+
+# One argv per subcommand, in the parser's order, with its flag, count or
+# list-valued options where it has them.
+EVERY_SUBCOMMAND = [
+    ["show-rep", "vsb2", "2", "--group", "--a", "0", "--c", "1"],
+    ["verify", "singular-ext", "3"],
+    ["solve-extension", "sb", "2"],
+    ["irreducible", "3", "--symbolic", "--a", "2", "--c", "1"],
+    ["grid", "3", "--t", "2,3/2", "--ac", "2,1", "--random", "1"],
+    ["kernel-probe", "4", "--pairs", "1,2;1,3"],
+    ["involutions", "--check", "2"],
+]
+
+
+def test_every_report_echoes_its_inputs_as_json_values(capsys):
+    subparsers = next(action for action in cli._build_parser()._actions
+                      if isinstance(action, argparse._SubParsersAction))
+    assert [argv[0] for argv in EVERY_SUBCOMMAND] == list(subparsers.choices)
+    for argv in EVERY_SUBCOMMAND:
+        out, _, code = run_in_process(capsys, [*argv, "--json"])
+        assert code == 0, argv
+        inputs = json.loads(out)["inputs"]
+        assert type(inputs.get("n", 0)) is int, argv
+        for name, value in inputs.items():
+            assert isinstance(value, (int, bool, str, list)), (argv, name)
+            if isinstance(value, str):
+                assert value not in ("True", "False") and not value.startswith("["), (argv, name)
 
 
 def test_the_involution_families_are_derived_once(capsys, monkeypatch):
