@@ -27,7 +27,7 @@ from .irreducibility import grid_cell, grid_report
 from .kernel import pure_commutator_certificate
 from .laurent import ONE, ZERO, parse_laurent
 from .matrix import QQ, Matrix
-from .presentations import build_presentation
+from .presentations import TAU, build_presentation
 from .reps import (
     burau_rep,
     f_rep,
@@ -37,7 +37,6 @@ from .reps import (
     vsb2_extension,
 )
 from .solver import (
-    assemble_singular,
     assemble_vsb2,
     block_form_match,
     involution_classify,
@@ -198,8 +197,9 @@ def cmd_solve_extension(args) -> int:
         lines += [f"solution families: {len(families)}", *family_lines, f"status: {status}"]
         return _emit(args, {"system": system.to_json_dict(), **result}, status, lines)
 
-    system = assemble_singular(args.n)
-    family, residue = solve_with_residue(system)
+    system, family, residue = solve_with_residue(
+        build_presentation(args.n, "singular"), standard_rep(args.n),
+        [(TAU, i) for i in range(1, args.n)])
     form_ok, residual_free = block_form_match(family, args.n)
     status = "fail" if not form_ok else ("divergence" if residue else "pass")
     result = {

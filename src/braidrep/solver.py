@@ -19,6 +19,12 @@ earliest-named unknowns as the free parameters, so a chain of forced
 equalities like a = e = i is reported as bindings onto ``a`` rather than
 onto ``i``.
 
+``solve_with_residue`` never forms a quadratic: it assembles and solves only
+the relations with at most one unknown letter on each side, whose entries
+are affine, and checks every other relation (such as the far commutations
+t_i t_j = t_j t_i) by multiplying it out on the solved images; the nonzero
+entries left over are the residue.
+
 ``solve_involution_2x2`` derives the 2x2 involution families from the
 quadratics of ``assemble_vsb2()`` by a four-rule case split, checks each
 family by substituting it back into them, and ``involution_classify``
@@ -126,6 +132,19 @@ def _normalize_sign(p: SymPoly) -> SymPoly:
     return -p if lead.num.terms[lead.num.degree()] < 0 else p
 
 
+def _symbolic_rep(pres: Presentation, known: Representation, unknown_images: dict) -> Representation:
+    """``known`` over the symbolic ring, its blocks lifted, with the full
+    images of the unknown generators added; raises if a generator of
+    ``pres`` still has no image."""
+    blocks = {key: (offset, block.map_entries(SymPoly.coerce, SYMBOLIC))
+              for key, (offset, block) in zip(known.generator_keys(), known.local_images())}
+    blocks.update((key, (0, image)) for key, image in unknown_images.items())
+    for key in pres.generator_keys():
+        if key not in blocks:
+            raise UnassignedGenerator(f"no image (known or unknown) for {key[0]}{key[1]}")
+    return Representation(pres.n, pres.mode, known.dim, blocks)
+
+
 def assemble(pres: Presentation, known: Representation, unknown_gens) -> ConstraintSystem:
     """Entrywise constraints making the unknown images satisfy the relations.
 
@@ -142,17 +161,11 @@ def assemble(pres: Presentation, known: Representation, unknown_gens) -> Constra
             raise ModeMismatch(
                 f"generator {kind}{index} does not exist in mode {pres.mode} on n={pres.n}")
     dim = known.dim
-    blocks = {key: (offset, block.map_entries(SymPoly.coerce, SYMBOLIC))
-              for key, (offset, block) in zip(known.generator_keys(), known.local_images())}
-    unknowns: list[str] = []
-    for key, names in _unknown_names(dim, unknown_gens).items():
-        unknowns.extend(name for row in names for name in row)
-        blocks[key] = (0, Matrix(SYMBOLIC, [[SymPoly.symbol(name) for name in row]
-                                            for row in names]))
-
-    for key in pres.generator_keys():
-        if key not in blocks:
-            raise UnassignedGenerator(f"no image (known or unknown) for {key[0]}{key[1]}")
+    names = _unknown_names(dim, unknown_gens)
+    unknowns = [name for grid in names.values() for row in grid for name in row]
+    rep = _symbolic_rep(pres, known, {
+        key: Matrix(SYMBOLIC, [[SymPoly.symbol(name) for name in row] for row in grid])
+        for key, grid in names.items()})
 
     unknown_set = set(unknowns)
     equations: list[SymPoly] = []
@@ -160,8 +173,6 @@ def assemble(pres: Presentation, known: Representation, unknown_gens) -> Constra
     seen: set = set()
     discarded_zero = 0
     discarded_duplicate = 0
-
-    rep = Representation(pres.n, pres.mode, dim, blocks)
     for rel in pres.relations:
         support, (lhs, rhs) = _local_products(rep, [rel.lhs, rel.rhs])
         discarded_zero += dim * dim - len(support) ** 2
@@ -190,7 +201,8 @@ def assemble(pres: Presentation, known: Representation, unknown_gens) -> Constra
 
 def assemble_singular(n: int) -> ConstraintSystem:
     """The extension problem for the standard representation on n strands:
-    s-images known, all t-images unknown."""
+    s-images known, all t-images unknown, every relation assembled (the far
+    t-t commutations as quadratics)."""
     pres = build_presentation(n, "singular")
     return assemble(pres, standard_rep(n), [(TAU, i) for i in range(1, n)])
 
@@ -312,15 +324,41 @@ def solve_linear(system: ConstraintSystem) -> SolutionFamily:
     return SolutionFamily(free=tuple(free), bindings=bindings)
 
 
-def solve_with_residue(system: ConstraintSystem) -> tuple[SolutionFamily, tuple[SymPoly, ...]]:
-    """Solve the affine part, then push the solution through the nonlinear
-    equations; the returned residue is what remains of them (empty when the
-    affine solution already satisfies everything)."""
-    family = solve_linear(replace(system, nonlinear=()))
-    residue = tuple(
-        p for p in (q.substitute(family.bindings) for q in system.nonlinear) if not p.is_zero()
-    )
-    return family, residue
+def solve_with_residue(pres: Presentation, known: Representation,
+                       unknown_gens) -> tuple[ConstraintSystem, SolutionFamily, tuple]:
+    """Solve the relations that are affine in the unknowns, then check the
+    rest on the solved images.
+
+    A relation with at most one unknown letter on each side has affine
+    entries: those relations are assembled and solved by ``solve_linear``.
+    Every other relation (two unknown letters on one side, such as
+    t_i t_j = t_j t_i) is multiplied out on its support with the unknown
+    images replaced by ``solved_images``, so its quadratics are never
+    formed.  The residue is the nonzero entries of lhs - rhs, sign-normalized
+    and without repeats; it is empty when the affine solution satisfies every
+    relation.  Returns the affine system, its solution family and the
+    residue.
+    """
+    unknown_gens = list(unknown_gens)
+    unknown = set(unknown_gens)
+
+    def affine(rel) -> bool:
+        return all(sum((g.kind, g.index) in unknown for g in side) <= 1
+                   for side in (rel.lhs, rel.rhs))
+
+    system = assemble(replace(pres, relations=tuple(filter(affine, pres.relations))),
+                      known, unknown_gens)
+    family = solve_linear(system)
+    rep = _symbolic_rep(pres, known, solved_images(family, known.dim, unknown_gens))
+    residue: dict[SymPoly, None] = {}
+    for rel in pres.relations:
+        if not affine(rel):
+            _, (lhs, rhs) = _local_products(rep, [rel.lhs, rel.rhs])
+            for lrow, rrow in zip(lhs, rhs):
+                for left, right in zip(lrow, rrow):
+                    if not (entry := left - right).is_zero():
+                        residue[_normalize_sign(entry)] = None
+    return system, family, tuple(residue)
 
 
 def laurent_representability(family: SolutionFamily) -> dict:

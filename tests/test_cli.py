@@ -10,10 +10,12 @@ from dataclasses import replace
 
 import pytest
 
-from braidrep import Matrix, SymPoly, cli
+from braidrep import Matrix, SymPoly, cli, solver
 from braidrep.cli import main
 from braidrep.irreducibility import grid_cell
-from braidrep.reps import Representation
+from braidrep.presentations import build_presentation
+from braidrep.reps import Representation, standard_rep
+from braidrep.symbolic import SYMBOLIC
 
 
 def run_cli(capsys, *argv):
@@ -513,6 +515,70 @@ def test_solve_extension_twelve_strands_passes(capsys):
     assert code == 0
     assert report["status"] == "pass"
     assert report["result"]["residual_free_parameters"] == ["x3_3_1"]
+
+
+@pytest.mark.slow
+def test_solve_extension_sixteen_strands_passes(capsys):
+    code, report, _ = run_json(capsys, "solve-extension", "sb", "16")
+    assert code == 0
+    assert report["status"] == "pass"
+    result = report["result"]
+    assert len(result["family"]["free"]) == 3
+    assert result["residue"] == []
+    assert result["matches_block_form"] is True
+
+
+def test_solve_extension_never_assembles_a_quadratic_relation(capsys, monkeypatch):
+    received, returned = [], []
+    assemble, solve = solver.assemble, cli.solve_with_residue
+
+    def recording_assemble(pres, known, unknown_gens):
+        received.extend(pres.relations)
+        return assemble(pres, known, unknown_gens)
+
+    def recording_solve(*args):
+        returned.append(solve(*args))
+        return returned[-1]
+
+    monkeypatch.setattr(solver, "assemble", recording_assemble)
+    monkeypatch.setattr(cli, "solve_with_residue", recording_solve)
+    code, report, _ = run_json(capsys, "solve-extension", "sb", "5")
+    assert (code, report["status"]) == (0, "pass")
+    assert received
+    for rel in received:
+        assert all(sum(g.kind == "t" for g in side) <= 1 for side in (rel.lhs, rel.rhs)), rel
+    (system, _, _), = returned
+    assert system.nonlinear == ()
+    assert (len(system.equations) + system.discarded_zero + system.discarded_duplicate
+            == 25 * len(received))
+
+
+def test_a_failed_residue_check_is_a_divergence(capsys, monkeypatch):
+    honest, calls = solver.solved_images, []
+
+    def tampered(family, dim, unknown_gens):
+        # A free symbol z at the (1, 4) entry of t_1, off its 2x2 block, on
+        # the first call since ``calls`` was emptied: the residue check's.
+        # block_form_match's call after it stays honest.
+        images = honest(family, dim, unknown_gens)
+        if not calls:
+            entries = [list(row) for row in images[("t", 1)].entries]
+            entries[0][3] = SymPoly.symbol("z")
+            images[("t", 1)] = Matrix(SYMBOLIC, entries)
+        calls.append(dim)
+        return images
+
+    monkeypatch.setattr(solver, "solved_images", tampered)
+    _, _, residue = solver.solve_with_residue(
+        build_presentation(4, "singular"), standard_rep(4), [("t", i) for i in range(1, 4)])
+    assert residue
+    assert all("z" in p.variables() for p in residue)
+    calls.clear()
+    code, report, _ = run_json(capsys, "solve-extension", "sb", "4")
+    assert code == 0
+    assert report["status"] == report["result"]["status"] == "divergence"
+    assert report["result"]["matches_block_form"] is True
+    assert report["result"]["residue"] == [str(p) for p in residue]
 
 
 @pytest.mark.parametrize("argv", [["solve-extension", "vsb2", "2"], ["involutions"]])

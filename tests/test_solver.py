@@ -169,9 +169,15 @@ def test_three_strand_solution_passes_relation_verification():
     assert mats[("t", 2)] == Matrix(LAURENT, [[5, 0, 0], [0, 2, 3 * T], [0, 3, 2]])
 
 
+def solve_singular(n: int):
+    """``solve_with_residue`` on the extension problem of ``assemble_singular(n)``."""
+    return solve_with_residue(build_presentation(n, "singular"), standard_rep(n),
+                              [("t", i) for i in range(1, n)])
+
+
 def test_four_strand_solution_has_three_parameters_and_no_residue():
     system = assemble_singular(4)
-    family, residue = solve_with_residue(system)
+    _, family, residue = solve_singular(4)
     assert residue == ()
     assert len(family.free) == 3
     # every relation entry is linear, identically zero, or a duplicate
@@ -179,6 +185,20 @@ def test_four_strand_solution_has_three_parameters_and_no_residue():
     entry_count = len(pres.relations) * 16
     assert (len(system.equations) + len(system.nonlinear)
             + system.discarded_zero + system.discarded_duplicate) == entry_count
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+def test_affine_solve_counts_what_the_full_assembly_counts(n):
+    # Every entry of t_i t_j - t_j t_i for generic images has degree 2 and
+    # is distinct from every other up to sign, so leaving the far
+    # commutations out of the assembly moves no linear equation or count.
+    full = assemble_singular(n)
+    system, _, residue = solve_singular(n)
+    assert system.unknowns == full.unknowns
+    assert system.equations == full.equations
+    assert (system.discarded_zero, system.discarded_duplicate) \
+        == (full.discarded_zero, full.discarded_duplicate)
+    assert system.nonlinear == () and residue == ()
 
 
 def test_solved_images_two_strands():
@@ -194,7 +214,7 @@ def test_solved_images_two_strands():
 
 @pytest.mark.parametrize("n", [2, 3, 4])
 def test_block_form_match_rejects_a_tampered_family(n):
-    family, _ = solve_with_residue(assemble_singular(n))
+    _, family, _ = solve_singular(n)
     assert block_form_match(family, n)[0]
     names = entry_names(n, "t", "1" if n > 2 else "")
     top_right, off = names[0][1], names[1][0]
@@ -204,7 +224,7 @@ def test_block_form_match_rejects_a_tampered_family(n):
 
 
 def test_block_form_match_sets_the_residual_parameter_to_one():
-    family, _ = solve_with_residue(assemble_singular(3))
+    _, family, _ = solve_singular(3)
     assert block_form_match(family, 3) == (True, ("i1",))
     # Binding the outer diagonal to 0 instead of leaving it free to be set to 1.
     bindings = dict(family.bindings, i1=SymPoly())
@@ -361,7 +381,9 @@ def test_vsb2_assembly_with_numeric_parameters_matches():
 
 def test_vsb2_residue_is_the_full_quadratic_system():
     system = assemble_vsb2()
-    family, residue = solve_with_residue(system)
+    _, family, residue = solve_with_residue(
+        build_presentation(2, "virtual_singular"), singular_extension(2, a, c, t=SymPoly.const(T)),
+        [("v", 1)])
     assert family.free == ("p", "q", "r", "s")
     assert set(residue) == set(system.nonlinear)
 

@@ -196,7 +196,8 @@ def test_traced_spans_stay_on_the_irreducibility_path(capsys):
 
 
 def test_traced_solver_spans_stay_on_the_solve_path(capsys):
-    # One assembly, one linear solve and one residue pass per solve op.
+    # One assembly, one linear solve and one residue pass per solve op; the
+    # residue pass encloses the other two.
     tracer = load_tracer().Tracer()
     ops = [["solve-extension", "sb", "3", "--json"], ["solve-extension", "sb", "4", "--json"]]
     tracer.install()
@@ -211,6 +212,10 @@ def test_traced_solver_spans_stay_on_the_solve_path(capsys):
         names = [name for name, _, _, _, at, _ in tracer.spans if at == op]
         for span in ("solver.assemble", "solver.solve_linear", "solver.residue"):
             assert names.count(span) == 1
+        residue = next(k for k, rec in enumerate(tracer.spans)
+                       if rec[0] == "solver.residue" and rec[4] == op)
+        assert {rec[0] for rec in tracer.spans if rec[3] == residue} \
+            >= {"solver.assemble", "solver.solve_linear"}
 
 
 def test_the_witness_search_builds_no_dense_image():
