@@ -62,8 +62,6 @@ from .solver import (
     InvolutionSolution,
     SolutionFamily,
     assemble,
-    assemble_singular,
-    assemble_vsb2,
     block_form_match,
     involution_classify,
     laurent_representability,
@@ -71,6 +69,7 @@ from .solver import (
     solve_linear,
     solve_with_residue,
     solved_images,
+    vsb2_problem,
 )
 from .symbolic import SYMBOLIC, SymPoly
 

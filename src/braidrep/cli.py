@@ -15,6 +15,7 @@ reader of standard output closes it early.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import json
 import os
@@ -37,12 +38,12 @@ from .reps import (
     vsb2_extension,
 )
 from .solver import (
-    assemble_vsb2,
     block_form_match,
     involution_classify,
     laurent_representability,
     solve_involution_2x2,
     solve_with_residue,
+    vsb2_problem,
 )
 
 EXIT_OK = 0
@@ -111,10 +112,12 @@ def _emit(args, result: dict, status: str, lines: list[str]) -> int:
 
 @functools.cache
 def _involution_families():
-    """The vsb2 constraint system and the involution families derived from
-    it, once per process: neither depends on any argument."""
-    system = assemble_vsb2()
-    return system, tuple(solve_involution_2x2(system))
+    """The affine system of the vsb2 problem, the quadratic system of its
+    residue and the involution families derived from that, once per process:
+    none depends on any argument."""
+    system, _, residue = solve_with_residue(*vsb2_problem())
+    quadratics = dataclasses.replace(system, equations=residue)
+    return system, quadratics, tuple(solve_involution_2x2(quadratics))
 
 
 def _build_rep(args):
@@ -135,7 +138,7 @@ def _build_rep(args):
     if kind == "vsb2":
         if args.n != 2:
             raise BraidRepError("the vsb2 representation is two-strand only")
-        family = {f.family_id: f for f in _involution_families()[1]}[args.family]
+        family = {f.family_id: f for f in _involution_families()[2]}[args.family]
     # --p, --q and --r set free entries of a vsb2 family and nothing else.
     free = family.free if family else ()
     unused = [f"--{name}" for name in ("p", "q", "r")
@@ -185,17 +188,18 @@ def cmd_solve_extension(args) -> int:
     if args.target == "vsb2":
         if args.n != 2:
             raise BraidRepError("the virtual target is two-strand only")
-        system, families = _involution_families()
+        system, quadratics, families = _involution_families()
         result, ok, family_lines = _family_report(
-            families, system,
+            families, quadratics,
             lambda f, matrix, cond:
                 f"  family {f.family_id}: {matrix}" + (f" ({cond})" if cond else ""))
         status = "pass" if ok else "fail"
-        lines = [f"constraints on the v-image: {len(system.nonlinear)} quadratic equations, "
+        lines = [f"constraints on the v-image: {len(quadratics.equations)} quadratic equations, "
                  f"{len(system.equations)} linear"]
-        lines += [f"  {p} = 0" for p in system.nonlinear]
+        lines += [f"  {p} = 0" for p in quadratics.equations]
         lines += [f"solution families: {len(families)}", *family_lines, f"status: {status}"]
-        return _emit(args, {"system": system.to_json_dict(), **result}, status, lines)
+        report = {**system.to_json_dict(), "nonlinear": [str(p) for p in quadratics.equations]}
+        return _emit(args, {"system": report, **result}, status, lines)
 
     system, family, residue = solve_with_residue(
         build_presentation(args.n, "singular"), standard_rep(args.n),
@@ -330,11 +334,12 @@ def cmd_kernel_probe(args) -> int:
     return _emit(args, {"certificates": certificates, "rejected": rejected}, status, lines)
 
 
-def _family_report(families, system, line) -> tuple[dict, bool, list[str]]:
+def _family_report(families, quadratics, line) -> tuple[dict, bool, list[str]]:
     """The derived involution families, each checked by substitution into
-    ``system``: their JSON, whether all five hold, and their text lines, one
-    per family from ``line(family, matrix, constraints)`` plus a summary."""
-    squares = {f.family_id: f.solves(system) for f in families}
+    the ``quadratics`` system: their JSON, whether all five hold, and their
+    text lines, one per family from ``line(family, matrix, constraints)``
+    plus a summary."""
+    squares = {f.family_id: f.solves(quadratics) for f in families}
     lines = [line(f, "[" + "; ".join(", ".join(row) for row in f.entries) + "]",
                   "; ".join(f.constraints)) for f in families]
     lines.append(f"every family squares to the identity: {all(squares.values())}")
@@ -353,9 +358,9 @@ def _random_involution(rng: random.Random) -> Matrix:
 
 
 def cmd_involutions(args) -> int:
-    system, families = _involution_families()
+    _, quadratics, families = _involution_families()
     result, ok, lines = _family_report(
-        families, system, lambda f, matrix, cond: f"family {f.family_id}: free "
+        families, quadratics, lambda f, matrix, cond: f"family {f.family_id}: free "
         f"{', '.join(f.free) or '(none)'}; {matrix}" + (f"  ({cond})" if cond else ""))
     tallies: dict[int, int] = {}
     classified = 0

@@ -7,28 +7,29 @@ relation on their support as ``verify_relations`` does, and collects the
 entrywise scalar equations.  Entries that vanish identically are discarded
 (counted, those outside the support without being formed), as is the second
 member of any pair of equations equal up to overall sign; what survives is
-the honest equation count of the problem, filed as linear (degree at most 1,
-in the unknowns only) or nonlinear.
+the honest equation count of the problem.
 
 Every equation and every solved binding is a ``SymPoly``.  ``solve_linear``
-inserts the affine equations, each as a sparse ``{unknown: coefficient}`` row
-with the constant in a last column, into an ``Echelon`` basis over Q(t),
-stopping at the first equation inconsistent with the ones before it, reads
-the solution set off the unique reduced form, and presents it with the
-earliest-named unknowns as the free parameters, so a chain of forced
-equalities like a = e = i is reported as bindings onto ``a`` rather than
-onto ``i``.
+inserts the equations, each as a sparse ``{unknown: coefficient}`` row with
+the constant in a last column, into an ``Echelon`` basis over Q(t), refusing
+the first one that is not affine in the unknowns and stopping at the first
+one inconsistent with the ones before it, reads the solution set off the
+unique reduced form, and presents it with the earliest-named unknowns as the
+free parameters, so a chain of forced equalities like a = e = i is reported
+as bindings onto ``a`` rather than onto ``i``.
 
-``solve_with_residue`` never forms a quadratic: it assembles and solves only
-the relations with at most one unknown letter on each side, whose entries
-are affine, and checks every other relation (such as the far commutations
-t_i t_j = t_j t_i) by multiplying it out on the solved images; the nonzero
-entries left over are the residue.
+``solve_with_residue`` assembles and solves only the relations with at most
+one unknown letter on each side, whose entries are affine, and checks every
+other relation (such as the far commutations t_i t_j = t_j t_i) by
+multiplying it out on the solved images; the nonzero entries left over are
+the residue.  Both extension problems go through it: on the singular one the
+residue is empty, and on ``vsb2_problem()``, whose one relation in the
+v-image is v_1 v_1 = 1, it is the four quadratics of that image.
 
-``solve_involution_2x2`` derives the 2x2 involution families from the
-quadratics of ``assemble_vsb2()`` by a four-rule case split, checks each
-family by substituting it back into them, and ``involution_classify``
-matches a rational involution against the derived families.
+``solve_involution_2x2`` derives the 2x2 involution families from that
+residue by a four-rule case split, checks each family by substituting it
+back into the quadratics, and ``involution_classify`` matches a rational
+involution against the derived families.
 """
 
 from __future__ import annotations
@@ -51,7 +52,7 @@ from .errors import (
 from .laurent import T, RationalFunction, rational_roots
 from .matrix import LAURENT, RATFUNC, Echelon, Matrix, QQ
 from .presentations import NU, TAU, Presentation, build_presentation
-from .reps import Representation, _local_products, singular_extension, standard_rep
+from .reps import Representation, _local_products, singular_extension
 from .symbolic import SYMBOLIC, SymPoly
 
 __all__ = [
@@ -59,8 +60,7 @@ __all__ = [
     "SolutionFamily",
     "InvolutionSolution",
     "assemble",
-    "assemble_singular",
-    "assemble_vsb2",
+    "vsb2_problem",
     "solved_images",
     "block_form_match",
     "solve_linear",
@@ -110,7 +110,6 @@ class ConstraintSystem:
 
     unknowns: tuple[str, ...]
     equations: tuple[SymPoly, ...]
-    nonlinear: tuple[SymPoly, ...]
     discarded_zero: int
     discarded_duplicate: int
 
@@ -118,7 +117,6 @@ class ConstraintSystem:
         return {
             "unknowns": list(self.unknowns),
             "equations": [str(e) for e in self.equations],
-            "nonlinear": [str(p) for p in self.nonlinear],
             "discarded_zero_equations": self.discarded_zero,
             "discarded_duplicate_equations": self.discarded_duplicate,
         }
@@ -160,60 +158,41 @@ def assemble(pres: Presentation, known: Representation, unknown_gens) -> Constra
         if (kind, index) not in pres.generator_keys():
             raise ModeMismatch(
                 f"generator {kind}{index} does not exist in mode {pres.mode} on n={pres.n}")
-    dim = known.dim
-    names = _unknown_names(dim, unknown_gens)
+    names = _unknown_names(known.dim, unknown_gens)
     unknowns = [name for grid in names.values() for row in grid for name in row]
     rep = _symbolic_rep(pres, known, {
         key: Matrix(SYMBOLIC, [[SymPoly.symbol(name) for name in row] for row in grid])
         for key, grid in names.items()})
+    return ConstraintSystem(tuple(unknowns), *_collect(rep, pres.relations))
 
-    unknown_set = set(unknowns)
-    equations: list[SymPoly] = []
-    nonlinear: list[SymPoly] = []
-    seen: set = set()
-    discarded_zero = 0
-    discarded_duplicate = 0
-    for rel in pres.relations:
+
+def _collect(rep: Representation, relations) -> tuple[tuple[SymPoly, ...], int, int]:
+    """The entries of lhs - rhs over ``relations``, each relation multiplied
+    on its support: the nonzero ones sign-normalized and without repeats, in
+    first-seen order, then the counts of zero entries (those outside the
+    support counted without being formed) and of repeats."""
+    kept: dict[SymPoly, None] = {}
+    zero = duplicate = 0
+    for rel in relations:
         support, (lhs, rhs) = _local_products(rep, [rel.lhs, rel.rhs])
-        discarded_zero += dim * dim - len(support) ** 2
+        zero += rep.dim ** 2 - len(support) ** 2
         for lrow, rrow in zip(lhs, rhs):
             for left, right in zip(lrow, rrow):
-                entry = left - right
-                if entry.is_zero():
-                    discarded_zero += 1
-                    continue
-                p = _normalize_sign(entry)
-                if p in seen:
-                    discarded_duplicate += 1
-                    continue
-                seen.add(p)
-                linear = p.degree() <= 1 and p.variables() <= unknown_set
-                (equations if linear else nonlinear).append(p)
-
-    return ConstraintSystem(
-        unknowns=tuple(unknowns),
-        equations=tuple(equations),
-        nonlinear=tuple(nonlinear),
-        discarded_zero=discarded_zero,
-        discarded_duplicate=discarded_duplicate,
-    )
+                if (entry := left - right).is_zero():
+                    zero += 1
+                elif (p := _normalize_sign(entry)) in kept:
+                    duplicate += 1
+                else:
+                    kept[p] = None
+    return tuple(kept), zero, duplicate
 
 
-def assemble_singular(n: int) -> ConstraintSystem:
-    """The extension problem for the standard representation on n strands:
-    s-images known, all t-images unknown, every relation assembled (the far
-    t-t commutations as quadratics)."""
-    pres = build_presentation(n, "singular")
-    return assemble(pres, standard_rep(n), [(TAU, i) for i in range(1, n)])
-
-
-def assemble_vsb2() -> ConstraintSystem:
-    """The two-strand virtual extension problem: s- and t-images known, the
-    v-image unknown.  The t-image keeps symbolic entries a and c, matching
-    the general extension it restricts to."""
-    pres = build_presentation(2, "virtual_singular")
+def vsb2_problem() -> tuple[Presentation, Representation, list]:
+    """The two-strand virtual extension problem: the presentation, the s-
+    and t-images known (the t-image with symbolic entries a and c, matching
+    the general extension it restricts to), and the v-generator unknown."""
     known = singular_extension(2, SymPoly.symbol("a"), SymPoly.symbol("c"), t=SymPoly.const(T))
-    return assemble(pres, known, [(NU, 1)])
+    return build_presentation(2, "virtual_singular"), known, [(NU, 1)]
 
 
 def solved_images(family: SolutionFamily, dim: int, unknown_gens) -> dict:
@@ -233,7 +212,8 @@ def solved_images(family: SolutionFamily, dim: int, unknown_gens) -> dict:
 
 
 def block_form_match(family: SolutionFamily, n: int) -> tuple[bool, tuple[str, ...]]:
-    """Compare the solved t-images of ``assemble_singular(n)`` with the
+    """Compare the solved t-images of the extension problem on n strands
+    (s-images those of ``standard_rep(n)``, every t-image unknown) with the
     embedded a*I + c*sigma_i block family.
 
     The block pair is named by the unknowns in the (1,1) and (2,1) entries
@@ -274,17 +254,15 @@ class SolutionFamily:
 
 
 def solve_linear(system: ConstraintSystem) -> SolutionFamily:
-    """Row-reduce the affine equations over Q(t).
+    """Row-reduce the equations over Q(t).
 
-    Raises NonlinearSystem when the system carries nonlinear residue, and
+    Raises NonlinearSystem at the first equation that is not affine in the
+    unknowns (of degree above 1, or holding another symbol), and
     Inconsistent when no solution exists; its witness is the first equation
     inconsistent with the ones before it.  Free parameters are the non-pivot
     unknowns, renamed so each forced-equality chain is parametrized by its
     earliest member.
     """
-    if system.nonlinear:
-        raise NonlinearSystem(
-            f"{len(system.nonlinear)} equations of degree > 1; the linear solver does not apply")
     unknowns = list(system.unknowns)
     order = {name: k for k, name in enumerate(unknowns)}
     ncols = len(unknowns)
@@ -292,6 +270,9 @@ def solve_linear(system: ConstraintSystem) -> SolutionFamily:
     # Sparse rows over the unknowns' columns, the constant in column ncols.
     echelon = Echelon(RATFUNC)
     for eq in system.equations:
+        if eq.degree() > 1 or not eq.variables() <= order.keys():
+            raise NonlinearSystem(
+                f"equation {eq} = 0 is not affine in the unknowns; the linear solver does not apply")
         row = {order[mono[0][0]]: c for mono, c in eq.terms.items() if mono}
         row[ncols] = -eq.terms.get((), 0)
         if echelon.insert(row) and ncols in echelon.rows:
@@ -333,11 +314,12 @@ def solve_with_residue(pres: Presentation, known: Representation,
     entries: those relations are assembled and solved by ``solve_linear``.
     Every other relation (two unknown letters on one side, such as
     t_i t_j = t_j t_i) is multiplied out on its support with the unknown
-    images replaced by ``solved_images``, so its quadratics are never
-    formed.  The residue is the nonzero entries of lhs - rhs, sign-normalized
-    and without repeats; it is empty when the affine solution satisfies every
-    relation.  Returns the affine system, its solution family and the
-    residue.
+    images replaced by ``solved_images``, so it is written in the free
+    parameters alone.  The residue is the nonzero entries of lhs - rhs,
+    sign-normalized and without repeats, as ``assemble`` keeps them; it is
+    empty when the affine solution satisfies every relation, and on
+    ``vsb2_problem()`` it is the quadratic system of the v-image.  Returns
+    the affine system, its solution family and the residue.
     """
     unknown_gens = list(unknown_gens)
     unknown = set(unknown_gens)
@@ -350,15 +332,8 @@ def solve_with_residue(pres: Presentation, known: Representation,
                       known, unknown_gens)
     family = solve_linear(system)
     rep = _symbolic_rep(pres, known, solved_images(family, known.dim, unknown_gens))
-    residue: dict[SymPoly, None] = {}
-    for rel in pres.relations:
-        if not affine(rel):
-            _, (lhs, rhs) = _local_products(rep, [rel.lhs, rel.rhs])
-            for lrow, rrow in zip(lhs, rhs):
-                for left, right in zip(lrow, rrow):
-                    if not (entry := left - right).is_zero():
-                        residue[_normalize_sign(entry)] = None
-    return system, family, tuple(residue)
+    residue, _, _ = _collect(rep, [rel for rel in pres.relations if not affine(rel)])
+    return system, family, residue
 
 
 def laurent_representability(family: SolutionFamily) -> dict:
@@ -424,9 +399,9 @@ class InvolutionSolution:
         return m
 
     def solves(self, system: ConstraintSystem) -> bool:
-        """Whether every quadratic of ``system`` vanishes on the family, each
+        """Whether every equation of ``system`` vanishes on the family, each
         quotient binding multiplied through by its denominator."""
-        for eq in system.nonlinear:
+        for eq in system.equations:
             for name, (num, den) in self.bindings.items():
                 eq = _put(eq, name, num, den)[0]
             if eq:
@@ -522,8 +497,9 @@ def _case_split(eqs, bindings, nonzero) -> list[tuple[dict, tuple]]:
 
 
 def solve_involution_2x2(system: ConstraintSystem | None = None) -> list[InvolutionSolution]:
-    """Every 2x2 involution [[p, q], [r, s]], derived from the quadratics of
-    ``assemble_vsb2()`` (or from ``system.nonlinear``).
+    """Every 2x2 involution [[p, q], [r, s]], derived from the equations of
+    ``system``: by default the quadratics of the v-image, the residue of
+    ``solve_with_residue(*vsb2_problem())`` over its unknowns.
 
     The case split applies the first rule that fits: a univariate equation
     branches on its rational roots; a variable with a constant coefficient
@@ -532,8 +508,10 @@ def solve_involution_2x2(system: ConstraintSystem | None = None) -> list[Involut
     a variable already required nonzero binds y = -R/D.  When no rule fits
     it raises.  Families with more free entries come first.
     """
-    system = assemble_vsb2() if system is None else system
-    branches = sorted(_case_split(system.nonlinear, {}, ()), key=lambda branch: len(branch[0]))
+    if system is None:
+        affine, _, residue = solve_with_residue(*vsb2_problem())
+        system = replace(affine, equations=residue)
+    branches = sorted(_case_split(system.equations, {}, ()), key=lambda branch: len(branch[0]))
     return [InvolutionSolution(k, tuple(x for x in system.unknowns if x not in bindings),
                                bindings, nonzero)
             for k, (bindings, nonzero) in enumerate(branches, 1)]

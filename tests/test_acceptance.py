@@ -7,6 +7,7 @@ exact (integer, Fraction, Laurent, or symbolic equality - never a tolerance).
 from __future__ import annotations
 
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 from braidrep import (
@@ -17,8 +18,7 @@ from braidrep import (
     QQ,
     SymPoly,
     T,
-    assemble_singular,
-    assemble_vsb2,
+    assemble,
     build_presentation,
     burnside_span,
     evaluate_word,
@@ -29,6 +29,7 @@ from braidrep import (
     singular_extension,
     solve_involution_2x2,
     solve_linear,
+    solve_with_residue,
     solved_images,
     specialize,
     specialized_extension,
@@ -36,10 +37,18 @@ from braidrep import (
     symbolic_extension,
     verify_relations,
     vsb2_extension,
+    vsb2_problem,
 )
 from braidrep.presentations import TAU
 from braidrep.reps import _block_rep
 from braidrep.symbolic import SYMBOLIC
+
+
+def singular_system(n: int):
+    """Every relation of the n-strand singular presentation, assembled with
+    the standard s-images known and every t-image unknown."""
+    return assemble(build_presentation(n, "singular"), standard_rep(n),
+                    [(TAU, i) for i in range(1, n)])
 
 
 def random_laurent(rng: random.Random) -> LaurentPoly:
@@ -51,7 +60,7 @@ def random_fraction(rng: random.Random) -> Fraction:
 
 
 def test_criterion_01_two_strand_extension_family():
-    family = solve_linear(assemble_singular(2))
+    family = solve_linear(singular_system(2))
     assert family.free == ("a", "c")
     assert set(family.bindings) == {"b", "d"}
     assert family.bindings["d"] == SymPoly.symbol("a")
@@ -60,10 +69,10 @@ def test_criterion_01_two_strand_extension_family():
 
 
 def test_criterion_02_three_strand_equations_and_block_form():
-    system = assemble_singular(3)
+    system = singular_system(3)
     assert len(system.equations) == 32
     assert len(system.unknowns) == 18
-    assert system.nonlinear == ()
+    assert all(e.degree() == 1 for e in system.equations)
 
     family = solve_linear(system)
     residual = sorted(name for name in family.free if name not in ("a1", "d1"))
@@ -176,7 +185,8 @@ def test_criterion_08_pure_braid_commutator_certificates():
 
 
 def test_criterion_09_involution_families_and_classifier():
-    system = assemble_vsb2()
+    affine, _, residue = solve_with_residue(*vsb2_problem())
+    system = replace(affine, equations=residue)
     families = solve_involution_2x2(system)
     assert [f.family_id for f in families] == [1, 2, 3, 4, 5]
     assert families[0].entries == (("p", "q"), ("(-p^2 + 1)/q", "-p"))

@@ -160,6 +160,12 @@ PINNED_REPORTS = [
      "76682db9e534c1dc056c0a253d47e7d5b845c4e0dfdedfd68df41bbe95baae1a"),
     ("verify singular-ext 4 --a 0 --c 1 --group", 0,
      "393ed32ddc1e8474b1eff1ff6f6cfc39837f61c83ea9b52129cc10bc016ee463"),
+    # The quadratics of the vsb2 problem, the families derived from them
+    # and a seeded classification.
+    ("solve-extension vsb2 2", 0,
+     "21941d1441a0c1ee80764d29c2c537b2e257b68e43c11299a31220777ed8449f"),
+    ("involutions --check 25", 0,
+     "6ae5791a0f7d365a4864d5c08e4b3589568f047b897688619f054f2dd9aa1255"),
     # 1 - t is not a unit: a usage error with nothing on stdout.
     ("verify singular-ext 4 --a 1 --c 1 --group", 2,
      "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
@@ -168,7 +174,8 @@ PINNED_REPORTS = [
 
 @pytest.mark.parametrize("argv,code,digest", PINNED_REPORTS,
                          ids=[argv for argv, _, _ in PINNED_REPORTS])
-def test_json_reports_are_pinned(capsys, argv, code, digest):
+def test_json_reports_are_pinned(capsys, monkeypatch, argv, code, digest):
+    monkeypatch.setenv("BRAIDREP_SEED", "0")  # the classification samples are seeded
     try:
         got = main([*argv.split(), "--json"])
     except SystemExit as exc:
@@ -548,7 +555,8 @@ def test_solve_extension_never_assembles_a_quadratic_relation(capsys, monkeypatc
     for rel in received:
         assert all(sum(g.kind == "t" for g in side) <= 1 for side in (rel.lhs, rel.rhs)), rel
     (system, _, _), = returned
-    assert system.nonlinear == ()
+    assert all(e.degree() <= 1 and e.variables() <= set(system.unknowns)
+               for e in system.equations)
     assert (len(system.equations) + system.discarded_zero + system.discarded_duplicate
             == 25 * len(received))
 

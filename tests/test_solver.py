@@ -21,8 +21,6 @@ from braidrep import (
     SymPoly,
     T,
     assemble,
-    assemble_singular,
-    assemble_vsb2,
     block_form_match,
     build_presentation,
     involution_classify,
@@ -33,6 +31,7 @@ from braidrep import (
     solved_images,
     standard_rep,
     verify_relations,
+    vsb2_problem,
 )
 from braidrep.errors import (
     BraidRepError,
@@ -51,6 +50,19 @@ from braidrep.solver import entry_names
 from paper_involutions import involution_matrix
 
 a, b, c, d, x, y, z = (SymPoly.symbol(name) for name in "abcdxyz")
+
+
+def singular_problem(n: int):
+    """The extension problem on n strands: the singular presentation, the
+    s-images of ``standard_rep(n)`` known, every t-image unknown."""
+    return build_presentation(n, "singular"), standard_rep(n), [("t", i) for i in range(1, n)]
+
+
+def vsb2_quadratics() -> ConstraintSystem:
+    """The quadratic system of the v-image: the residue of the affine-first
+    solve of the vsb2 problem, over its unknowns."""
+    system, _, residue = solve_with_residue(*vsb2_problem())
+    return replace(system, equations=residue)
 
 
 def laurent_values(family, params: dict) -> dict:
@@ -85,26 +97,26 @@ def test_unknown_names_are_distinct(n):
 
 def test_repeated_unknown_names_are_refused(monkeypatch):
     # Naming every generator's entries alike must not merge their unknowns.
-    family = solve_linear(assemble_singular(3))
+    family = solve_linear(assemble(*singular_problem(3)))
     monkeypatch.setattr(solver, "entry_names",
                         lambda dim, kind, suffix: entry_names(dim, kind, ""))
     with pytest.raises(BraidRepError, match="repeat"):
-        assemble_singular(3)
+        assemble(*singular_problem(3))
     with pytest.raises(BraidRepError, match="repeat"):
         solved_images(family, 3, [("t", 1), ("t", 2)])
 
 
 def test_two_strand_assembly():
-    system = assemble_singular(2)
+    system = assemble(*singular_problem(2))
     assert system.unknowns == ("a", "b", "c", "d")
-    assert system.nonlinear == ()
+    assert all(e.degree() == 1 for e in system.equations)
     assert system.discarded_zero == 0
     assert system.discarded_duplicate == 1
     assert set(system.equations) == {b - c * T, a * T - d * T, a - d}
 
 
 def test_two_strand_solution_family():
-    family = solve_linear(assemble_singular(2))
+    family = solve_linear(assemble(*singular_problem(2)))
     assert family.free == ("a", "c")
     assert family.bindings["d"] == a
     assert family.bindings["b"] == c * T
@@ -112,7 +124,7 @@ def test_two_strand_solution_family():
 
 
 def test_two_strand_solution_satisfies_the_relation():
-    family = solve_linear(assemble_singular(2))
+    family = solve_linear(assemble(*singular_problem(2)))
     values = laurent_values(family, {"a": 5, "c": T})
     tau = Matrix(LAURENT, [[values["a"], values["b"]], [values["c"], values["d"]]])
     sigma = standard_block()
@@ -121,10 +133,10 @@ def test_two_strand_solution_satisfies_the_relation():
 
 
 def test_three_strand_assembly_counts():
-    system = assemble_singular(3)
+    system = assemble(*singular_problem(3))
     assert len(system.unknowns) == 18
     assert len(system.equations) == 32
-    assert system.nonlinear == ()
+    assert all(e.degree() == 1 for e in system.equations)
     assert system.discarded_zero == 11
     assert system.discarded_duplicate == 2
     # the five defining relations contribute 5 * 9 = 45 matrix entries
@@ -132,7 +144,7 @@ def test_three_strand_assembly_counts():
 
 
 def test_three_strand_solution_family():
-    family = solve_linear(assemble_singular(3))
+    family = solve_linear(assemble(*singular_problem(3)))
     assert family.free == ("a1", "d1", "i1")
     zero = SymPoly()
     a1, d1, i1 = (SymPoly.symbol(name) for name in ("a1", "d1", "i1"))
@@ -145,14 +157,14 @@ def test_three_strand_solution_family():
 
 
 def test_three_strand_solution_annihilates_every_equation():
-    system = assemble_singular(3)
+    system = assemble(*singular_problem(3))
     family = solve_linear(system)
     for eq in system.equations:
         assert eq.substitute(family.bindings).is_zero()
 
 
 def test_three_strand_solution_passes_relation_verification():
-    family = solve_linear(assemble_singular(3))
+    family = solve_linear(assemble(*singular_problem(3)))
     values = laurent_values(family, {"a1": 2, "d1": 3, "i1": 5})
     names = entry_names(3, "t", "")
     mats = {}
@@ -170,21 +182,22 @@ def test_three_strand_solution_passes_relation_verification():
 
 
 def solve_singular(n: int):
-    """``solve_with_residue`` on the extension problem of ``assemble_singular(n)``."""
-    return solve_with_residue(build_presentation(n, "singular"), standard_rep(n),
-                              [("t", i) for i in range(1, n)])
+    """``solve_with_residue`` on the extension problem on n strands."""
+    return solve_with_residue(*singular_problem(n))
 
 
 def test_four_strand_solution_has_three_parameters_and_no_residue():
-    system = assemble_singular(4)
+    system = assemble(*singular_problem(4))
     _, family, residue = solve_singular(4)
     assert residue == ()
     assert len(family.free) == 3
-    # every relation entry is linear, identically zero, or a duplicate
+    # every relation entry is kept, identically zero, or a duplicate; the
+    # 16 entries of t_1 t_3 - t_3 t_1 are the kept quadratics
     pres = build_presentation(4, "singular")
     entry_count = len(pres.relations) * 16
-    assert (len(system.equations) + len(system.nonlinear)
+    assert (len(system.equations)
             + system.discarded_zero + system.discarded_duplicate) == entry_count
+    assert sum(e.degree() == 2 for e in system.equations) == 16
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
@@ -192,17 +205,17 @@ def test_affine_solve_counts_what_the_full_assembly_counts(n):
     # Every entry of t_i t_j - t_j t_i for generic images has degree 2 and
     # is distinct from every other up to sign, so leaving the far
     # commutations out of the assembly moves no linear equation or count.
-    full = assemble_singular(n)
+    full = dense_assemble(*singular_problem(n))
     system, _, residue = solve_singular(n)
     assert system.unknowns == full.unknowns
-    assert system.equations == full.equations
+    assert system.equations == tuple(e for e in full.equations if e.degree() <= 1)
     assert (system.discarded_zero, system.discarded_duplicate) \
         == (full.discarded_zero, full.discarded_duplicate)
-    assert system.nonlinear == () and residue == ()
+    assert residue == ()
 
 
 def test_solved_images_two_strands():
-    family = solve_linear(assemble_singular(2))
+    family = solve_linear(assemble(*singular_problem(2)))
     images = solved_images(family, 2, [("t", 1)])
     tau = images[("t", 1)]
     a, c = SymPoly.symbol("a"), SymPoly.symbol("c")
@@ -243,7 +256,8 @@ def test_assemble_validates_generators():
 
 def dense_assemble(pres, known, unknown_gens) -> ConstraintSystem:
     """The constraint system of ``assemble``, with each relation folded by
-    the dense ``Matrix.__mul__`` and the two sides subtracted in full."""
+    the dense ``Matrix.__mul__`` and the two sides subtracted in full: every
+    nonzero entry, sign-normalized, kept once in first-seen order."""
     dim = known.dim
     images = {key: known.image(*key).map_entries(SymPoly.coerce, SYMBOLIC)
               for key in known.generator_keys()}
@@ -252,7 +266,7 @@ def dense_assemble(pres, known, unknown_gens) -> ConstraintSystem:
         unknowns += [name for row in names for name in row]
         images[key] = Matrix(SYMBOLIC, [[SymPoly.symbol(name) for name in row] for row in names])
     rep = Representation(pres.n, pres.mode, dim, {key: (0, m) for key, m in images.items()})
-    equations, nonlinear, seen, zero, duplicate = [], [], set(), 0, 0
+    equations, seen, zero, duplicate = [], set(), 0, 0
     for rel in pres.relations:
         lhs, rhs = (prod((rep.image(g.kind, g.index, g.exp) for g in w),
                          start=Matrix.identity(SYMBOLIC, dim)) for w in (rel.lhs, rel.rhs))
@@ -265,43 +279,35 @@ def dense_assemble(pres, known, unknown_gens) -> ConstraintSystem:
                 duplicate += 1
                 continue
             seen.add(p)
-            linear = p.degree() <= 1 and p.variables() <= set(unknowns)
-            (equations if linear else nonlinear).append(p)
-    return ConstraintSystem(tuple(unknowns), tuple(equations), tuple(nonlinear), zero, duplicate)
+            equations.append(p)
+    return ConstraintSystem(tuple(unknowns), tuple(equations), zero, duplicate)
 
 
-# (dim^2 times the relation count, the problem, its assembly)
+# (dim^2 times the relation count, the problem)
 SUPPORT_CASES = [
-    *[(entries, lambda n=n: (build_presentation(n, "singular"), standard_rep(n),
-                             [("t", i) for i in range(1, n)]),
-       lambda n=n: assemble_singular(n)) for n, entries in [(2, 4), (3, 45), (4, 208), (5, 625)]],
+    *[(entries, lambda n=n: singular_problem(n))
+      for n, entries in [(2, 4), (3, 45), (4, 208), (5, 625)]],
+    (8, vsb2_problem),
     (8, lambda: (build_presentation(2, "virtual_singular"),
-                 singular_extension(2, a, c, t=SymPoly.const(T)), [("v", 1)]),
-     assemble_vsb2),
-    (8, lambda: (build_presentation(2, "virtual_singular"),
-                 singular_extension(2, 1 + T, T ** -1), [("v", 1)]),
-     lambda: assemble(build_presentation(2, "virtual_singular"),
-                      singular_extension(2, 1 + T, T ** -1), [("v", 1)])),
+                 singular_extension(2, 1 + T, T ** -1), [("v", 1)])),
 ]
 
 
-@pytest.mark.parametrize("entries,problem,assembled", SUPPORT_CASES,
+@pytest.mark.parametrize("entries,problem", SUPPORT_CASES,
                          ids=["sb2", "sb3", "sb4", "sb5", "vsb2-symbolic", "vsb2-laurent"])
-def test_support_local_assembly_equals_the_dense_reference(entries, problem, assembled):
+def test_support_local_assembly_equals_the_dense_reference(entries, problem):
     pres, known, unknown = problem()
-    system, reference = assembled(), dense_assemble(pres, known, unknown)
+    system, reference = assemble(pres, known, unknown), dense_assemble(pres, known, unknown)
     assert system == reference
     assert system.to_json_dict() == reference.to_json_dict()
     assert entries == known.dim ** 2 * len(pres.relations) == (
-        len(system.equations) + len(system.nonlinear)
-        + system.discarded_zero + system.discarded_duplicate)
+        len(system.equations) + system.discarded_zero + system.discarded_duplicate)
 
 
 def test_inconsistent_system_raises_with_witness():
     system = ConstraintSystem(
         unknowns=("x",),
         equations=(x + 1, x),
-        nonlinear=(),
         discarded_zero=0,
         discarded_duplicate=0,
     )
@@ -312,7 +318,6 @@ def test_inconsistent_system_raises_with_witness():
     system = ConstraintSystem(
         unknowns=("x", "y"),
         equations=(x + 1, x, y),
-        nonlinear=(),
         discarded_zero=0,
         discarded_duplicate=0,
     )
@@ -323,14 +328,44 @@ def test_inconsistent_system_raises_with_witness():
 
 def test_nonlinear_system_refuses_linear_solver():
     with pytest.raises(NonlinearSystem):
-        solve_linear(assemble_vsb2())
+        solve_linear(assemble(*vsb2_problem()))
+
+
+def test_a_quadratic_entry_is_refused_by_name():
+    # The full four-strand assembly keeps the far commutation t_1 t_3 =
+    # t_3 t_1 among its equations; the solver refuses its first quadratic.
+    system = assemble(*singular_problem(4))
+    first = next(e for e in system.equations if e.degree() > 1)
+    with pytest.raises(NonlinearSystem) as info:
+        solve_linear(system)
+    assert str(info.value).startswith(f"equation {first} = 0 is not affine")
+    # Without the quadratics the same system solves.
+    solve_linear(replace(system, equations=tuple(e for e in system.equations
+                                                 if e.degree() <= 1)))
+
+
+def test_a_symbolic_known_coefficient_is_refused_by_name():
+    # v_1 t_3 = t_3 v_1 on four strands, against a t-image with symbols a
+    # and c: the relation has one unknown letter a side, but its entries
+    # carry a and c, which are not unknowns.
+    pres = build_presentation(4, "virtual_singular")
+    far = next(rel for rel in pres.relations if rel.kind == "nu_tau_far")
+    known = singular_extension(4, a, c, t=SymPoly.const(T))
+    system = assemble(replace(pres, relations=(far,)), known, [("v", i) for i in range(1, 4)])
+    first = system.equations[0]
+    assert first.variables() & {"a", "c"}
+    with pytest.raises(NonlinearSystem) as info:
+        solve_linear(system)
+    assert str(info.value).startswith(f"equation {first} = 0 is not affine")
+    # A foreign symbol refuses even an equation of degree 1.
+    with pytest.raises(NonlinearSystem, match=r"^equation a \+ x = 0 is not affine"):
+        solve_linear(ConstraintSystem(("x",), (x + a,), 0, 0))
 
 
 def test_rename_pass_prefers_earliest_names():
     system = ConstraintSystem(
         unknowns=("x", "y", "z"),
         equations=(x - z, y - z),
-        nonlinear=(),
         discarded_zero=0,
         discarded_duplicate=0,
     )
@@ -344,7 +379,6 @@ def test_laurent_representability_flags_denominators():
     system = ConstraintSystem(
         unknowns=("x", "y"),
         equations=(x * (T + 1) - y,),
-        nonlinear=(),
         discarded_zero=0,
         discarded_duplicate=0,
     )
@@ -353,18 +387,17 @@ def test_laurent_representability_flags_denominators():
     assert not report["representable"]
     assert report["flagged"][0]["unknown"] == "y" or report["flagged"][0]["unknown"] == "x"
 
-    clean = laurent_representability(solve_linear(assemble_singular(3)))
+    clean = laurent_representability(solve_linear(assemble(*singular_problem(3))))
     assert clean["representable"] and clean["flagged"] == []
 
 
 def test_vsb2_assembly_is_the_involution_problem():
-    system = assemble_vsb2()
+    system = assemble(*vsb2_problem())
     assert system.unknowns == ("p", "q", "r", "s")
-    assert system.equations == ()
     assert system.discarded_zero == 4
     p, q, r, s = (SymPoly.symbol(x) for x in "pqrs")
     one = SymPoly.const(1)
-    assert set(system.nonlinear) == {
+    assert set(system.equations) == {
         p * p + q * r - one,
         p * q + q * s,
         p * r + r * s,
@@ -373,19 +406,20 @@ def test_vsb2_assembly_is_the_involution_problem():
 
 
 def test_vsb2_assembly_with_numeric_parameters_matches():
-    generic = assemble_vsb2()
+    generic = assemble(*vsb2_problem())
     concrete = assemble(build_presentation(2, "virtual_singular"), singular_extension(2, 2, 3),
                         [("v", 1)])
-    assert set(concrete.nonlinear) == set(generic.nonlinear)
+    assert set(concrete.equations) == set(generic.equations)
 
 
 def test_vsb2_residue_is_the_full_quadratic_system():
-    system = assemble_vsb2()
-    _, family, residue = solve_with_residue(
-        build_presentation(2, "virtual_singular"), singular_extension(2, a, c, t=SymPoly.const(T)),
-        [("v", 1)])
+    reference = dense_assemble(*vsb2_problem())
+    system, family, residue = solve_with_residue(*vsb2_problem())
     assert family.free == ("p", "q", "r", "s")
-    assert set(residue) == set(system.nonlinear)
+    assert residue == tuple(e for e in reference.equations if e.degree() > 1)
+    assert len(residue) == 4
+    # The affine part has no equation and discards what the full one does.
+    assert system == replace(reference, equations=())
 
 
 def test_involution_catalog():
@@ -399,7 +433,7 @@ def test_involution_catalog():
 
 @pytest.mark.parametrize("family_id", [1, 2, 3, 4, 5])
 def test_involution_families_square_to_identity_symbolically(family_id):
-    system = assemble_vsb2()
+    system = vsb2_quadratics()
     family = solve_involution_2x2(system)[family_id - 1]
     assert family.family_id == family_id
     assert family.solves(system)
@@ -412,7 +446,7 @@ def tampered(family, name, value):
 
 
 def test_a_tampered_family_fails_the_substitution_check():
-    system = assemble_vsb2()
+    system = vsb2_quadratics()
     one, two = solve_involution_2x2(system)[:2]
     assert not tampered(one, "s", SymPoly.symbol("p")).solves(system)
     num, den = one.bindings["r"]
@@ -426,13 +460,13 @@ def test_families_that_differ_in_a_binding_are_unequal():
     assert family != SolutionFamily(("a",), {"b": SymPoly.const(7)})
     assert family == SolutionFamily(("a",), {"b": a})
     assert hash(family) == hash(SolutionFamily(("a",), {"b": SymPoly.const(7)}))
-    one = solve_involution_2x2(assemble_vsb2())[0]
+    one = solve_involution_2x2(vsb2_quadratics())[0]
     assert tampered(one, "s", SymPoly.symbol("p")) != one
     assert replace(one, bindings=dict(one.bindings)) == one
 
 
 def quadratics(unknowns, *polys):
-    return ConstraintSystem(unknowns=tuple(unknowns), equations=(), nonlinear=polys,
+    return ConstraintSystem(unknowns=tuple(unknowns), equations=polys,
                             discarded_zero=0, discarded_duplicate=0)
 
 
@@ -539,7 +573,9 @@ def test_involution_classify_rejects_non_involutions():
 
 
 def test_constraint_system_json_shape():
-    obj = assemble_singular(2).to_json_dict()
+    obj = assemble(*singular_problem(2)).to_json_dict()
+    assert set(obj) == {"unknowns", "equations", "discarded_zero_equations",
+                        "discarded_duplicate_equations"}
     assert obj["unknowns"] == ["a", "b", "c", "d"]
     assert obj["discarded_zero_equations"] == 0
     assert obj["discarded_duplicate_equations"] == 1
@@ -643,7 +679,7 @@ def check_solve_linear_against_sympy(sympy, to_sympy, system: ConstraintSystem):
 
 @pytest.mark.parametrize("n", [3, 4])
 def test_solve_linear_matches_sympy_on_the_singular_systems(sympy, to_sympy, n):
-    check_solve_linear_against_sympy(sympy, to_sympy, replace(assemble_singular(n), nonlinear=()))
+    check_solve_linear_against_sympy(sympy, to_sympy, solve_singular(n)[0])
 
 
 coefficients = st.sampled_from([
@@ -668,7 +704,7 @@ def sparse_systems(draw):
                   st.dictionaries(st.sampled_from(unknowns), coefficients,
                                   min_size=1, max_size=2)),
         min_size=1, max_size=6))
-    return ConstraintSystem(unknowns=unknowns, equations=tuple(equations), nonlinear=(),
+    return ConstraintSystem(unknowns=unknowns, equations=tuple(equations),
                             discarded_zero=0, discarded_duplicate=0)
 
 

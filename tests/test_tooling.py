@@ -23,6 +23,8 @@ from braidrep import (
     QQ,
     Matrix,
     Representation,
+    assemble,
+    build_presentation,
     f_rep,
     irreducibility,
     is_irreducible,
@@ -30,6 +32,8 @@ from braidrep import (
     reps,
     specialize,
     specialized_extension,
+    standard_rep,
+    vsb2_problem,
 )
 from braidrep import cli
 from braidrep.cli import main
@@ -147,14 +151,19 @@ def test_every_report_echoes_its_inputs_as_json_values(capsys):
 
 
 def test_the_involution_families_are_derived_once(capsys, monkeypatch):
-    calls = []
-    derive = cli.solve_involution_2x2
+    calls, solves = [], []
+    derive, solve = cli.solve_involution_2x2, cli.solve_with_residue
 
     def counting(system=None):
         calls.append(system)
         return derive(system)
 
+    def counting_solve(*problem):
+        solves.append(problem)
+        return solve(*problem)
+
     monkeypatch.setattr(cli, "solve_involution_2x2", counting)
+    monkeypatch.setattr(cli, "solve_with_residue", counting_solve)
     cli._involution_families.cache_clear()
     try:
         for argv in (["show-rep", "vsb2", "2", "--family", "3"],
@@ -166,6 +175,26 @@ def test_the_involution_families_are_derived_once(capsys, monkeypatch):
         cli._involution_families.cache_clear()
     capsys.readouterr()
     assert len(calls) == 1
+    (problem,) = solves
+    assert problem[0].mode == "virtual_singular" and problem[0].n == 2
+
+
+@pytest.mark.parametrize("problem", [
+    *[lambda n=n: (build_presentation(n, "singular"), standard_rep(n),
+                   [("t", i) for i in range(1, n)]) for n in (3, 4, 5)],
+    vsb2_problem,
+], ids=["sb3", "sb4", "sb5", "vsb2"])
+def test_the_traced_assembly_counts_every_entry(problem):
+    # The tracer's note on solver.assemble counts the entries as kept plus
+    # discarded, the base of its kept_ratio: on the full presentation that
+    # must be every entry of every relation, quadratics included.
+    note = next(note for module, name, _, note in load_tracer().FUNCTION_SPANS
+                if (module, name) == ("braidrep.solver", "assemble"))
+    pres, known, unknown = problem()
+    system = assemble(pres, known, unknown)
+    counts = note((pres, known, unknown), system)
+    assert counts["entries"] == known.dim ** 2 * len(pres.relations)
+    assert counts["equations"] == len(system.equations)
 
 
 def test_traced_spans_stay_on_the_irreducibility_path(capsys):
