@@ -15,7 +15,6 @@ reader of standard output closes it early.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import functools
 import json
 import os
@@ -40,10 +39,9 @@ from .reps import (
 from .solver import (
     block_form_match,
     involution_classify,
+    involution_families,
     laurent_representability,
-    solve_involution_2x2,
     solve_with_residue,
-    vsb2_problem,
 )
 
 EXIT_OK = 0
@@ -110,16 +108,6 @@ def _emit(args, result: dict, status: str, lines: list[str]) -> int:
     return EXIT_MISMATCH if status == "fail" else EXIT_OK
 
 
-@functools.cache
-def _involution_families():
-    """The affine system of the vsb2 problem, the quadratic system of its
-    residue and the involution families derived from that, once per process:
-    none depends on any argument."""
-    system, _, residue = solve_with_residue(*vsb2_problem())
-    quadratics = dataclasses.replace(system, equations=residue)
-    return system, quadratics, tuple(solve_involution_2x2(quadratics))
-
-
 def _build_rep(args):
     """The representation the arguments name.  An option its kind does not
     read is refused; an absent one it reads takes its default, and so does
@@ -138,7 +126,7 @@ def _build_rep(args):
     if kind == "vsb2":
         if args.n != 2:
             raise BraidRepError("the vsb2 representation is two-strand only")
-        family = {f.family_id: f for f in _involution_families()[2]}[args.family]
+        family = {f.family_id: f for f in involution_families()[2]}[args.family]
     # --p, --q and --r set free entries of a vsb2 family and nothing else.
     free = family.free if family else ()
     unused = [f"--{name}" for name in ("p", "q", "r")
@@ -188,7 +176,7 @@ def cmd_solve_extension(args) -> int:
     if args.target == "vsb2":
         if args.n != 2:
             raise BraidRepError("the virtual target is two-strand only")
-        system, quadratics, families = _involution_families()
+        system, quadratics, families = involution_families()
         result, ok, family_lines = _family_report(
             families, quadratics,
             lambda f, matrix, cond:
@@ -358,7 +346,7 @@ def _random_involution(rng: random.Random) -> Matrix:
 
 
 def cmd_involutions(args) -> int:
-    _, quadratics, families = _involution_families()
+    _, quadratics, families = involution_families()
     result, ok, lines = _family_report(
         families, quadratics, lambda f, matrix, cond: f"family {f.family_id}: free "
         f"{', '.join(f.free) or '(none)'}; {matrix}" + (f"  ({cond})" if cond else ""))

@@ -21,6 +21,7 @@ canonical form, so equality and hashing do not depend on the path taken.
 from __future__ import annotations
 
 import math
+import operator
 import re
 from fractions import Fraction
 
@@ -36,6 +37,50 @@ __all__ = [
     "parse_laurent",
     "rational_roots",
 ]
+
+
+def _summing(minus: bool):
+    """``+`` (or ``-`` when ``minus``) of a sparse polynomial type: ``terms``
+    maps keys to nonzero coefficients and ``_of`` wraps such a map.  One pass
+    over the right operand folds each coefficient in with its sign and drops
+    the keys that cancel, so a difference forms no negated copy."""
+
+    def op(self, other):
+        cls = type(self)
+        try:
+            other = cls.coerce(other)
+        except TypeError:
+            return NotImplemented
+        terms = dict(self.terms)
+        for key, c in other.terms.items():
+            acc = terms.get(key)
+            if acc is None:
+                terms[key] = -c if minus else c
+            elif total := acc - c if minus else acc + c:
+                terms[key] = total
+            else:
+                del terms[key]
+        return cls._of(terms)
+
+    return op
+
+
+def _rational_sum(combine):
+    """``RationalFunction``'s ``+`` or ``-``, as ``combine`` is ``operator.add``
+    or ``operator.sub``: a/b +- c/d = (a*d +- c*b)/(b*d), reduced unless
+    b = d = 1."""
+
+    def op(self, other):
+        try:
+            other = RationalFunction.coerce(other)
+        except TypeError:
+            return NotImplemented
+        if self.den.is_one() and other.den.is_one():
+            return RationalFunction._canonical(combine(self.num, other.num))
+        return RationalFunction(combine(self.num * other.den, other.num * self.den),
+                                self.den * other.den)
+
+    return op
 
 
 class LaurentPoly:
@@ -61,6 +106,13 @@ class LaurentPoly:
                 if coeff:
                     data[int(exp)] = coeff
         object.__setattr__(self, "terms", data)
+
+    @classmethod
+    def _of(cls, terms: dict) -> LaurentPoly:
+        """The polynomial with these terms, each a nonzero integer, as they are."""
+        out = object.__new__(cls)
+        object.__setattr__(out, "terms", terms)
+        return out
 
     def __setattr__(self, name, value):
         raise AttributeError("LaurentPoly is immutable")
@@ -116,27 +168,11 @@ class LaurentPoly:
 
     # -- arithmetic ------------------------------------------------------
 
-    def __add__(self, other):
-        try:
-            other = LaurentPoly.coerce(other)
-        except TypeError:
-            return NotImplemented
-        terms = dict(self.terms)
-        for e, c in other.terms.items():
-            terms[e] = terms.get(e, 0) + c
-        return LaurentPoly(terms)
-
-    __radd__ = __add__
+    __add__ = __radd__ = _summing(minus=False)
+    __sub__ = _summing(minus=True)
 
     def __neg__(self):
         return LaurentPoly({e: -c for e, c in self.terms.items()})
-
-    def __sub__(self, other):
-        try:
-            other = LaurentPoly.coerce(other)
-        except TypeError:
-            return NotImplemented
-        return self + (-other)
 
     def __rsub__(self, other):
         return (-self) + other
@@ -356,15 +392,9 @@ def laurent_gcd(f: LaurentPoly, g: LaurentPoly) -> LaurentPoly:
     laurent_gcd(2, 4*t) == 2."""
     if f.is_zero() and g.is_zero():
         return ZERO
-    if f.is_zero() or g.is_zero():
-        p = g if f.is_zero() else f
-        dense = _dense(p)
-        if dense[-1] < 0:
-            dense = [-c for c in dense]
-        return LaurentPoly({e: c for e, c in enumerate(dense) if c})
     cont = math.gcd(f.content(), g.content())
-    a = [Fraction(c) for c in _dense(f)]
-    b = [Fraction(c) for c in _dense(g)]
+    # A zero operand is the empty coefficient list, which any divisor leaves as [].
+    a, b = ([Fraction(c) for c in _dense(p)] if p else [] for p in (f, g))
     while b:
         a, b = b, _frac_rem(a, b)
     prim = _primitive(a)
@@ -455,28 +485,11 @@ class RationalFunction:
 
     # -- arithmetic --------------------------------------------------------
 
-    def __add__(self, other):
-        try:
-            other = RationalFunction.coerce(other)
-        except TypeError:
-            return NotImplemented
-        if self.den.is_one() and other.den.is_one():
-            return RationalFunction._canonical(self.num + other.num)
-        return RationalFunction(
-            self.num * other.den + other.num * self.den, self.den * other.den
-        )
-
-    __radd__ = __add__
+    __add__ = __radd__ = _rational_sum(operator.add)
+    __sub__ = _rational_sum(operator.sub)
 
     def __neg__(self):
         return RationalFunction._canonical(-self.num, self.den)
-
-    def __sub__(self, other):
-        try:
-            other = RationalFunction.coerce(other)
-        except TypeError:
-            return NotImplemented
-        return self + (-other)
 
     def __rsub__(self, other):
         return (-self) + other

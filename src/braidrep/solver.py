@@ -29,13 +29,15 @@ v-image is v_1 v_1 = 1, it is the four quadratics of that image.
 ``solve_involution_2x2`` derives the 2x2 involution families from that
 residue by a four-rule case split, checks each family by substituting it
 back into the quadratics, and ``involution_classify`` matches a rational
-involution against the derived families.
+involution against the derived families.  ``involution_families`` derives
+them once per process; the CLI and both defaults read it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
+from functools import cache
 from math import prod
 
 from .errors import (
@@ -67,6 +69,7 @@ __all__ = [
     "solve_with_residue",
     "laurent_representability",
     "solve_involution_2x2",
+    "involution_families",
     "involution_classify",
 ]
 
@@ -381,7 +384,8 @@ class InvolutionSolution:
         """The family's involution over the Laurent ring: each free entry
         takes its value from ``values`` and each bound one its quotient
         there.  Raises ZeroQ when a ``nonzero`` entry (a free one) is 0,
-        and DivisibilityViolation when a quotient leaves the Laurent ring."""
+        DivisibilityViolation when a quotient leaves the Laurent ring, and
+        NotInvolution when the matrix does not square to the identity."""
         entries = {name: RationalFunction(LAURENT.coerce(values[name])) for name in self.free}
         for name in self.nonzero:
             if not entries[name]:
@@ -395,7 +399,8 @@ class InvolutionSolution:
                                             "in the Laurent ring")
         m = Matrix(LAURENT, [[entries[name].as_laurent() for name in row]
                              for row in entry_names(2, NU, "")])
-        assert (m * m).is_identity(), "involution family produced a non-involution"
+        if not (m * m).is_identity():
+            raise NotInvolution(f"family {self.family_id} produced a non-involution:\n{m}")
         return m
 
     def solves(self, system: ConstraintSystem) -> bool:
@@ -499,7 +504,8 @@ def _case_split(eqs, bindings, nonzero) -> list[tuple[dict, tuple]]:
 def solve_involution_2x2(system: ConstraintSystem | None = None) -> list[InvolutionSolution]:
     """Every 2x2 involution [[p, q], [r, s]], derived from the equations of
     ``system``: by default the quadratics of the v-image, the residue of
-    ``solve_with_residue(*vsb2_problem())`` over its unknowns.
+    ``solve_with_residue(*vsb2_problem())`` over its unknowns, whose
+    families ``involution_families`` derives once per process.
 
     The case split applies the first rule that fits: a univariate equation
     branches on its rational roots; a variable with a constant coefficient
@@ -509,12 +515,22 @@ def solve_involution_2x2(system: ConstraintSystem | None = None) -> list[Involut
     it raises.  Families with more free entries come first.
     """
     if system is None:
-        affine, _, residue = solve_with_residue(*vsb2_problem())
-        system = replace(affine, equations=residue)
+        return list(involution_families()[2])
     branches = sorted(_case_split(system.equations, {}, ()), key=lambda branch: len(branch[0]))
     return [InvolutionSolution(k, tuple(x for x in system.unknowns if x not in bindings),
                                bindings, nonzero)
             for k, (bindings, nonzero) in enumerate(branches, 1)]
+
+
+@cache
+def involution_families() -> tuple[ConstraintSystem, ConstraintSystem,
+                                   tuple[InvolutionSolution, ...]]:
+    """The affine system of ``vsb2_problem()``, the quadratic system of its
+    residue and the involution families derived from that, once per
+    process: none depends on any argument."""
+    system, _, residue = solve_with_residue(*vsb2_problem())
+    quadratics = replace(system, equations=residue)
+    return system, quadratics, tuple(solve_involution_2x2(quadratics))
 
 
 def involution_classify(m: Matrix, families=None) -> tuple[int, dict[str, Fraction]]:
@@ -528,7 +544,7 @@ def involution_classify(m: Matrix, families=None) -> tuple[int, dict[str, Fracti
     names = [name for row in entry_names(2, NU, "") for name in row]
     values = dict(zip(names, (e for row in m.entries for e in row)))
     point = {name: SymPoly.const(v) for name, v in values.items()}
-    for f in solve_involution_2x2() if families is None else families:
+    for f in involution_families()[2] if families is None else families:
         if all(values[x] != 0 for x in f.nonzero) and all(
                 num.substitute(point) == den.substitute(point) * values[name]
                 for name, (num, den) in f.bindings.items()):

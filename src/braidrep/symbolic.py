@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .laurent import RF_ONE, LaurentPoly, RationalFunction
+from .laurent import RF_ONE, LaurentPoly, RationalFunction, _summing
 from .matrix import EntryDomain
 
 __all__ = ["SymPoly", "SYMBOLIC"]
@@ -86,33 +86,11 @@ class SymPoly:
 
     # -- arithmetic -----------------------------------------------------------
 
-    def __add__(self, other):
-        try:
-            other = SymPoly.coerce(other)
-        except TypeError:
-            return NotImplemented
-        terms = dict(self.terms)
-        for mono, coeff in other.terms.items():
-            acc = terms.get(mono)
-            if acc is None:
-                terms[mono] = coeff
-            elif total := acc + coeff:
-                terms[mono] = total
-            else:
-                del terms[mono]
-        return SymPoly._of(terms)
-
-    __radd__ = __add__
+    __add__ = __radd__ = _summing(minus=False)
+    __sub__ = _summing(minus=True)
 
     def __neg__(self):
         return SymPoly._of({m: -c for m, c in self.terms.items()})
-
-    def __sub__(self, other):
-        try:
-            other = SymPoly.coerce(other)
-        except TypeError:
-            return NotImplemented
-        return self + (-other)
 
     def __rsub__(self, other):
         return (-self) + other

@@ -591,7 +591,7 @@ def test_a_failed_residue_check_is_a_divergence(capsys, monkeypatch):
 
 @pytest.mark.parametrize("argv", [["solve-extension", "vsb2", "2"], ["involutions"]])
 def test_a_tampered_involution_family_fails(capsys, monkeypatch, argv):
-    derive = cli.solve_involution_2x2
+    derive = solver.solve_involution_2x2
 
     def tampered(system=None):
         # Family 1 with s = p instead of s = -p.
@@ -599,10 +599,10 @@ def test_a_tampered_involution_family_fails(capsys, monkeypatch, argv):
         bindings = dict(families[0].bindings, s=(SymPoly.symbol("p"), SymPoly.const(1)))
         return [replace(families[0], bindings=bindings)] + families[1:]
 
-    monkeypatch.setattr(cli, "solve_involution_2x2", tampered)
+    monkeypatch.setattr(solver, "solve_involution_2x2", tampered)
     # The families are derived once per process: clear the cache so that
     # the tampered ones reach the report, and again so that none stay.
-    cli._involution_families.cache_clear()
+    solver.involution_families.cache_clear()
     try:
         code, report, _ = run_json(capsys, *argv)
         assert code == 1
@@ -613,7 +613,7 @@ def test_a_tampered_involution_family_fails(capsys, monkeypatch, argv):
         assert "every family squares to the identity: False" in out
         assert "status: fail" in out
     finally:
-        cli._involution_families.cache_clear()
+        solver.involution_families.cache_clear()
 
 
 def test_json_reports_carry_the_run_shape(capsys):

@@ -274,3 +274,57 @@ def test_rational_arithmetic_keeps_the_canonical_form(a, b, c, d):
 def test_unit_denominators_fold_into_the_numerator(p, u):
     assert_same(RationalFunction(p * u, u), RationalFunction(p))
     assert_same(RationalFunction(p, u), RationalFunction(p * u.inverse_unit()))
+
+
+rationals = st.builds(RationalFunction, polys, denominators)
+monomials = st.sampled_from([(), (("x", 1),), (("y", 1),), (("x", 1), ("y", 1)), (("x", 2),)])
+sympolys = st.dictionaries(monomials, rationals, max_size=4).map(SymPoly)
+
+
+def negate_then_add(p, q):
+    """The difference as it was once defined: the sum with the negated copy."""
+    return p + (-q)
+
+
+@pytest.mark.parametrize("values", [polys, rationals, sympolys],
+                         ids=["LaurentPoly", "RationalFunction", "SymPoly"])
+@given(data=st.data())
+@settings(max_examples=80)
+def test_subtraction_is_the_sum_with_the_negation(values, data):
+    p, q = data.draw(values), data.draw(values)
+    diff, reference = p - q, negate_then_add(p, q)
+    assert diff == reference
+    if isinstance(diff, RationalFunction):
+        assert_same(diff, reference)
+    else:
+        # Same terms in the same order: no zero kept, no key moved.
+        assert list(diff.terms.items()) == list(reference.terms.items())
+    assert (p - q) + q == p
+    assert p - p == 0
+    assert not (p - p)
+
+
+def test_a_difference_negates_nothing(monkeypatch):
+    def refuse(self):
+        raise AssertionError(f"negated {type(self).__name__} {self}")
+
+    p = LaurentPoly({-2: 3, 0: -1, 4: 5})
+    r = RationalFunction(p, T + 2)
+    s = SymPoly({(("x", 1),): r, (): RationalFunction(T - 1, 3 * T), (("y", 2),): 4})
+    for cls in (LaurentPoly, RationalFunction, SymPoly):
+        monkeypatch.setattr(cls, "__neg__", refuse)
+    for value in (p, r, s):
+        assert (value - value).is_zero()
+    assert s - SymPoly({(("x", 1),): r}) == SymPoly(
+        {(): RationalFunction(T - 1, 3 * T), (("y", 2),): 4})
+
+
+@pytest.mark.parametrize("f,g,gcd", [
+    ("0", "2*t^3 + 4 - 6*t^-2", "2*t^5 + 4*t^2 - 6"),
+    ("9*t^4 - 3*t", "0", "9*t^3 - 3"),
+    ("0", "0", "0"),
+    ("-1", "0", "1"),
+    ("0", "-7*t^5", "7"),
+])
+def test_gcd_with_a_zero_operand_normalizes_the_other(f, g, gcd):
+    assert laurent_gcd(parse_laurent(f), parse_laurent(g)) == parse_laurent(gcd)

@@ -455,6 +455,15 @@ def test_a_tampered_family_fails_the_substitution_check():
     assert not tampered(two, "p", SymPoly.const(1)).solves(system)
 
 
+def test_a_tampered_family_image_is_not_an_involution():
+    # The check raises by name, so ``python -O`` cannot strip it.
+    one = solve_involution_2x2()[0]
+    m = one.image({"p": 2, "q": 1})
+    assert (m * m).is_identity()
+    with pytest.raises(NotInvolution, match="family 1"):
+        tampered(one, "s", SymPoly.symbol("p")).image({"p": 2, "q": 1})
+
+
 def test_families_that_differ_in_a_binding_are_unequal():
     family = SolutionFamily(("a",), {"b": a})
     assert family != SolutionFamily(("a",), {"b": SymPoly.const(7)})

@@ -30,6 +30,7 @@ from braidrep import (
     is_irreducible,
     matrix,
     reps,
+    solver,
     specialize,
     specialized_extension,
     standard_rep,
@@ -151,28 +152,34 @@ def test_every_report_echoes_its_inputs_as_json_values(capsys):
 
 
 def test_the_involution_families_are_derived_once(capsys, monkeypatch):
+    # One vsb2 solve and one case split per process, whether the CLI or a
+    # library default asks for the families.
     calls, solves = [], []
-    derive, solve = cli.solve_involution_2x2, cli.solve_with_residue
+    derive, solve = solver.solve_involution_2x2, solver.solve_with_residue
 
     def counting(system=None):
         calls.append(system)
         return derive(system)
 
     def counting_solve(*problem):
-        solves.append(problem)
+        if problem[0].mode == "virtual_singular":
+            solves.append(problem)
         return solve(*problem)
 
-    monkeypatch.setattr(cli, "solve_involution_2x2", counting)
-    monkeypatch.setattr(cli, "solve_with_residue", counting_solve)
-    cli._involution_families.cache_clear()
+    monkeypatch.setattr(solver, "solve_involution_2x2", counting)
+    for module in (cli, solver):
+        monkeypatch.setattr(module, "solve_with_residue", counting_solve)
+    solver.involution_families.cache_clear()
     try:
         for argv in (["show-rep", "vsb2", "2", "--family", "3"],
                      ["verify", "vsb2", "2", "--family", "1", "--json"],
                      ["verify", "vsb2", "2", "--family", "5"],
                      ["involutions", "--check", "3"]):
             assert main(argv) == 0, argv
+        assert [f.family_id for f in derive()] == [1, 2, 3, 4, 5]
+        assert solver.involution_classify(Matrix(QQ, [[0, 1], [1, 0]])) == (1, {"p": 0, "q": 1})
     finally:
-        cli._involution_families.cache_clear()
+        solver.involution_families.cache_clear()
     capsys.readouterr()
     assert len(calls) == 1
     (problem,) = solves
