@@ -16,9 +16,11 @@ off the generators' blocks, and two spins of length-d vectors: u under the
 images and v under their transposes.  Full spins give d^2; spins of d - 1
 whose invariant subspaces split the space give 1 + (d - 1)^2 (see
 ``matrix_algebra_span``).  Any other case, or no rank-one element, falls
-back to the exact closure on an ``Echelon`` basis of d x d matrices.  Both
-paths are exact over the images' field and read each generator's local
-image, its block, and build no dense image.
+back to the exact closure: the spin of the identity, whose vectors are d x d
+matrices that each image moves by g - I, one column at a time.  All three
+spins run on one loop (``_spin``) and an ``Echelon`` basis, exact over the
+images' field; they read each generator's local image, its block, and form
+no dense image and no word product.
 
 Witness extraction (an explicit invariant subspace) is best effort: the
 all-ones direction, common fixed vectors (the kernel of rows read off the
@@ -41,14 +43,7 @@ from itertools import combinations
 
 from .errors import ZeroSpecialization
 from .laurent import T, RationalFunction, rational_roots
-from .matrix import (
-    LAURENT,
-    QQ,
-    Echelon,
-    Matrix,
-    Subspace,
-    mul_local,
-)
+from .matrix import LAURENT, QQ, Echelon, Matrix, Subspace
 from .reps import Representation, singular_extension
 
 __all__ = [
@@ -138,28 +133,21 @@ def matrix_algebra_span(images: list[tuple[int, Matrix]], dim: int) -> int:
 
 
 def _exact_span(images: list[tuple[int, Matrix]], d: int) -> int:
-    """Breadth-first closure: seed with the identity, then keep
-    right-multiplying new basis elements by the images (as block-local
-    updates, see ``mul_local``) until nothing new appears or the full d^2
-    is reached.  Each product goes into an exact ``Echelon`` basis over the
-    images' own field (Q, or Q(t) once Laurent blocks are lifted), on the
-    cells in row-major order."""
+    """The exact closure: the spin of the identity under the images, each
+    word a d x d matrix X whose cell (i, j) is coordinate j*d + i, so that
+    column j is the d coordinates from j*d on.  An image g moves X to
+    (g - I)*X, column by column (``_moved``).  A subspace U holding X holds
+    g*X exactly when it holds (g - I)*X, so the spin is the span of every
+    word.  It runs on an ``Echelon`` basis over the images' own field (Q, or
+    Q(t) once Laurent blocks are lifted) and stops at the full d^2."""
     images = [(offset, block._field_lift()) for offset, block in images]
-    dom = images[0][1].domain
-    cap = d * d
-    basis = Echelon(dom)
-    candidates = iter([Matrix.identity(dom, d).entries])
-    while True:
-        frontier = []
-        for rows in candidates:
-            if basis.insert([e for row in rows for e in row]):
-                if len(basis) == cap:
-                    return cap
-                frontier.append(rows)
-        if not frontier:
-            return len(basis)
-        candidates = (mul_local(rows, offset, block)
-                      for rows in frontier for offset, block in images)
+    one = images[0][1].domain.one
+
+    def move(x, offset, block):
+        return {k: e for column in range(offset, d * d, d)
+                for k, e in _moved(x, column, block).items()}
+
+    return len(_spin({i * (d + 1): one for i in range(d)}, images, d * d, move))
 
 
 def _rank_one(blocks: list[tuple[int, Matrix]], d: int) -> tuple[dict, dict] | None:
@@ -207,22 +195,24 @@ def _spins(blocks: list[tuple[int, Matrix]], d: int) -> tuple[Echelon, Echelon] 
     if found is None:
         return None
     u, v = found
-    return (_spin(u, blocks, d),
-            _spin(v, [(offset, block.transpose()) for offset, block in blocks], d))
+    return (_spin(u, blocks, d, _moved),
+            _spin(v, [(offset, block.transpose()) for offset, block in blocks], d, _moved))
 
 
-def _spin(seed: dict, blocks: list[tuple[int, Matrix]], d: int) -> Echelon:
+def _spin(seed: dict, blocks: list[tuple[int, Matrix]], cap: int, move) -> Echelon:
     """An ``Echelon`` basis of the span of the seed's images under every
-    word in the images, cut short once it has all d dimensions.  Each kept
-    vector is moved by every g - I, which adds what g does to a span that
-    already holds the vector, and leaves a vector of at most k entries."""
+    word in the images, cut short once it has ``cap`` dimensions, the whole
+    space.  Each kept vector w is moved by every g - I, as
+    ``move(w, offset, block)`` computes it, which adds what g does to a
+    span that already holds w.  The certificate moves length-d vectors by
+    ``_moved``, the exact closure moves d x d matrices (``_exact_span``)."""
     basis = Echelon(blocks[0][1].domain, [seed])
     kept = [seed]
     for w in kept:
         for offset, block in blocks:
-            if len(basis) == d:
+            if len(basis) == cap:
                 return basis
-            moved = _moved(w, offset, block)
+            moved = move(w, offset, block)
             if basis.insert(moved):
                 kept.append(moved)
     return basis
@@ -230,12 +220,13 @@ def _spin(seed: dict, blocks: list[tuple[int, Matrix]], d: int) -> Echelon:
 
 def _moved(w: dict, offset: int, block: Matrix) -> dict:
     """(g - I)*w for the image g with ``block`` at ``offset``: zero off the
-    block, and on it the block times w's coordinates there, minus them."""
+    block, and on it the block times w's coordinates there, minus them.
+    Products with a zero factor are skipped."""
     zero = block.domain.zero
     segment = [w.get(offset + j, zero) for j in range(block.rows)]
     if not any(segment):
         return {}
-    return {offset + i: sum((b * x for b, x in zip(row, segment) if x), zero) - segment[i]
+    return {offset + i: sum((b * x for b, x in zip(row, segment) if b and x), -segment[i])
             for i, row in enumerate(block.entries)}
 
 

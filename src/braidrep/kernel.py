@@ -14,7 +14,7 @@ commutator is the trivial element and certifies nothing.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .errors import BadIndices, NotInKernel, TrivialWord
 from .presentations import Word, commutator, format_word, free_reduce, pure_braid_generator
@@ -37,7 +37,7 @@ class KernelCertificate:
 
     word: Word
     n: int
-    params: dict
+    params: dict = field(hash=False)
     nontriviality: str
 
     def to_json_dict(self) -> dict:

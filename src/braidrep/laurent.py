@@ -172,7 +172,7 @@ class LaurentPoly:
     __sub__ = _summing(minus=True)
 
     def __neg__(self):
-        return LaurentPoly({e: -c for e, c in self.terms.items()})
+        return LaurentPoly._of({e: -c for e, c in self.terms.items()})
 
     def __rsub__(self, other):
         return (-self) + other

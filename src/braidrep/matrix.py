@@ -10,13 +10,15 @@ Laurent entries), subspace membership, the span certificate's spins and its
 exact closure, and the linear solver.  It sums entries with the field's own
 arithmetic, which keeps them in the field.
 
-Generator images are the identity outside one small diagonal block, so word
-products apply each letter as a block-local update: ``mul_local`` right-
+Generator images are the identity outside one small diagonal block, so the
+word products of ``reps`` (word images, relation checks and the solver's
+assembly) apply each letter as a block-local update: ``mul_local`` right-
 multiplies by the identity with a block at an offset in O(k^2 d) ring
-operations instead of the O(d^3) of the dense product.  It lays out the
-block's nonzero columns on its first use and keeps that layout in the
-immutable block, so no caller sees it.  The dense ``Matrix.__mul__`` stays
-the general product and the reference the local one is tested against.
+operations instead of the O(d^3) of the dense product.  Nothing else calls
+it; the span moves vectors by g - I instead.  It lays out the block's
+nonzero columns on its first use and keeps that layout in the immutable
+block, so no caller sees it.  The dense ``Matrix.__mul__`` stays the
+general product and the reference the local one is tested against.
 """
 
 from __future__ import annotations

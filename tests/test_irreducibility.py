@@ -511,6 +511,30 @@ def test_symbolic_extensions_are_certified(n, a, c, group):
     assert check_certificate(symbolic_extension(n, a, c, group=group))
 
 
+@st.composite
+def closure_reps(draw):
+    """Block representations, extension cells over Q, and extension cells
+    over Q(t) on 2-4 strands, in either mode."""
+    kind = draw(st.sampled_from(["block", "rational", "symbolic"]))
+    if kind == "block":
+        return draw(block_reps())
+    group = draw(st.booleans())
+    if kind == "rational":
+        return extension_rep(draw(extension_cells()), group)
+    n, a, c = draw(st.integers(2, 4)), draw(small_q), draw(small_q)
+    assume(a or c)
+    return symbolic_extension(n, a, c, group=group)
+
+
+@given(closure_reps())
+@settings(max_examples=100, deadline=None)
+def test_the_exact_closure_equals_the_dense_closure(rep):
+    # The reference right-multiplies dense words; the closure moves d x d
+    # matrices by g - I from the left.
+    assert _exact_span(rep.local_images(), rep.dim) \
+        == len(_algebra_rows(list(rep.assignment.values())))
+
+
 @given(extension_cells(), st.sampled_from(["random", "changed"]), st.data())
 @settings(max_examples=80, deadline=None)
 def test_block_local_witness_checks_agree_with_dense_products(cell, kind, data):

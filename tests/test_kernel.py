@@ -121,6 +121,16 @@ def test_certificate_json_shape():
     assert obj["params"] == {"a": "1", "c": "1"}
 
 
+def test_certificates_hash_by_value():
+    # params is a dict, so it takes part in == but not in the hash.
+    first = pure_commutator_certificate(singular_extension(4, 1, 1), (1, 2), (1, 3))
+    again = pure_commutator_certificate(singular_extension(4, 1, 1), (1, 2), (1, 3))
+    other = pure_commutator_certificate(singular_extension(4, 2, 1), (1, 2), (1, 3))
+    assert first == again and hash(first) == hash(again)
+    assert first.word == other.word and first != other
+    assert len({first, again, other}) == 2
+
+
 def test_pure_braid_images_commute_pairwise():
     rep = standard_rep(4)
     mats = [

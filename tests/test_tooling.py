@@ -3,8 +3,9 @@ wrapped functions, and every module's ``__all__``.  And ``cli.main`` must be
 reentrant, since the benchmark calls it many times in one process, and
 derive the involution families once per process.  Every report echoes its
 parsed options as JSON values, not as their Python text.  The witness search must
-build no dense image, and the span certificate's spins must run on the one
-echelon engine, without the exact closure."""
+build no dense image, the exact closure no word product, and the span
+certificate's spins must run on the one echelon engine, without the exact
+closure."""
 
 from __future__ import annotations
 
@@ -34,6 +35,7 @@ from braidrep import (
     specialize,
     specialized_extension,
     standard_rep,
+    symbolic_extension,
     vsb2_problem,
 )
 from braidrep import cli
@@ -286,6 +288,37 @@ def test_the_witness_search_builds_no_dense_image():
         reps._embed = saved
         Matrix.__mul__ = dense_mul
     assert embedded == []
+    largest = max(block.rows for rep in cases for _, block in rep.local_images())
+    assert all(max(shape) <= largest for shape in shapes)
+
+
+def test_the_exact_closure_forms_no_word_product(monkeypatch):
+    # Two-strand cells that reach the exact closure: t0 = 3 is not a
+    # rational square, and over Q(t) no block has a rational eigenvalue.
+    cases = [specialized_extension(2, 3, 1, 1), symbolic_extension(2, 1, 2)]
+    closures = []
+    shapes = []
+    exact_span = irreducibility._exact_span
+    dense_mul = Matrix.__mul__
+
+    def refuse(*args):
+        raise AssertionError("a word product was formed")
+
+    def recording_span(images, d):
+        closures.append(d)
+        return exact_span(images, d)
+
+    def recording_mul(self, other):
+        shapes.append((self.rows, self.cols, other.rows, other.cols))
+        return dense_mul(self, other)
+
+    monkeypatch.setattr(matrix, "mul_local", refuse)
+    monkeypatch.setattr(irreducibility, "mul_local", refuse, raising=False)
+    monkeypatch.setattr(irreducibility, "_exact_span", recording_span)
+    monkeypatch.setattr(Matrix, "__mul__", recording_mul)
+    for rep in cases:
+        assert is_irreducible(rep).span_dim == 2
+    assert closures == [2, 2]
     largest = max(block.rows for rep in cases for _, block in rep.local_images())
     assert all(max(shape) <= largest for shape in shapes)
 
