@@ -291,7 +291,7 @@ def invariant_line_witness(rep: Representation) -> Subspace | None:
         s, r = spins  # dim S = len(s) and dim L = d - len(r)
         if len(s) < d and (len(r) == d or len(s) <= d - len(r)):
             yield s.kernel(d).echelon.kernel(d)
-        elif len(r) < d:
+        else:
             yield r.kernel(d)
 
     return next((sub for sub in candidates()

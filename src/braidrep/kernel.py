@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 from .errors import BadIndices, NotInKernel, TrivialWord
 from .presentations import Word, commutator, format_word, free_reduce, pure_braid_generator
-from .reps import Representation, evaluate_word
+from .reps import Representation, _embed, _identity_rows, _local_products
 
 __all__ = [
     "KernelCertificate",
@@ -68,10 +68,10 @@ def certify(rep: Representation, w: Word,
     reduced = free_reduce(w)
     if not reduced:
         raise TrivialWord("word freely reduces to the identity element")
-    image = evaluate_word(rep, reduced)
-    if not image.is_identity():
-        raise NotInKernel(
-            f"word {format_word(reduced)} does not map to the identity:\n{image}")
+    support, (rows,) = _local_products(rep, [reduced])
+    if rows != _identity_rows(rep.domain, len(support)):
+        raise NotInKernel(f"word {format_word(reduced)} does not map to the identity:\n"
+                          f"{_embed(rep, support, rows)}")
     return KernelCertificate(
         word=reduced,
         n=rep.n,

@@ -21,17 +21,18 @@ outside one diagonal block.  A ``Representation`` is built from those blocks
 and holds each generator as its block alone: the builders pass the block they
 write, and a caller with only a dense image passes it as the full block at
 offset 0.  ``local_image`` returns the pair (offset, block), inverting only
-the block for exponent -1, and ``evaluate_word`` applies the letters as
-block-local updates (``mul_local``); dense images are built on demand.  A
-word's image is the identity outside the union of its letters' blocks, its
-support, so words are multiplied on their support only
-(``_local_products``), and ``verify_relations`` compares the two sides of
-each relation there, building the full matrices only for a relation that
-fails.
+the block for exponent -1.  A word's image is the identity outside the union
+of its letters' blocks, its support, so words are multiplied there only, as
+block-local updates (``mul_local``); dense images are built on demand.
+``verify_relations`` compares the two sides of each relation on its support,
+and multiplies them once per shape: relations that differ by an index shift
+place the same blocks at the same compressed positions, so their products
+agree.  It builds the full matrices only for a relation that fails.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 from fractions import Fraction
 from types import MappingProxyType
@@ -259,27 +260,30 @@ def evaluate_word(rep: Representation, w: Word) -> Matrix:
     return _embed(rep, support, rows)
 
 
-def _local_products(rep: Representation, words) -> tuple[list[int], list[list[list]]]:
-    """The products of the given words on their support: the sorted union of
-    the coordinates their letters move.
+def _local_products(rep: Representation, words) -> tuple[list[int], Iterator[list[list]]]:
+    """The support of the words and each word's product as its rows there."""
+    support, letters = _local_letters(rep, words)
+    return support, _products(rep.domain, len(support), letters)
 
-    Every product is the identity outside the support, so each is returned as
-    its rows restricted to the support, in order-preserving compressed
-    coordinates.  A block at offset o covers consecutive coordinates, all in
-    the support, so it stays contiguous at ``support.index(o)``.  Letters are
-    looked up word by word, in order, before any product is formed.
-    """
+
+def _local_letters(rep: Representation, words) -> tuple[list[int], list[list[tuple]]]:
+    """The support of the words (the sorted union of the coordinates their
+    letters move) and their letters, looked up in order, as (position, block)
+    pairs in compressed coordinates, where each block stays contiguous."""
     letters = [[rep.local_image(g.kind, g.index, g.exp) for g in w] for w in words]
     support = sorted({o + k for word_letters in letters
                       for o, block in word_letters for k in range(block.rows)})
     position = {o: i for i, o in enumerate(support)}
-    products = []
+    return support, [[(position[o], b) for o, b in word_letters] for word_letters in letters]
+
+
+def _products(domain: EntryDomain, size: int, letters) -> Iterator[list[list]]:
+    """Each word's rows on a support of ``size``, from its (position, block) letters."""
     for word_letters in letters:
-        rows = _identity_rows(rep.domain, len(support))
-        for o, block in word_letters:
-            rows = mul_local(rows, position[o], block)
-        products.append(rows)
-    return support, products
+        rows = _identity_rows(domain, size)
+        for i, block in word_letters:
+            rows = mul_local(rows, i, block)
+        yield rows
 
 
 def _embed(rep: Representation, support, rows) -> Matrix:
@@ -316,15 +320,22 @@ class Violation:
 
 def verify_relations(rep: Representation, pres: Presentation) -> list[Violation]:
     """Check every defining relation on the support of its two sides; returns
-    the list of violations, each carrying the two sides and their difference."""
+    the list of violations, each carrying the two sides and their difference.
+    The products there depend only on the shape, each side's (position,
+    block) letters, which also fix the support size.  So each shape, its
+    blocks keyed by id (``rep`` keeps them all alive), is multiplied once."""
     if rep.n != pres.n or rep.mode != pres.mode:
         raise ModeMismatch(
             f"representation ({rep.mode}, n={rep.n}) does not match "
             f"presentation ({pres.mode}, n={pres.n})")
-    violations = []
+    violations, memo = [], {}
     for rel in pres.relations:
-        support, (lhs, rhs) = _local_products(rep, [rel.lhs, rel.rhs])
-        if lhs != rhs:
-            lhs, rhs = _embed(rep, support, lhs), _embed(rep, support, rhs)
+        support, letters = _local_letters(rep, [rel.lhs, rel.rhs])
+        shape = tuple(tuple((i, id(b)) for i, b in side) for side in letters)
+        if shape not in memo:
+            lhs, rhs = _products(rep.domain, len(support), letters)
+            memo[shape] = None if lhs == rhs else (lhs, rhs)
+        if memo[shape]:
+            lhs, rhs = (_embed(rep, support, rows) for rows in memo[shape])
             violations.append(Violation(rel, lhs, rhs, lhs - rhs))
     return violations

@@ -160,6 +160,9 @@ PINNED_REPORTS = [
      "76682db9e534c1dc056c0a253d47e7d5b845c4e0dfdedfd68df41bbe95baae1a"),
     ("verify singular-ext 4 --a 0 --c 1 --group", 0,
      "393ed32ddc1e8474b1eff1ff6f6cfc39837f61c83ea9b52129cc10bc016ee463"),
+    # Ten strands: 145 relations in 8 shapes, each shape multiplied once.
+    ("verify singular-ext 10 --a 3*t^2-2*t^-1 --c 1+t", 0,
+     "aa248376b30f8b0c4cf5a45078fb85bf6813b63a95ea9918f7cf7b63ecc3df0d"),
     # The quadratics of the vsb2 problem, the families derived from them
     # and a seeded classification.
     ("solve-extension vsb2 2", 0,

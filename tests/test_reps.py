@@ -38,6 +38,8 @@ from braidrep.errors import (
     NonInvertibleTau,
     ZeroQ,
 )
+from braidrep import reps
+from braidrep.cli import main
 from braidrep.presentations import GeneratorSymbol
 from braidrep.laurent import RationalFunction
 from braidrep.reps import Representation, standard_block
@@ -324,6 +326,59 @@ def test_verify_relations_matches_dense_fold_on_tampered_images(data):
         if lhs != rhs:
             dense.append((rel, lhs, rhs, lhs - rhs))
     assert [(v.relation, v.lhs, v.rhs, v.diff) for v in verify_relations(rep, pres)] == dense
+
+
+def with_blocks(rep, changed: dict) -> Representation:
+    """``rep`` with the blocks of the keys in ``changed`` replaced, each at
+    its offset."""
+    blocks = {k: rep.local_image(*k) for k in rep.generator_keys()}
+    blocks.update((k, (blocks[k][0], block)) for k, block in changed.items())
+    return Representation(rep.n, rep.mode, rep.dim, blocks, group=rep.group)
+
+
+def test_verify_multiplies_each_relation_shape_once(monkeypatch, capsys):
+    # 145 relations on ten strands, in 8 shapes: each shape's pair of sides
+    # is multiplied once, and at least once, for its verdict.
+    calls = []
+    products = reps._products
+
+    def counting(domain, size, letters):
+        calls.append(len(letters))
+        return products(domain, size, letters)
+
+    monkeypatch.setattr(reps, "_products", counting)
+    assert main(["verify", "singular-ext", "10"]) == 0
+    assert "checked 145 relations" in capsys.readouterr().out
+    assert calls == [2] * 8
+
+
+def test_a_changed_block_takes_no_verdict_from_an_equal_shape():
+    # Only tau_4's (1, 1) entry is raised by one.  Each relation that holds
+    # tau_4 has the compressed positions of one that holds tau_1, whose
+    # verdict it must not take.
+    rep = singular_extension(8, 1 + T, T ** -1)
+    block = rep.local_image("t", 4)[1]
+    entries = [list(row) for row in block.entries]
+    entries[0][0] += 1
+    rep = with_blocks(rep, {("t", 4): Matrix(rep.domain, entries)})
+    pres = build_presentation(8, "singular")
+    dense = []
+    for rel in pres.relations:
+        lhs, rhs = dense_word(rep, rel.lhs), dense_word(rep, rel.rhs)
+        if lhs != rhs:
+            dense.append((rel, lhs, rhs, lhs - rhs))
+    violations = verify_relations(rep, pres)
+    assert [(v.relation, v.lhs, v.rhs, v.diff) for v in violations] == dense
+    assert violations and all(tau(4) in v.relation.lhs + v.relation.rhs for v in violations)
+
+
+def test_equal_blocks_held_as_distinct_objects_still_verify():
+    rep = singular_extension(6, 1 + T, T ** -1)
+    copies = {key: Matrix(rep.domain, [list(row) for row in rep.local_image(*key)[1].entries])
+              for key in rep.generator_keys() if key[0] == "s"}
+    rep = with_blocks(rep, copies)
+    assert len({id(rep.local_image(*key)[1]) for key in copies}) == len(copies)
+    assert verify_relations(rep, build_presentation(6, "singular")) == []
 
 
 @pytest.mark.parametrize("rep", LOCAL_CASES, ids=repr)

@@ -254,6 +254,11 @@ def test_assemble_validates_generators():
         assemble(build_presentation(3, "singular"), only_s1, [("t", 1), ("t", 2)])
 
 
+def test_an_unassigned_generator_is_named_by_kind_and_index():
+    with pytest.raises(UnassignedGenerator, match="for t2$"):
+        assemble(build_presentation(3, "singular"), standard_rep(3), [("t", 1)])
+
+
 def dense_assemble(pres, known, unknown_gens) -> ConstraintSystem:
     """The constraint system of ``assemble``, with each relation folded by
     the dense ``Matrix.__mul__`` and the two sides subtracted in full: every
@@ -486,6 +491,17 @@ def test_case_split_refuses_a_system_no_rule_reaches():
         solve_involution_2x2(system)
 
 
+def test_a_coefficient_that_depends_on_t_is_not_rational():
+    assert solver._rational(RationalFunction(3, 2)) == Fraction(3, 2)
+    for c in (RationalFunction(T), RationalFunction(1, T), RationalFunction(1, T + 1)):
+        assert solver._rational(c) is None
+    # So p^2 - t is not univariate over Q: no rule reaches it, and reading t
+    # as 0 would branch on the root p = 0 instead.
+    p = SymPoly.symbol("p")
+    with pytest.raises(BraidRepError, match="no case-split rule"):
+        solve_involution_2x2(quadratics("p", p * p - T))
+
+
 def test_case_split_resolves_earlier_bindings():
     # s = -p is bound first; p = 1 found later must reach s's binding too.
     p, q, s = (SymPoly.symbol(x) for x in "pqs")
@@ -544,6 +560,15 @@ def test_derived_family_images_are_the_table_over_the_laurent_ring(p, r, k, sign
                 family.image(params)
             continue
         assert family.image(params) == involution_matrix(family.family_id, **params)
+
+
+@pytest.mark.parametrize("m", [
+    Matrix.identity(QQ, 3), Matrix(QQ, [[1, 0], [0, 1], [0, 0]]),
+    Matrix(QQ, [[1, 0, 0], [0, 1, 0]]), Matrix.identity(LAURENT, 2),
+], ids=["3x3-over-Q", "3x2-over-Q", "2x3-over-Q", "2x2-over-Laurent"])
+def test_classification_refuses_a_matrix_that_is_not_rational_2x2(m):
+    with pytest.raises(NotInvolution, match="expects a 2x2 matrix over Q"):
+        involution_classify(m)
 
 
 @pytest.mark.parametrize("family_id", [1, 2, 3, 4, 5])
