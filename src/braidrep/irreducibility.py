@@ -154,22 +154,22 @@ def _rank_one(blocks: list[tuple[int, Matrix]], d: int) -> tuple[dict, dict] | N
     """Vectors u and v with u*v^T in the algebra the images generate, read
     off their blocks (over a field), or None.
 
-    A block B smaller than d with det(I - B) != 0 gives the projection onto
-    its coordinates, I - chi_B(g)/chi_B(1): by Cayley-Hamilton chi_B(g) is
-    0 on the block and chi_B(1)*I off it.  If two such blocks share exactly
-    one coordinate j, their projections multiply to e_j*e_j^T.  Otherwise,
-    over Q, take the first block with a rational eigenvalue lam != 1 whose
-    eigenvectors form a line, at its smallest one, and q(x) =
-    chi_B(x)*(x - 1)/(x - lam).  Then q(g) is zero off the block, since
-    q(1) = 0.  On it q(B) kills every generalized eigenspace but lam's, on
-    which B - lam is one Jordan block of some size m and q(B) is
+    A block B with det(I - B) != 0 gives the projection onto its
+    coordinates, I - chi_B(g)/chi_B(1): by Cayley-Hamilton chi_B(g) is 0 on
+    the block and chi_B(1)*I off it (so a block of size d gives I).  If two
+    such blocks share exactly one coordinate j, their projections multiply
+    to e_j*e_j^T.  Otherwise, over Q, take the first block with a rational
+    eigenvalue lam != 1 whose eigenvectors form a line, at its smallest one,
+    and q(x) = chi_B(x)*(x - 1)/(x - lam).  Then q(g) is zero off the block,
+    since q(1) = 0.  On it q(B) kills every generalized eigenspace but
+    lam's, on which B - lam is one Jordan block of some size m and q(B) is
     (B - lam)^(m-1) times an invertible factor: rank one, so a nonzero
     multiple of u*v^T for B's right and left eigenvectors u and v for lam.
     """
     dom = blocks[0][1].domain
     one = dom.one
     projections = [(offset, offset + block.rows) for offset, block in blocks
-                   if block.rows < d and (Matrix.identity(dom, block.rows) - block).det()]
+                   if (Matrix.identity(dom, block.rows) - block).det()]
     for (start, end), (start2, end2) in combinations(projections, 2):
         if min(end, end2) - max(start, start2) == 1:
             j = max(start, start2)

@@ -2,11 +2,13 @@
 
 ``LaurentPoly`` stores a sparse exponent -> coefficient map with integer
 coefficients; the map never contains zeros, so structural equality is ring
-equality and hashing is sound.  ``RationalFunction`` keeps a reduced
-numerator/denominator pair in a canonical form (denominator has lowest
-exponent 0 and positive lowest coefficient).  Constants compare equal to the
-``int`` or ``Fraction`` they stand for, and hash like it.  Specializing t at
-a nonzero rational lands in ``fractions.Fraction``.
+equality and hashing is sound.  ``SymPoly`` shares this core with monomial
+keys: ``_Sparse`` holds the term-map methods, and ``_summing`` and
+``_product`` make ``+``, ``-`` and ``*``, one loop each.  ``RationalFunction``
+keeps a reduced numerator/denominator pair in a canonical form (denominator
+has lowest exponent 0 and positive lowest coefficient).  Constants compare
+equal to the ``int`` or ``Fraction`` they stand for, and hash like it.
+Specializing t at a nonzero rational lands in ``fractions.Fraction``.
 
 The gcd is only taken where it can cancel something.  A denominator that is
 a unit +-t^k has a unit gcd with any numerator, so it is folded into the
@@ -39,11 +41,46 @@ __all__ = [
 ]
 
 
+class _Sparse:
+    """The term map of ``LaurentPoly`` and ``SymPoly``: ``terms`` maps keys
+    (exponents or monomials) to nonzero coefficients, the constant term at
+    the key ``_CONST``.  Each subclass binds its own ``+`` and ``*``."""
+
+    __slots__ = ("terms",)
+
+    @classmethod
+    def _of(cls, terms: dict):
+        """The polynomial with these terms, each a nonzero coefficient, as they are."""
+        out = object.__new__(cls)
+        object.__setattr__(out, "terms", terms)
+        return out
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def is_zero(self) -> bool:
+        return not self.terms
+
+    def __bool__(self):
+        return bool(self.terms)
+
+    def __neg__(self):
+        return self._of({key: -c for key, c in self.terms.items()})
+
+    def __rsub__(self, other):
+        return (-self) + other
+
+    def __hash__(self):
+        # Constants compare equal to their coefficient, so they hash like it.
+        if self.terms.keys() <= {self._CONST}:
+            return hash(self.terms.get(self._CONST, 0))
+        return hash(frozenset(self.terms.items()))
+
+
 def _summing(minus: bool):
-    """``+`` (or ``-`` when ``minus``) of a sparse polynomial type: ``terms``
-    maps keys to nonzero coefficients and ``_of`` wraps such a map.  One pass
-    over the right operand folds each coefficient in with its sign and drops
-    the keys that cancel, so a difference forms no negated copy."""
+    """``+`` (or ``-`` when ``minus``) of a ``_Sparse`` type.  One pass over
+    the right operand folds each coefficient in with its sign and drops the
+    keys that cancel, so a difference forms no negated copy."""
 
     def op(self, other):
         cls = type(self)
@@ -60,6 +97,34 @@ def _summing(minus: bool):
                 terms[key] = total
             else:
                 del terms[key]
+        return cls._of(terms)
+
+    return op
+
+
+def _product(combine):
+    """``*`` of a ``_Sparse`` type, ``combine`` giving the key of the product
+    of two terms.  One pass over the pairs of terms folds each product in
+    and drops the keys that cancel."""
+
+    def op(self, other):
+        cls = type(self)
+        try:
+            other = cls.coerce(other)
+        except TypeError:
+            return NotImplemented
+        terms = {}
+        for k1, c1 in self.terms.items():
+            for k2, c2 in other.terms.items():
+                key = combine(k1, k2)
+                prod = c1 * c2
+                acc = terms.get(key)
+                if acc is None:
+                    terms[key] = prod
+                elif total := acc + prod:
+                    terms[key] = total
+                else:
+                    del terms[key]
         return cls._of(terms)
 
     return op
@@ -83,7 +148,7 @@ def _rational_sum(combine):
     return op
 
 
-class LaurentPoly:
+class LaurentPoly(_Sparse):
     """Sparse Laurent polynomial over the integers.
 
     >>> p = (T + 1) * (T - 1)
@@ -95,7 +160,8 @@ class LaurentPoly:
     True
     """
 
-    __slots__ = ("terms",)
+    __slots__ = ()
+    _CONST = 0
 
     def __init__(self, terms=None):
         data = {}
@@ -106,16 +172,6 @@ class LaurentPoly:
                 if coeff:
                     data[int(exp)] = coeff
         object.__setattr__(self, "terms", data)
-
-    @classmethod
-    def _of(cls, terms: dict) -> LaurentPoly:
-        """The polynomial with these terms, each a nonzero integer, as they are."""
-        out = object.__new__(cls)
-        object.__setattr__(out, "terms", terms)
-        return out
-
-    def __setattr__(self, name, value):
-        raise AttributeError("LaurentPoly is immutable")
 
     # -- constructors --------------------------------------------------
 
@@ -128,9 +184,6 @@ class LaurentPoly:
         raise TypeError(f"cannot coerce {value!r} into the Laurent ring")
 
     # -- structure -----------------------------------------------------
-
-    def is_zero(self) -> bool:
-        return not self.terms
 
     def is_one(self) -> bool:
         return self.terms == {0: 1}
@@ -170,26 +223,7 @@ class LaurentPoly:
 
     __add__ = __radd__ = _summing(minus=False)
     __sub__ = _summing(minus=True)
-
-    def __neg__(self):
-        return LaurentPoly._of({e: -c for e, c in self.terms.items()})
-
-    def __rsub__(self, other):
-        return (-self) + other
-
-    def __mul__(self, other):
-        try:
-            other = LaurentPoly.coerce(other)
-        except TypeError:
-            return NotImplemented
-        terms: dict[int, int] = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                e = e1 + e2
-                terms[e] = terms.get(e, 0) + c1 * c2
-        return LaurentPoly(terms)
-
-    __rmul__ = __mul__
+    __mul__ = __rmul__ = _product(operator.add)
 
     def __pow__(self, n: int):
         if not isinstance(n, int):
@@ -213,6 +247,10 @@ class LaurentPoly:
             raise ZeroDivisionError("division by the zero polynomial")
         if self.is_zero():
             return ZERO
+        if other.is_unit():
+            # A shift and a sign: no dense form, whose length is the exponent span.
+            ((k, sign),) = other.terms.items()
+            return LaurentPoly._of({e - k: sign * c for e, c in self.terms.items()})
         va, vb = self.valuation(), other.valuation()
         a = _dense(self)
         b = _dense(other)
@@ -256,15 +294,7 @@ class LaurentPoly:
             return self.terms == LaurentPoly({0: int(other)}).terms
         return NotImplemented
 
-    def __hash__(self):
-        # Constants compare equal to ints and integral Fractions, so they
-        # hash like them.
-        if self.terms.keys() <= {0}:
-            return hash(self.terms.get(0, 0))
-        return hash(frozenset(self.terms.items()))
-
-    def __bool__(self):
-        return bool(self.terms)
+    __hash__ = _Sparse.__hash__
 
     def __str__(self):
         if not self.terms:

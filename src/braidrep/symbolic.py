@@ -3,14 +3,15 @@
 ``SymPoly`` is the sparse multivariate polynomial type of the solver: it
 holds the matrix-relation constraints, linear or not, and the solved
 bindings.  A monomial is a sorted tuple of (name, power) pairs, the empty
-tuple being the constant monomial.
+tuple being the constant monomial.  The term map, ``+``, ``-`` and ``*``
+are ``laurent``'s sparse core, with the monomial product on keys.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from .laurent import RF_ONE, LaurentPoly, RationalFunction, _summing
+from .laurent import RF_ONE, LaurentPoly, RationalFunction, _product, _Sparse, _summing
 from .matrix import EntryDomain
 
 __all__ = ["SymPoly", "SYMBOLIC"]
@@ -29,10 +30,11 @@ def _mono_degree(m: Mono) -> int:
     return sum(k for _, k in m)
 
 
-class SymPoly:
+class SymPoly(_Sparse):
     """Sparse polynomial in named unknowns over Q(t)."""
 
-    __slots__ = ("terms",)
+    __slots__ = ()
+    _CONST = ()
 
     def __init__(self, terms=None):
         data = {}
@@ -42,17 +44,6 @@ class SymPoly:
                 if not coeff.is_zero():
                     data[mono] = coeff
         object.__setattr__(self, "terms", data)
-
-    @classmethod
-    def _of(cls, terms: dict) -> SymPoly:
-        """The polynomial with these terms, taken as they are: every
-        coefficient must already be a nonzero element of Q(t)."""
-        out = object.__new__(cls)
-        object.__setattr__(out, "terms", terms)
-        return out
-
-    def __setattr__(self, name, value):
-        raise AttributeError("SymPoly is immutable")
 
     @classmethod
     def const(cls, value) -> SymPoly:
@@ -72,9 +63,6 @@ class SymPoly:
 
     # -- structure ---------------------------------------------------------
 
-    def is_zero(self) -> bool:
-        return not self.terms
-
     def variables(self) -> set[str]:
         return {name for mono in self.terms for name, _ in mono}
 
@@ -88,33 +76,7 @@ class SymPoly:
 
     __add__ = __radd__ = _summing(minus=False)
     __sub__ = _summing(minus=True)
-
-    def __neg__(self):
-        return SymPoly._of({m: -c for m, c in self.terms.items()})
-
-    def __rsub__(self, other):
-        return (-self) + other
-
-    def __mul__(self, other):
-        try:
-            other = SymPoly.coerce(other)
-        except TypeError:
-            return NotImplemented
-        terms: dict[Mono, RationalFunction] = {}
-        for m1, c1 in self.terms.items():
-            for m2, c2 in other.terms.items():
-                m = _mono_mul(m1, m2)
-                prod = c1 * c2
-                acc = terms.get(m)
-                if acc is None:
-                    terms[m] = prod
-                elif total := acc + prod:
-                    terms[m] = total
-                else:
-                    del terms[m]
-        return SymPoly._of(terms)
-
-    __rmul__ = __mul__
+    __mul__ = __rmul__ = _product(_mono_mul)
 
     def substitute(self, mapping: dict[str, "SymPoly"]) -> SymPoly:
         """Replace unknowns by polynomials; unmapped names stay symbolic."""
@@ -138,14 +100,7 @@ class SymPoly:
             return NotImplemented
         return self.terms == other.terms
 
-    def __hash__(self):
-        # Constants compare equal to their coefficient, so they hash like it.
-        if self.terms.keys() <= {()}:
-            return hash(self.terms.get((), 0))
-        return hash(frozenset(self.terms.items()))
-
-    def __bool__(self):
-        return bool(self.terms)
+    __hash__ = _Sparse.__hash__
 
     def __str__(self):
         if not self.terms:

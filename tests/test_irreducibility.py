@@ -484,10 +484,14 @@ def check_certificate(rep):
 
 @given(block_reps())
 @example(Representation(2, "braid", 3, {("s", 1): (0, Matrix(QQ, [[2, 1], [0, 2]]))}))
+@example(Representation(2, "braid", 3, {
+    ("s", 1): (0, Matrix(QQ, [[2, 1, 0], [0, 3, 1], [0, 0, -1]])),
+    ("s", 2): (2, Matrix(QQ, [[2]]))}))
 @settings(max_examples=150, deadline=None)
 def test_the_certificate_holds_on_block_representations(rep):
-    # The example's eigenvalue 2 is double, with one eigenvector e1 and the
-    # left one e2: x = e1*e2^T = (g - 2I)*(g - I).
+    # The first example's eigenvalue 2 is double, with one eigenvector e1 and
+    # the left one e2: x = e1*e2^T = (g - 2I)*(g - I).  In the second a full
+    # block's projection I meets the 1x1 block's in e3: x = e3*e3^T.
     check_certificate(rep)
 
 

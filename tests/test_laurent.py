@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import doctest
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -23,6 +24,7 @@ from braidrep.laurent import ONE, T, ZERO
 coeffs = st.integers(min_value=-9, max_value=9)
 exps = st.integers(min_value=-4, max_value=4)
 polys = st.dictionaries(exps, coeffs, max_size=5).map(LaurentPoly)
+signed_units = st.builds(lambda e, s: LaurentPoly({e: s}), exps, st.sampled_from((1, -1)))
 points = st.fractions(
     min_value=Fraction(-5), max_value=Fraction(5), max_denominator=6
 ).filter(lambda q: q != 0)
@@ -87,7 +89,7 @@ def test_degree_valuation_content_shift():
     assert ZERO.degree() is None and ZERO.valuation() is None
 
 
-@given(polys, polys)
+@given(polys, st.one_of(polys, signed_units))
 def test_exact_division_inverts_multiplication(f, g):
     if g.is_zero():
         with pytest.raises(ZeroDivisionError):
@@ -226,7 +228,6 @@ def test_module_docstring_examples_pass():
 
 # Denominators of every shape the arithmetic distinguishes: exactly 1, a
 # signed unit +-t^k (reduced without a gcd), and a non-unit such as 2 or t + 1.
-signed_units = st.builds(lambda e, s: LaurentPoly({e: s}), exps, st.sampled_from((1, -1)))
 non_units = polys.filter(lambda p: not p.is_zero() and not p.is_unit())
 denominators = st.one_of(st.just(ONE), signed_units, non_units)
 
@@ -302,6 +303,61 @@ def test_subtraction_is_the_sum_with_the_negation(values, data):
     assert (p - q) + q == p
     assert p - p == 0
     assert not (p - p)
+
+
+def convolution(p, q):
+    """The product as a reference forms it: every pair of terms, summed per
+    key, the zeros dropped by the validating constructor."""
+    terms = {}
+    for k1, c1 in p.terms.items():
+        for k2, c2 in q.terms.items():
+            if isinstance(p, LaurentPoly):
+                key = k1 + k2
+            else:
+                key = tuple(sorted((Counter(dict(k1)) + Counter(dict(k2))).items()))
+            terms[key] = terms.get(key, 0) + c1 * c2
+    return type(p)(terms)
+
+
+@pytest.mark.parametrize("values", [polys, sympolys], ids=["LaurentPoly", "SymPoly"])
+@given(data=st.data())
+@settings(max_examples=80)
+def test_a_product_is_the_convolution_of_the_terms(values, data):
+    p, q = data.draw(values), data.draw(values)
+    product = p * q
+    assert product == convolution(p, q)
+    assert all(product.terms.values())
+    assert p * 3 == 3 * p == convolution(p, type(p).coerce(3))
+
+
+def test_a_product_builds_through_no_constructor(monkeypatch):
+    # Coefficients with denominator 1 multiply and add without a gcd, so a
+    # call to either validating constructor could only come from the product.
+    x, y = (("x", 1),), (("y", 2),)
+    s = SymPoly({x: T - 1, (): 2 * T, y: 4})
+    cases = [
+        (LaurentPoly({-2: 3, 0: -1, 4: 5}), T + 1),
+        (T + 1, T - 1),
+        (s, s),
+        (s, SymPoly({x: T + 1, (): -(T ** -1)})),
+        (s, SymPoly()),
+    ]
+    expected = [convolution(p, q) for p, q in cases]
+
+    def refuse(self, terms=None):
+        raise AssertionError(f"built a {type(self).__name__} through __init__")
+
+    for cls in (LaurentPoly, SymPoly):
+        monkeypatch.setattr(cls, "__init__", refuse)
+    for (p, q), want in zip(cases, expected):
+        assert p * q == want
+
+
+@pytest.mark.parametrize("value", [T + 1, SymPoly.symbol("x")], ids=["LaurentPoly", "SymPoly"])
+def test_the_sparse_types_are_immutable(value):
+    for name in ("terms", "other"):
+        with pytest.raises(AttributeError, match=f"^{type(value).__name__} is immutable$"):
+            setattr(value, name, {})
 
 
 def test_a_difference_negates_nothing(monkeypatch):

@@ -38,7 +38,7 @@ from braidrep.errors import (
     NonInvertibleTau,
     ZeroQ,
 )
-from braidrep import reps
+from braidrep import laurent, reps
 from braidrep.cli import main
 from braidrep.presentations import GeneratorSymbol
 from braidrep.laurent import RationalFunction
@@ -163,6 +163,17 @@ def test_group_mode_rejects_non_unit_tau_determinant():
         singular_extension(3, 2, 1, group=True, t=Fraction(4))
     rep = singular_extension(3, 0, 1, group=True)
     assert rep.image("t", 1, -1) * rep.image("t", 1) == Matrix.identity(LAURENT, 3)
+
+
+def test_a_far_exponent_is_refused_without_a_dense_form(monkeypatch):
+    # The determinant's Bareiss step divides by the unit 1; a dense
+    # coefficient list of t^(2e) - t would hold 2 * 10^12 integers.
+    def refuse(p):
+        raise AssertionError(f"densified {p}")
+
+    monkeypatch.setattr(laurent, "_dense", refuse)
+    with pytest.raises(NonInvertibleTau, match=r"determinant t\^2000000000000 - t is not"):
+        singular_extension(3, T ** 10 ** 12, 1, group=True)
 
 
 def test_monoid_mode_blocks_tau_inversion():
