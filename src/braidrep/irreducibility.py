@@ -15,12 +15,21 @@ The span is certified from one rank-one element u*v^T of the algebra, read
 off the generators' blocks, and two spins of length-d vectors: u under the
 images and v under their transposes.  Full spins give d^2; spins of d - 1
 whose invariant subspaces split the space give 1 + (d - 1)^2 (see
-``matrix_algebra_span``).  Any other case, or no rank-one element, falls
-back to the exact closure: the spin of the identity, whose vectors are d x d
-matrices that each image moves by g - I, one column at a time.  All three
-spins run on one loop (``_spin``) and an ``Echelon`` basis, exact over the
-images' field; they read each generator's local image, its block, and form
-no dense image and no word product.
+``matrix_algebra_span``).  The spins run first modulo the prime
+P = 2^61 - 1, over Q(t) with t read as the constant T_STAR, as in the
+MeatAxe.  That stays exact: reduction is a ring map from the P-integral
+elements onto GF(P), so a nonzero minor of reduced vectors is the reduction
+of a nonzero exact minor, and vectors independent mod P are independent
+over the images' field.  Full modular spins settle d^2 with no exact spin;
+modular spins of d - 1 are replayed exactly along their trees (each kept
+vector's parent and move) and proven whole by the split checks.  A refused
+reduction, other sizes, or a refused check fall back to the exact spins,
+and any other case, or no rank-one element, to the exact closure: the spin
+of the identity, whose vectors are d x d matrices that each image moves by
+g - I, one column at a time.  The exact spins and the closure run on one
+loop (``_spin``) and an ``Echelon`` basis over the images' field; every
+spin reads each generator's local image, its block, and forms no dense
+image and no word product.
 
 Witness extraction (an explicit invariant subspace) is best effort: the
 all-ones direction, common fixed vectors (the kernel of rows read off the
@@ -37,6 +46,7 @@ keeping t symbolic: a grid reports many cells, ``irreducible`` one.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
@@ -112,7 +122,20 @@ def matrix_algebra_span(images: list[tuple[int, Matrix]], dim: int) -> int:
     S and the line L = R^perp are invariant (checked), and L is not inside
     S, then V = S + L is direct: A lies in End(S) x End(L), so
     dim A <= (d - 1)^2 + 1; and A*x*A kills L and restricts onto End(S),
-    so I is not in it and dim A >= (d - 1)^2 + 1.  Anything else falls back
+    so I is not in it and dim A >= (d - 1)^2 + 1.
+
+    The spins run modulo the prime P = 2^61 - 1 first, with t read as the
+    constant T_STAR over Q(t).  Reduction is a ring map from the elements
+    whose denominators it does not send to 0 onto GF(P), so a minor of
+    reduced vectors is the reduction of the exact minor, and vectors whose
+    reductions are independent are independent over the images' field: a
+    modular spin never exceeds the exact one.  Full modular spins therefore
+    give d^2 with no exact spin.  Modular spins of d - 1 are replayed
+    exactly along their trees, and the checks above then also prove that
+    the replays are the whole spins: an invariant subspace that holds u
+    holds its spin, and L is invariant iff R is invariant under the
+    transposes.  Otherwise (a refused reduction, other sizes, or a refused
+    check) the exact spins run, and anything they do not settle falls back
     to the exact closure (``_exact_span``).
     """
     if not images:
@@ -121,14 +144,11 @@ def matrix_algebra_span(images: list[tuple[int, Matrix]], dim: int) -> int:
     blocks = [(offset, block._field_lift()) for offset, block in images]
     spins = _spins(blocks, d)
     if spins is not None:
-        s, r = spins
+        s, r, split = spins
         if len(s) == len(r) == d:
             return d * d
-        if len(s) == len(r) == d - 1:
-            ell = r.kernel(d).basis[0]
-            if s.remainder(ell) and _invariant(s, blocks) \
-                    and _invariant(Echelon(s.domain, [ell]), blocks):
-                return 1 + (d - 1) ** 2
+        if split:
+            return 1 + (d - 1) ** 2
     return _exact_span(blocks, d)
 
 
@@ -165,18 +185,24 @@ def _rank_one(blocks: list[tuple[int, Matrix]], d: int) -> tuple[dict, dict] | N
     lam's, on which B - lam is one Jordan block of some size m and q(B) is
     (B - lam)^(m-1) times an invertible factor: rank one, so a nonzero
     multiple of u*v^T for B's right and left eigenvectors u and v for lam.
+    Each distinct block object is examined once, at its first offset.
     """
     dom = blocks[0][1].domain
     one = dom.one
+    first = {}
+    for offset, block in blocks:
+        first.setdefault(id(block), (offset, block))
+    nonsingular = {key for key, (_, block) in first.items()
+                   if (Matrix.identity(dom, block.rows) - block).det()}
     projections = [(offset, offset + block.rows) for offset, block in blocks
-                   if (Matrix.identity(dom, block.rows) - block).det()]
+                   if id(block) in nonsingular]
     for (start, end), (start2, end2) in combinations(projections, 2):
         if min(end, end2) - max(start, start2) == 1:
             j = max(start, start2)
             return {j: one}, {j: one}
     if dom is not QQ:
         return None
-    for offset, block in blocks:
+    for offset, block in first.values():
         for lam in rational_roots(_char_poly(block)):
             if lam != 1:
                 shift = block - Matrix.identity(QQ, block.rows).scaled(lam)
@@ -188,15 +214,51 @@ def _rank_one(blocks: list[tuple[int, Matrix]], d: int) -> tuple[dict, dict] | N
     return None
 
 
-def _spins(blocks: list[tuple[int, Matrix]], d: int) -> tuple[Echelon, Echelon] | None:
+def _spins(blocks: list[tuple[int, Matrix]], d: int) -> tuple[Echelon, Echelon, bool] | None:
     """The spins S of u under the images and R of v under their transposes,
-    for the u*v^T that ``_rank_one`` finds, or None when it finds none."""
+    for the u*v^T that ``_rank_one`` finds, or None when it finds none, and
+    whether they split the space (``_splits``).  Full modular spins give
+    the standard basis for both; modular spins of d - 1 give their exact
+    replays when those split; anything else the exact spins (see
+    ``matrix_algebra_span``)."""
     found = _rank_one(blocks, d)
     if found is None:
         return None
     u, v = found
-    return (_spin(u, blocks, d, _moved),
-            _spin(v, [(offset, block.transpose()) for offset, block in blocks], d, _moved))
+    trees = _trees(u, v, blocks, d)
+    if trees is not None:
+        sizes = {len(tree) + 1 for tree in trees}
+        if sizes == {d}:
+            dom = blocks[0][1].domain
+            full = Echelon(dom, ({i: dom.one} for i in range(d)))
+            return full, full, False
+        if sizes == {d - 1}:
+            s, r = (_replay(seed, tree, images)
+                    for seed, tree, images in zip(found, trees, (blocks, _transposes(blocks))))
+            if _splits(s, r, blocks, d):
+                return s, r, True
+    return _exact_spins(u, v, blocks, d)
+
+
+def _exact_spins(u: dict, v: dict, blocks: list[tuple[int, Matrix]],
+                 d: int) -> tuple[Echelon, Echelon, bool]:
+    """The spins of u and v over the images' field, and whether they split."""
+    s, r = _spin(u, blocks, d, _moved), _spin(v, _transposes(blocks), d, _moved)
+    return s, r, _splits(s, r, blocks, d)
+
+
+def _transposes(blocks: list[tuple[int, Matrix]]) -> list[tuple[int, Matrix]]:
+    return [(offset, block.transpose()) for offset, block in blocks]
+
+
+def _splits(s: Echelon, r: Echelon, blocks: list[tuple[int, Matrix]], d: int) -> bool:
+    """True iff |S| = |R| = d - 1, the line L = R^perp is not inside S, and
+    S and L are invariant, so that V = S + L (``matrix_algebra_span``)."""
+    if not len(s) == len(r) == d - 1:
+        return False
+    ell = r.kernel(d).basis[0]
+    return bool(s.remainder(ell)) and _invariant(s, blocks) \
+        and _invariant(Echelon(s.domain, [ell]), blocks)
 
 
 def _spin(seed: dict, blocks: list[tuple[int, Matrix]], cap: int, move) -> Echelon:
@@ -235,6 +297,91 @@ def _invariant(basis: Echelon, blocks: list[tuple[int, Matrix]]) -> bool:
     for every reduced row r."""
     return not any(basis.remainder(_moved(row, offset, block))
                    for _, row in basis.reduced() for offset, block in blocks)
+
+
+# -- modular spins -----------------------------------------------------------
+
+# The prime of the modular spins, and the point at which they read t over Q(t).
+P = 2**61 - 1
+T_STAR = 1234567890123456789
+
+
+def _residue(x) -> int:
+    """x mod P, with t read as T_STAR: N(T_STAR)/D(T_STAR) for x = N/D in Q
+    or Q(t).  Raises ValueError when D reduces to 0."""
+    if isinstance(x, Fraction):
+        top, bottom = x.numerator, x.denominator
+    else:
+        top, bottom = (sum(c * pow(T_STAR, e, P) for e, c in part.terms.items())
+                       for part in (x.num, x.den))
+    return top * pow(bottom, -1, P) % P
+
+
+def _trees(u: dict, v: dict, blocks: list[tuple[int, Matrix]],
+           d: int) -> tuple[list, list] | None:
+    """The spins of u under the images and of v under their transposes,
+    modulo P, each as a tree (``_tree``); None when an entry does not
+    reduce or a seed reduces to 0.  Each distinct block is reduced once,
+    as its g - I."""
+    moves = {}
+    try:
+        seeds = [[_residue(w[i]) if i in w else 0 for i in range(d)] for w in (u, v)]
+        for _, block in blocks:
+            if id(block) not in moves:
+                rows = [[_residue(e) for e in row] for row in block.entries]
+                for i, row in enumerate(rows):
+                    row[i] = (row[i] - 1) % P
+                moves[id(block)] = rows, [list(column) for column in zip(*rows)]
+    except ValueError:
+        return None
+    if not all(any(seed) for seed in seeds):
+        return None
+    return tuple(_tree(seed, [(offset, moves[id(block)][side]) for offset, block in blocks], d)
+                 for side, seed in enumerate(seeds))
+
+
+def _tree(seed: list[int], moves: list[tuple[int, list[list[int]]]], d: int) -> list:
+    """The spin of the seed modulo P on ``_spin``'s loop, cut short at d
+    vectors, as a tree: for each vector kept after the seed, the index of
+    the kept vector it moves and the index of the move, (g - I) given by its
+    rows at its offset.  Independence is tested on a semi-echelon basis:
+    each row is 1 at its pivot and 0 at every earlier row's pivot."""
+    basis: list[tuple[int, list[int]]] = []
+
+    def independent(w: list[int]) -> bool:
+        for pivot, row in basis:
+            if c := w[pivot]:
+                w = [(x - c * y) % P for x, y in zip(w, row)]
+        pivot = next((i for i, x in enumerate(w) if x), None)
+        if pivot is None:
+            return False
+        inv = pow(w[pivot], -1, P)
+        basis.append((pivot, [x * inv % P for x in w]))
+        return True
+
+    independent(seed)
+    kept, tree = [seed], []
+    for parent, w in enumerate(kept):
+        for index, (offset, rows) in enumerate(moves):
+            if len(kept) == d:
+                return tree
+            segment = w[offset:offset + len(rows)]
+            if any(segment):
+                moved = [0] * d
+                moved[offset:offset + len(rows)] = [sum(map(operator.mul, row, segment)) % P
+                                                     for row in rows]
+                if independent(moved):
+                    kept.append(moved)
+                    tree.append((parent, index))
+    return tree
+
+
+def _replay(seed: dict, tree: list, blocks: list[tuple[int, Matrix]]) -> Echelon:
+    """The exact vectors along a modular tree, as an ``Echelon`` basis."""
+    kept = [seed]
+    for parent, index in tree:
+        kept.append(_moved(kept[parent], *blocks[index]))
+    return Echelon(blocks[0][1].domain, kept)
 
 
 def _char_poly(m: Matrix) -> list[Fraction]:
@@ -288,7 +435,7 @@ def invariant_line_witness(rep: Representation) -> Subspace | None:
         spins = _spins(blocks, d)
         if spins is None:
             return
-        s, r = spins  # dim S = len(s) and dim L = d - len(r)
+        s, r, _ = spins  # dim S = len(s) and dim L = d - len(r)
         if len(s) < d and (len(r) == d or len(s) <= d - len(r)):
             yield s.kernel(d).echelon.kernel(d)
         else:

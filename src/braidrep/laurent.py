@@ -252,11 +252,13 @@ class LaurentPoly(_Sparse):
             ((k, sign),) = other.terms.items()
             return LaurentPoly._of({e - k: sign * c for e, c in self.terms.items()})
         va, vb = self.valuation(), other.valuation()
+        if other.degree() - vb > self.degree() - va:
+            # A wider divisor divides nothing nonzero: refused before the
+            # dense forms, whose length is the exponent span.
+            raise ValueError(f"({self}) is not an exact multiple of ({other})")
         a = _dense(self)
         b = _dense(other)
         qdeg = len(a) - len(b)
-        if qdeg < 0:
-            raise ValueError(f"({self}) is not an exact multiple of ({other})")
         lead = b[-1]
         rem = a[:]
         quo = [0] * (qdeg + 1)
@@ -340,21 +342,23 @@ def _trim(coeffs: list) -> list:
     return coeffs
 
 
-def _frac_rem(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
-    """Remainder of dense polynomial division over Q."""
+def _primitive_rem(a: list[int], b: list[int]) -> list[int]:
+    """The primitive part of the pseudo-remainder of a by b, dense integer
+    lists lowest power first, or [] when b divides a: one step of Euclid
+    over Q that stays in Z and strips the content, so the coefficients do
+    not swell as a Euclid over ``Fraction`` lets them."""
     a = a[:]
     db = len(b) - 1
     lead = b[-1]
-    while len(a) - 1 >= db:
-        if a[-1] == 0:
-            a.pop()
-            continue
-        f = a[-1] / lead
-        off = len(a) - 1 - db
-        for j in range(db + 1):
-            a[off + j] -= f * b[j]
-        a.pop()
-    return _trim(a)
+    while len(a) > db:
+        top = a.pop()
+        if top:
+            off = len(a) - db
+            a = [lead * c for c in a]
+            for j in range(db):
+                a[off + j] -= top * b[j]
+    a = _trim(a)
+    return _primitive(a) if a else a
 
 
 def _primitive(coeffs: list[Fraction]) -> list[int]:
@@ -423,12 +427,15 @@ def laurent_gcd(f: LaurentPoly, g: LaurentPoly) -> LaurentPoly:
     if f.is_zero() and g.is_zero():
         return ZERO
     cont = math.gcd(f.content(), g.content())
+    if len(f.terms) == 1 or len(g.terms) == 1:
+        # c*t^k is c times a unit, so only the integer contents meet; no
+        # dense form, whose length is the other operand's exponent span.
+        return LaurentPoly({0: cont})
     # A zero operand is the empty coefficient list, which any divisor leaves as [].
-    a, b = ([Fraction(c) for c in _dense(p)] if p else [] for p in (f, g))
+    a, b = (_primitive(_dense(p)) if p else [] for p in (f, g))
     while b:
-        a, b = b, _frac_rem(a, b)
-    prim = _primitive(a)
-    return LaurentPoly({e: c * cont for e, c in enumerate(prim) if c})
+        a, b = b, _primitive_rem(a, b)
+    return LaurentPoly({e: c * cont for e, c in enumerate(a) if c})
 
 
 class RationalFunction:

@@ -6,9 +6,10 @@ fraction-free elimination.  Determinants use the one-step fraction-free
 (Bareiss) scheme, which stays inside the entry domain.  Every elimination
 over a field runs on ``Echelon``, an incremental basis of sparse rows kept in
 reduced echelon form: nullspace and inverse (over the fraction field for
-Laurent entries), subspace membership, the span certificate's spins and its
-exact closure, and the linear solver.  It sums entries with the field's own
-arithmetic, which keeps them in the field.
+Laurent entries), subspace membership, the span certificate's exact spins
+and its exact closure, and the linear solver.  (The certificate's first
+spins run modulo a prime on integer lists, in ``irreducibility``.)  It sums
+entries with the field's own arithmetic, which keeps them in the field.
 
 Generator images are the identity outside one small diagonal block, so the
 word products of ``reps`` (word images, relation checks and the solver's

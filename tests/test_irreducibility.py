@@ -37,6 +37,8 @@ from braidrep.irreducibility import (
     GridCell,
     GridReport,
     IrreducibilityVerdict,
+    P,
+    T_STAR,
     _exact_span,
     _rank_one,
     grid_cell,
@@ -465,11 +467,21 @@ def _algebra_rows(images):
     return basis.reduced()
 
 
-def check_certificate(rep):
+def check_certificate(rep, fallback=False):
     """Whenever the certificate answers, its answer is the exact closure's,
-    and u*v^T lies in the algebra the dense images generate."""
+    and u*v^T lies in the algebra the dense images generate.  The exact
+    spins run only where the certificate does not answer, or where the
+    modular spins cannot settle a cell it answers (``fallback``)."""
     d = rep.dim
-    span, certified = certified_span(rep)
+    runs = []
+    exact_spins = irreducibility._exact_spins
+
+    def counting(*args):
+        runs.append(args)
+        return exact_spins(*args)
+
+    with mock.patch.object(irreducibility, "_exact_spins", counting):
+        span, certified = certified_span(rep)
     if certified:
         assert span == _exact_span(rep.local_images(), d)
     found = _rank_one([(offset, block._field_lift()) for offset, block in rep.local_images()], d)
@@ -479,7 +491,24 @@ def check_certificate(rep):
             list(rep.assignment.values()))])
         x = {i * d + j: u[i] * v[j] for i in u for j in v}
         assert x and not algebra.remainder(x)
+    assert bool(runs) == (found is not None and (fallback or not certified))
     return certified
+
+
+# The inputs on which the exact spins run although the certificate answers,
+# or answers only after them: t0 = 1/P, which does not reduce mod P; an
+# image that is I mod P, so that both modular spins stop at d - 1, and the
+# line L they give is refused; and an entry whose denominator vanishes at
+# t = T_STAR.
+P_CELL = (3, Fraction(1, P), 3, 1)
+UNIPOTENT_MOD_P = Representation(2, "braid", 2, {
+    ("s", 1): (0, Matrix(QQ, [[2, 0], [0, 3]])),
+    ("s", 2): (0, Matrix(QQ, [[1, P], [0, 1]]))})
+POLE_AT_T_STAR = Representation(2, "braid", 3, {
+    ("s", 1): (0, Matrix(RATFUNC, [[ONE_RF / RationalFunction(T - T_STAR), ONE_RF],
+                                   [ONE_RF, 0 * ONE_RF]])),
+    ("s", 2): (1, Matrix(RATFUNC, [[0 * ONE_RF, RationalFunction(T)], [ONE_RF, 0 * ONE_RF]]))})
+FALLBACKS = (UNIPOTENT_MOD_P, POLE_AT_T_STAR)
 
 
 @given(block_reps())
@@ -487,18 +516,21 @@ def check_certificate(rep):
 @example(Representation(2, "braid", 3, {
     ("s", 1): (0, Matrix(QQ, [[2, 1, 0], [0, 3, 1], [0, 0, -1]])),
     ("s", 2): (2, Matrix(QQ, [[2]]))}))
+@example(UNIPOTENT_MOD_P)
+@example(POLE_AT_T_STAR)
 @settings(max_examples=150, deadline=None)
 def test_the_certificate_holds_on_block_representations(rep):
     # The first example's eigenvalue 2 is double, with one eigenvector e1 and
     # the left one e2: x = e1*e2^T = (g - 2I)*(g - I).  In the second a full
     # block's projection I meets the 1x1 block's in e3: x = e3*e3^T.
-    check_certificate(rep)
+    check_certificate(rep, fallback=any(rep is f for f in FALLBACKS))
 
 
 @given(extension_cells(), st.booleans())
+@example(P_CELL, True)
 @settings(max_examples=40, deadline=None)
 def test_certified_span_equals_the_exact_closure(cell, group):
-    check_certificate(extension_rep(cell, group))
+    check_certificate(extension_rep(cell, group), fallback=cell == P_CELL)
 
 
 @given(extension_cells(min_n=3), st.booleans())
@@ -509,10 +541,71 @@ def test_every_extension_cell_from_three_strands_is_certified(cell, group):
 
 
 @given(st.sampled_from([3, 4]), small_q, small_q, st.booleans())
+@example(3, Fraction(1, P), 1, True)
 @settings(max_examples=25, deadline=None)
 def test_symbolic_extensions_are_certified(n, a, c, group):
     assume(a or c)
-    assert check_certificate(symbolic_extension(n, a, c, group=group))
+    assert check_certificate(symbolic_extension(n, a, c, group=group),
+                             fallback=Fraction(1, P) in (a, c))
+
+
+def test_each_fallback_is_reached_for_its_reason():
+    # A refused reduction gives no trees; the unipotent image gives two of
+    # d - 1 vectors whose replays the checks refuse.  The answers are the
+    # exact closure's: 9, the upper triangular algebra's 3, and 9.
+    trees, splits = irreducibility._trees, irreducibility._splits
+    seen = []
+
+    def recording_trees(*args):
+        out = trees(*args)
+        seen.append(None if out is None else [len(tree) + 1 for tree in out])
+        return out
+
+    def recording_splits(*args):
+        seen.append(splits(*args))
+        return seen[-1]
+
+    cases = [(specialized_extension(*P_CELL), 9, [None, False]),
+             (UNIPOTENT_MOD_P, 3, [[1, 1], False, False]),
+             (POLE_AT_T_STAR, 9, [None, False])]
+    with mock.patch.object(irreducibility, "_trees", recording_trees), \
+            mock.patch.object(irreducibility, "_splits", recording_splits):
+        for rep, span, reasons in cases:
+            seen.clear()
+            assert burnside_span(rep) == span == _exact_span(rep.local_images(), rep.dim)
+            assert seen == reasons
+
+
+def test_rank_one_examines_each_distinct_block_once():
+    # The singular family shares one sigma and one tau block across its
+    # offsets: two determinants on six strands, where every offset once
+    # took its own.  At t0 = 1, a + c = 1 the sigma block's eigenvalue -1
+    # answers; a unipotent block, with no eigenvalue but 1, repeated at
+    # three offsets, is examined once before the block after it answers.
+    counts = {"det": 0, "char_poly": 0}
+    det, char_poly = Matrix.det, irreducibility._char_poly
+
+    def counting(name, f):
+        def wrapped(m):
+            counts[name] += 1
+            return f(m)
+        return wrapped
+
+    def blocks(rep):
+        return [(offset, block._field_lift()) for offset, block in rep.local_images()]
+
+    unipotent = Matrix(QQ, [[1, 1], [0, 1]])
+    repeated = Representation(2, "braid", 5, {
+        **{("s", i + 1): (i, unipotent) for i in range(3)},
+        ("s", 4): (3, Matrix(QQ, [[2, 0], [0, 1]]))})
+    with mock.patch.object(Matrix, "det", counting("det", det)), \
+            mock.patch.object(irreducibility, "_char_poly", counting("char_poly", char_poly)):
+        for rep, dets, polys in ((specialized_extension(6, 2, 3, 1), 2, 0),
+                                 (specialized_extension(6, 1, 3, -2), 2, 1),
+                                 (repeated, 2, 2)):
+            counts.update(det=0, char_poly=0)
+            assert _rank_one(blocks(rep), rep.dim) is not None
+            assert counts == {"det": dets, "char_poly": polys}
 
 
 @st.composite
@@ -593,18 +686,27 @@ def triangular_rep(transpose):
 
 def test_the_certificate_refuses_a_tampered_basis():
     # The eigenvalue 2 of diag(1, 2) gives x = e2*e2^T.  Upper triangular:
-    # S = V and R = span(e2); lower: S = span(e2) and R = V.  With e1
-    # dropped from the full spin, |S| = |R| = 1 and L = span(e1) is not
-    # inside S, but the upper S, or the lower L, is not invariant.
-    spins = irreducibility._spins
-    for transpose, full in ((False, 0), (True, 1)):
-        def dropped(blocks, d):
-            out = list(spins(blocks, d))
-            out[full] = Echelon(QQ, [row for _, row in out[full].reduced()[1:]])
-            return tuple(out)
+    # S = V and R = span(e2); lower: S = span(e2) and R = V.  With the full
+    # modular tree's one edge dropped, both trees keep 1 = d - 1 vector and
+    # L = span(e1) is not inside S, but the replayed upper S, or lower L, is
+    # not invariant: the exact spins run, and the exact closure answers.
+    tree, replay = irreducibility._tree, irreducibility._replay
+    replays = []
 
-        with mock.patch.object(irreducibility, "_spins", dropped):
+    def dropped(seed, moves, d):
+        edges = tree(seed, moves, d)
+        return edges[:-1] if len(edges) == d - 1 else edges
+
+    def recording(*args):
+        replays.append(args)
+        return replay(*args)
+
+    for transpose in (False, True):
+        replays.clear()
+        with mock.patch.object(irreducibility, "_tree", dropped), \
+                mock.patch.object(irreducibility, "_replay", recording):
             assert certified_span(triangular_rep(transpose)) == (3, False)
+        assert len(replays) == 2
 
 
 def test_the_certificate_needs_l_outside_s():

@@ -240,6 +240,27 @@ def test_involution_family_one_divisibility():
     assert m.entries[1][0] == 1 - T
 
 
+def test_a_far_divisor_is_refused_without_a_dense_form(monkeypatch):
+    # q = t^e + 1 does not divide the constant -p^2 + 1 = -3.  The gcd of a
+    # monomial c*t^k with anything is an integer gcd, and exact division by
+    # a divisor of wider exponent span is refused outright; a dense
+    # coefficient list of q would hold 10^12 + 1 integers.
+    def refuse(p):
+        raise AssertionError(f"densified {p}")
+
+    monkeypatch.setattr(laurent, "_dense", refuse)
+    far = T ** 10 ** 12 + 1
+    with pytest.raises(DivisibilityViolation, match=r"^q = t\^1000000000000 \+ 1 does not "
+                       r"divide -p\^2 \+ 1 = -3 in the Laurent ring$"):
+        FAMILIES[1].image({"p": 2, "q": far})
+    three = laurent.LaurentPoly({0: -3})
+    with pytest.raises(ValueError, match="is not an exact multiple"):
+        three.exact_div(far)
+    assert laurent.laurent_gcd(three, far) == 1
+    assert laurent.laurent_gcd(6 * T ** 10 ** 12, 4 * far) == 2
+    assert laurent.laurent_gcd(laurent.ZERO, three) == 3
+
+
 @pytest.mark.parametrize("family_id,kwargs", [
     (1, {"p": 0, "q": 1}),
     (2, {"r": 0}),

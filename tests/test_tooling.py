@@ -4,8 +4,8 @@ reentrant, since the benchmark calls it many times in one process, and
 derive the involution families once per process.  Every report echoes its
 parsed options as JSON values, not as their Python text.  The witness search must
 build no dense image, the exact closure no word product, and the span
-certificate's spins must run on the one echelon engine, without the exact
-closure."""
+certificate's modular spins must settle the extension cells, without the
+exact spins or the exact closure."""
 
 from __future__ import annotations
 
@@ -105,6 +105,12 @@ REENTRANT_ARGVS = [
     ["show-rep", "standard", "3", "--json"],
     ["solve-extension", "vsb2", "2"],
     ["involutions", "--check", "5"],
+    # Cells the span's modular spins cannot settle: t0 = 1/P does not reduce
+    # mod the prime P = 2^61 - 1, and a = P + 1, c = P make a + c = 1 mod P,
+    # so both spins stop one short and the exact spins answer.
+    ["irreducible", "3", "--t", "1/2305843009213693951", "--a", "3", "--c", "1"],
+    ["irreducible", "3", "--t", "1", "--a", "2305843009213693952", "--c", "2305843009213693951",
+     "--json"],
 ]
 
 
@@ -330,24 +336,27 @@ def test_the_exact_closure_forms_no_word_product(monkeypatch):
 
 def test_the_spins_insert_into_echelon(monkeypatch):
     # A deficient cell and a full one, at t0 = 1 and t0 != 1, in both
-    # modes: each spin inserts its d or d - 1 vectors, and no cell reaches
-    # the exact closure.
-    inserts = []
-    insert = matrix.Echelon.insert
+    # modes: each modular spin keeps its d or d - 1 vectors, and neither the
+    # exact spins nor the exact closure run.
+    sizes = []
+    tree = irreducibility._tree
 
-    def counting(self, vec):
-        inserts.append(self.domain.name)
-        return insert(self, vec)
+    def recording(seed, moves, d):
+        edges = tree(seed, moves, d)
+        sizes.append(len(edges) + 1)
+        return edges
 
-    def refuse(images, d):
-        raise AssertionError("the exact closure ran")
+    def refuse(*args):
+        raise AssertionError("an exact fallback ran")
 
-    monkeypatch.setattr(matrix.Echelon, "insert", counting)
+    monkeypatch.setattr(irreducibility, "_tree", recording)
+    monkeypatch.setattr(irreducibility, "_exact_spins", refuse)
     monkeypatch.setattr(irreducibility, "_exact_span", refuse)
     for n in (3, 5):
         for t0, a, c in ((1, 2, -1), (2, 3, 1), (1, 3, 1)):
             for group in (False, True):
-                inserts.clear()
+                sizes.clear()
                 verdict = is_irreducible(specialized_extension(n, t0, a, c, group=group))
-                assert len(inserts) >= 2 * (n - 1)
                 assert verdict.span_dim in (n * n, 1 + (n - 1) ** 2)
+                kept = n if verdict.irreducible else n - 1
+                assert len(sizes) >= 2 and sizes == [kept] * len(sizes)
