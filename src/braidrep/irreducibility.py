@@ -170,7 +170,7 @@ def _exact_span(images: list[tuple[int, Matrix]], d: int) -> int:
     return len(_spin({i * (d + 1): one for i in range(d)}, images, d * d, move))
 
 
-def _rank_one(blocks: list[tuple[int, Matrix]], d: int) -> tuple[dict, dict] | None:
+def _rank_one(blocks: list[tuple[int, Matrix]]) -> tuple[dict, dict] | None:
     """Vectors u and v with u*v^T in the algebra the images generate, read
     off their blocks (over a field), or None.
 
@@ -221,7 +221,7 @@ def _spins(blocks: list[tuple[int, Matrix]], d: int) -> tuple[Echelon, Echelon, 
     the standard basis for both; modular spins of d - 1 give their exact
     replays when those split; anything else the exact spins (see
     ``matrix_algebra_span``)."""
-    found = _rank_one(blocks, d)
+    found = _rank_one(blocks)
     if found is None:
         return None
     u, v = found

@@ -17,7 +17,8 @@ denominator 1 are Laurent sums and products, which need no reduction either.
 Every other pair is reduced by ``laurent_gcd``; each path gives the one
 canonical form, so equality and hashing do not depend on the path taken.
 
-``rational_roots`` finds the rational roots of a polynomial over Q.
+``rational_roots`` finds the rational roots of a polynomial over Q on one
+path for every degree: bisection between critical points, no trial division.
 """
 
 from __future__ import annotations
@@ -210,10 +211,7 @@ class LaurentPoly(_Sparse):
         return min(self.terms) if self.terms else None
 
     def content(self) -> int:
-        g = 0
-        for c in self.terms.values():
-            g = math.gcd(g, abs(c))
-        return g
+        return math.gcd(*self.terms.values())
 
     def shifted(self, k: int) -> LaurentPoly:
         """Multiply by t^k."""
@@ -354,7 +352,8 @@ def _primitive_rem(a: list[int], b: list[int]) -> list[int]:
         top = a.pop()
         if top:
             off = len(a) - db
-            a = [lead * c for c in a]
+            if lead != 1:
+                a = [lead * c for c in a]
             for j in range(db):
                 a[off + j] -= top * b[j]
     a = _trim(a)
@@ -366,58 +365,57 @@ def _primitive(coeffs: list[Fraction]) -> list[int]:
     with positive leading coefficient."""
     denom = math.lcm(*(c.denominator for c in coeffs))
     ints = [int(c * denom) for c in coeffs]
-    g = 0
-    for c in ints:
-        g = math.gcd(g, abs(c))
+    g = math.gcd(*ints)
     ints = [c // g for c in ints]
     if ints[-1] < 0:
         ints = [-c for c in ints]
     return ints
 
 
-def _divisors(n: int) -> list[int]:
-    n = abs(n)
-    out = []
-    for k in range(1, math.isqrt(n) + 1):
-        if n % k == 0:
-            out.append(k)
-            if k * k != n:
-                out.append(n // k)
-    return sorted(out)
+def _value(h: list[int], x: int) -> int:
+    """h (integer coefficients, highest power first) at the integer x."""
+    out = 0
+    for c in h:
+        out = out * x + c
+    return out
+
+
+def _floors(h: list[int]) -> set[int]:
+    """Integers holding the floor of every real root of h (integer
+    coefficients, highest power first).  The roots lie in (-bound, bound),
+    cut at k and k + 1 for the floors k of the roots of h'.  On a piece
+    wider than 1, h is monotone, so it has a root inside only where its ends
+    differ in sign, narrowed to width 1 by bisection.  A piece of width 1,
+    or one starting at a root, keeps its lower end."""
+    if len(h) < 2:
+        return set()
+    bound = 1 + max(map(abs, h))
+    cuts = {-bound, bound}
+    for k in _floors([c * (len(h) - 1 - i) for i, c in enumerate(h[:-1])]):
+        cuts.update((k, k + 1))
+    points = sorted(cuts)
+    values = [_value(h, x) for x in points]
+    out = set()
+    for p, q, hp, hq in zip(points, points[1:], values, values[1:]):
+        if hp * hq < 0:
+            while q - p > 1:
+                m = (p + q) // 2
+                p, q = (m, q) if _value(h, m) * hq <= 0 else (p, m)
+        if not hp or q - p == 1:
+            out.add(p)
+    return out
 
 
 def rational_roots(coeffs: list[Fraction]) -> list[Fraction]:
     """All rational roots of the nonzero polynomial with the given
-    coefficients (highest power first), sorted and without repeats.
-
-    Once the polynomial is primitive over Z and the root 0 is split off, a
-    linear factor gives its root directly and a quadratic has rational roots
-    iff its discriminant is a perfect square.  Higher degrees try every p/q
-    with p dividing the constant and q the leading coefficient, which costs
-    O(sqrt(const) + sqrt(lead)) trial divisions.
-    """
-    ints = _primitive(coeffs[::-1])[::-1]
-    roots = set()
-    while ints and ints[-1] == 0:
-        ints.pop()
-        roots.add(Fraction(0))
-    if len(ints) == 2:
-        roots.add(Fraction(-ints[1], ints[0]))
-    elif len(ints) == 3:
-        a, b, c = ints
-        disc = b * b - 4 * a * c
-        if disc >= 0 and (root := math.isqrt(disc)) ** 2 == disc:
-            roots.update(Fraction(-b + s, 2 * a) for s in (root, -root))
-    elif len(ints) > 3:
-        for p in _divisors(ints[-1]):
-            for q in _divisors(ints[0]):
-                for candidate in (Fraction(p, q), Fraction(-p, q)):
-                    value = Fraction(0)
-                    for c in ints:
-                        value = value * candidate + c
-                    if value == 0:
-                        roots.add(candidate)
-    return sorted(roots)
+    coefficients (highest power first), sorted and without repeats, on one
+    path for every degree.  Once f = a_0*x^d + ... + a_d is primitive over
+    Z, the monic g(y) = a_0^(d-1)*f(y/a_0) has only integer rational roots
+    y, each giving the root y/a_0 of f; ``_floors`` finds their candidates
+    in a number of evaluations of g polynomial in the coefficients' bits."""
+    f = _primitive(coeffs[::-1])[::-1]
+    g = [1] + [c * f[0] ** i for i, c in enumerate(f[1:])]
+    return sorted(Fraction(y, f[0]) for y in _floors(g) if not _value(g, y))
 
 
 def laurent_gcd(f: LaurentPoly, g: LaurentPoly) -> LaurentPoly:

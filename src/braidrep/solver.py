@@ -393,10 +393,12 @@ class InvolutionSolution:
         point = {name: SymPoly.const(e) for name, e in entries.items()}
         for name, (num, den) in self.bindings.items():
             top, bottom = (part.substitute(point).terms.get((), _RF_ZERO) for part in (num, den))
-            entries[name] = top / bottom
-            if not entries[name].is_laurent():
+            try:
+                # Exact division in the ring: no gcd of the two in Q(t).
+                entries[name] = RationalFunction(top.as_laurent().exact_div(bottom.as_laurent()))
+            except ValueError:
                 raise DivisibilityViolation(f"{den} = {bottom} does not divide {num} = {top} "
-                                            "in the Laurent ring")
+                                            "in the Laurent ring") from None
         m = Matrix(LAURENT, [[entries[name].as_laurent() for name in row]
                              for row in entry_names(2, NU, "")])
         if not (m * m).is_identity():

@@ -10,7 +10,7 @@ from dataclasses import replace
 
 import pytest
 
-from braidrep import Matrix, SymPoly, cli, solver
+from braidrep import Matrix, SymPoly, cli, laurent, solver
 from braidrep.cli import main
 from braidrep.irreducibility import grid_cell
 from braidrep.presentations import build_presentation
@@ -202,6 +202,21 @@ def test_vsb2_family_one_refuses_a_quotient_outside_the_ring(capsys, command, op
         assert (code, out, err) == (2, "", message)
 
 
+def test_a_far_quotient_is_refused_without_a_gcd(capsys, monkeypatch):
+    # The quotient is decided by exact division in the Laurent ring.  A
+    # reduction of top/bottom in Q(t) runs a dense Euclid whose time grows
+    # with the square of the exponent.
+    def refuse(f, g):
+        raise AssertionError("laurent_gcd was called")
+
+    monkeypatch.setattr(laurent, "laurent_gcd", refuse)
+    code, out, err = run_cli(capsys, "show-rep", "vsb2", "2", "--family", "1",
+                             "--p", "t^1000000+t", "--q", "t^1000000+1")
+    assert (code, out) == (2, "")
+    assert err == ("error: q = t^1000000 + 1 does not divide -p^2 + 1 = -t^2000000 "
+                   "- 2*t^1000001 - t^2 + 1 in the Laurent ring\n")
+
+
 @pytest.mark.parametrize("n,residual", [
     (2, []), (3, ["i1"]), (4, ["k1"]), (5, ["m1"]), (6, ["x3_3_1"]),
 ])
@@ -262,7 +277,7 @@ def test_irreducible_two_strand_divergence(capsys):
 
 def test_irreducible_two_strands_with_a_huge_non_square_t():
     # The eigenvalue search on x^2 - t once divided by trial up to sqrt(t),
-    # about 3e10 steps here; the discriminant test answers at once.
+    # about 3e10 steps here; bisection between critical points answers at once.
     proc = subprocess.run(
         [sys.executable, "-m", "braidrep.cli", "irreducible", "2",
          "--t", "1000000000000000000000", "--a", "1", "--c", "0", "--json"],

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from unittest import mock
 
@@ -32,7 +33,7 @@ from braidrep import (
     symbolic_extension,
 )
 from braidrep.errors import NonInvertibleTau, ZeroSpecialization
-from braidrep import irreducibility
+from braidrep import irreducibility, laurent
 from braidrep.irreducibility import (
     GridCell,
     GridReport,
@@ -484,7 +485,7 @@ def check_certificate(rep, fallback=False):
         span, certified = certified_span(rep)
     if certified:
         assert span == _exact_span(rep.local_images(), d)
-    found = _rank_one([(offset, block._field_lift()) for offset, block in rep.local_images()], d)
+    found = _rank_one([(offset, block._field_lift()) for offset, block in rep.local_images()])
     if found is not None:
         u, v = found
         algebra = Echelon(rep.domain, [row for _, row in _algebra_rows(
@@ -604,7 +605,7 @@ def test_rank_one_examines_each_distinct_block_once():
                                  (specialized_extension(6, 1, 3, -2), 2, 1),
                                  (repeated, 2, 2)):
             counts.update(det=0, char_poly=0)
-            assert _rank_one(blocks(rep), rep.dim) is not None
+            assert _rank_one(blocks(rep)) is not None
             assert counts == {"det": dets, "char_poly": polys}
 
 
@@ -716,12 +717,12 @@ def test_the_certificate_needs_l_outside_s():
     rows = _algebra_rows(TRIANGULAR)
     assert len(rows) == 3 and not Echelon(QQ, [row for _, row in rows]).remainder({1: 1})
     x = ({0: Fraction(1)}, {1: Fraction(1)})
-    with mock.patch.object(irreducibility, "_rank_one", lambda blocks, d: x):
+    with mock.patch.object(irreducibility, "_rank_one", lambda blocks: x):
         assert certified_span(triangular_rep(False)) == (3, False)
 
 
 # Roots and scales far beyond what trial division up to sqrt(|const|) could
-# reach, so only the direct linear and quadratic formulas finish in time.
+# reach: bisection needs a number of evaluations linear in their bit length.
 big_rationals = st.fractions(max_denominator=10**12).filter(lambda q: abs(q.numerator) < 10**24)
 nonzero_scales = st.fractions(max_denominator=10**6).filter(lambda q: q != 0)
 
@@ -739,6 +740,87 @@ def test_rational_roots_of_other_degrees():
     assert rational_roots([Fraction(1), Fraction(0), Fraction(1)]) == []
     assert rational_roots([Fraction(3), Fraction(0), Fraction(0)]) == [0]
     assert rational_roots([Fraction(5)]) == []
-    # (x - 1/2)(x + 3)(x - 2) x: the cubic factor goes through the divisor search.
+    # (x - 1/2)(x + 3)(x - 2) x: the root 0 and a cubic with three rational roots.
     quartic = [Fraction(c) for c in (1, Fraction(1, 2), Fraction(-13, 2), 3, 0)]
     assert rational_roots(quartic) == [-3, 0, Fraction(1, 2), 2]
+
+
+def _divisors(n: int) -> list[int]:
+    n = abs(n)
+    out = []
+    for k in range(1, math.isqrt(n) + 1):
+        if n % k == 0:
+            out.append(k)
+            if k * k != n:
+                out.append(n // k)
+    return sorted(out)
+
+
+def trial_division_roots(coeffs: list[Fraction]) -> list[Fraction]:
+    """The reference: the root 0 split off, every p/q with p dividing the
+    constant and q the leading coefficient of the integer polynomial."""
+    denom = math.lcm(*(c.denominator for c in coeffs))
+    ints = [int(c * denom) for c in coeffs]
+    roots = set()
+    while ints[-1] == 0:
+        ints.pop()
+        roots.add(Fraction(0))
+    for p in _divisors(ints[-1]):
+        for q in _divisors(ints[0]):
+            for candidate in (Fraction(p, q), Fraction(-p, q)):
+                value = Fraction(0)
+                for c in ints:
+                    value = value * candidate + c
+                if value == 0:
+                    roots.add(candidate)
+    return sorted(roots)
+
+
+@st.composite
+def small_polynomials(draw):
+    """Polynomials of degree 0-6, highest power first: a cofactor with small
+    integer coefficients and a nonzero leading one of either sign, times
+    x - r for up to four small rationals r, with repeats and 0 among them."""
+    roots = draw(st.lists(st.sampled_from([0, 1, 2, -3, Fraction(1, 2), Fraction(-2, 3)]),
+                          max_size=4))
+    coeffs = [Fraction(draw(st.integers(-4, 4).filter(bool)))]
+    coeffs += [Fraction(c) for c in draw(st.lists(st.integers(-3, 3), max_size=6 - len(roots)))]
+    for r in roots:
+        coeffs = [a - r * b for a, b in zip(coeffs + [0], [0] + coeffs)]
+    return coeffs
+
+
+# x(x - 2): the root 2 is a cut, next to the floor 1 of the root of 2x - 2.
+# (x - 1)^2 (x + 3): a double root at a critical point.
+# -2(x - 1/2)^3: a negative leading coefficient and a triple root.
+@given(small_polynomials())
+@example([Fraction(c) for c in (1, -2, 0)])
+@example([Fraction(c) for c in (1, 1, -5, 3)])
+@example([Fraction(c) for c in (-2, 3, Fraction(-3, 2), Fraction(1, 4))])
+@settings(max_examples=300)
+def test_rational_roots_agree_with_trial_division(coeffs):
+    assert rational_roots(coeffs) == trial_division_roots(coeffs)
+
+
+def test_roots_with_a_huge_constant_take_evaluations_linear_in_its_bit_length():
+    # (x - 1)^2 (x + t0) is the characteristic polynomial of f_rep's 3x3
+    # block, and x^3 - c that of the companion block; trial division up
+    # to sqrt(|const|) takes about 10^11 and 10^10 steps.
+    t0, c = 10**22 + 7, 10**20 + 39
+    expected = is_irreducible(specialize(f_rep(4), 10**10 + 19))
+    assert (expected.span_dim, expected.status, expected.witness is not None) \
+        == (10, "reducible", True)
+    evaluations = []
+    value = laurent._value
+
+    def counting(h, x):
+        evaluations.append(x)
+        return value(h, x)
+
+    companion = Matrix(QQ, [[0, 0, c], [1, 0, 0], [0, 1, 0]])
+    with mock.patch.object(laurent, "_value", counting):
+        assert is_irreducible(specialize(f_rep(4), t0)) == expected
+        assert 0 < len(evaluations) <= 8 * t0.bit_length()
+        evaluations.clear()
+        assert span([companion]) == 3
+        assert 0 < len(evaluations) <= 8 * c.bit_length()
